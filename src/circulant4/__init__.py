@@ -9,6 +9,9 @@ nabla q = 0 with a first-order system on grad A, grad B, grad C, and the
 curvature identities that transfer q between tensor slots.
 """
 
+# set before the submodules are imported: scan stamps it into every report
+__version__ = "0.1.0"
+
 from .circulant import (
     AFFINOR,
     CirculantTriple,
@@ -34,6 +37,7 @@ from .connection import (
     parallelism_verdict,
 )
 from .curvature import (
+    Geometry,
     christoffel_partials,
     christoffel_partials_fd,
     contract_lowered,
@@ -68,8 +72,6 @@ from .scan import (
     run_scan,
 )
 
-__version__ = "0.1.0"
-
 __all__ = [
     "AFFINOR",
     "CHECKS",
@@ -78,6 +80,7 @@ __all__ = [
     "ConfigError",
     "DomainError",
     "DomainStatus",
+    "Geometry",
     "ManifoldSpec",
     "ParseError",
     "Report",

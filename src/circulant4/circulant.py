@@ -3,9 +3,11 @@
 A metric value here is a symmetric circulant 4x4 matrix determined by three
 numbers (a, b, c), first row (a, b, c, b). Its determinant and inverse have
 closed forms in the triple, which this module uses directly; generic LU
-routines serve only as test oracles. The affinor q is the cyclic forward
-shift, a (1,1) tensor with q^4 = id and q^2 != +-id, acting on vector
-components as (qv)^j = q_i^{.j} v^i, i.e. qv = (v4, v1, v2, v3).
+routines serve only as test oracles. The inverse is computed for N triples
+at once (`inverse_metrics`); `inverse_metric` is its N = 1 view. The
+affinor q is the cyclic forward shift, a (1,1) tensor with q^4 = id and
+q^2 != +-id, acting on vector components as (qv)^j = q_i^{.j} v^i, i.e.
+qv = (v4, v1, v2, v3).
 """
 
 from __future__ import annotations
@@ -15,16 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import scalar_pow
+
 __all__ = [
     "CirculantTriple",
     "SingularMetricError",
     "AFFINOR",
+    "AFFINOR_NEXT",
+    "AFFINOR_PREVIOUS",
+    "SLOT_FIELD",
     "affinor_power",
     "apply_affinor",
     "metric_components",
     "metric_determinant",
     "degeneracy_threshold",
     "inverse_metric",
+    "inverse_metrics",
+    "degeneracy_error",
     "is_positive_definite_ordered",
     "leading_principal_minors",
     "inner",
@@ -51,6 +60,12 @@ class CirculantTriple:
             object.__setattr__(self, name, value)
 
 
+# the triple component (0 = a, 1 = b, 2 = c) in slot (i, j) of the matrix,
+# by the offset (j - i) mod 4; the same map places A, B, C and their
+# derivatives in the metric, and abar, bbar, cbar in its inverse
+SLOT_FIELD = np.array([[(0, 1, 2, 1)[(j - i) % 4] for j in range(4)] for i in range(4)])
+SLOT_FIELD.setflags(write=False)
+
 # q_i^{.j}: row i is the lower index, column j the upper one.
 AFFINOR = np.array(
     [
@@ -61,6 +76,10 @@ AFFINOR = np.array(
     ]
 )
 AFFINOR.setflags(write=False)
+# q as index maps: q_i^{.j} = 1 exactly for j = AFFINOR_NEXT[i], and for
+# i = AFFINOR_PREVIOUS[j]; contracting q into a slot shifts that index
+AFFINOR_NEXT = AFFINOR.argmax(axis=1)
+AFFINOR_PREVIOUS = AFFINOR.argmax(axis=0)
 
 _POWERS = []
 for _k in range(4):
@@ -88,15 +107,7 @@ def apply_affinor(k: int, v) -> np.ndarray:
 
 
 def metric_components(t: CirculantTriple) -> np.ndarray:
-    a, b, c = t.a, t.b, t.c
-    return np.array(
-        [
-            [a, b, c, b],
-            [b, a, b, c],
-            [c, b, a, b],
-            [b, c, b, a],
-        ]
-    )
+    return np.array([t.a, t.b, t.c])[SLOT_FIELD]
 
 
 def metric_determinant(t: CirculantTriple) -> float:
@@ -104,34 +115,54 @@ def metric_determinant(t: CirculantTriple) -> float:
     return (t.a - t.c) ** 2 * ((t.a + t.c) ** 2 - 4.0 * t.b * t.b)
 
 
+def _thresholds(a, b, c) -> np.ndarray:
+    return 1e-12 * scalar_pow(1.0 + np.abs(a) + np.abs(b) + np.abs(c), 3)
+
+
 def degeneracy_threshold(t: CirculantTriple) -> float:
     """Scale-aware cutoff below which the inverse is refused."""
-    return 1e-12 * (1.0 + abs(t.a) + abs(t.b) + abs(t.c)) ** 3
+    return float(_thresholds(*np.array([[t.a], [t.b], [t.c]]))[0])
+
+
+def degeneracy_error(a: float, b: float, c: float, d: float) -> SingularMetricError:
+    """The error for a degenerate triple, d as in `inverse_metrics`."""
+    return SingularMetricError(
+        f"circulant metric ({a}, {b}, {c}) is numerically degenerate (d = {d:.3e})"
+    )
+
+
+def inverse_metrics(triples):
+    """Closed-form inverses of N metric values, each circulant with first row
+    (abar, bbar, cbar, bbar)/d.
+
+    triples is an (N, 3) array of (a, b, c). Returns (ginv (N, 4, 4), d (N,),
+    degenerate (N,)): a point is degenerate when |d|, with
+    d = (a - c)((a + c)^2 - 4 b^2), falls at or below the degeneracy
+    threshold, and its ginv is NaN. The arithmetic is that of the scalar
+    formula, so each row equals its N = 1 result bit for bit.
+    """
+    a, b, c = np.asarray(triples, dtype=float).T
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = (a - c) * (scalar_pow(a + c, 2) - 4.0 * b * b)
+        degenerate = np.abs(d) <= _thresholds(a, b, c)
+        bars = np.stack(
+            [
+                (a * (a + c) - 2.0 * b * b) / d,
+                (b * (c - a)) / d,
+                (2.0 * b * b - c * (a + c)) / d,
+            ],
+            axis=1,
+        )
+    bars[degenerate] = np.nan
+    return bars[:, SLOT_FIELD], d, degenerate
 
 
 def inverse_metric(t: CirculantTriple) -> np.ndarray:
-    """Closed-form inverse, again circulant with first row (abar, bbar, cbar, bbar)/d.
-
-    Raises SingularMetricError when |d| with d = (a - c)((a + c)^2 - 4 b^2)
-    falls at or below the degeneracy threshold.
-    """
-    a, b, c = t.a, t.b, t.c
-    d = (a - c) * ((a + c) ** 2 - 4.0 * b * b)
-    if abs(d) <= degeneracy_threshold(t):
-        raise SingularMetricError(
-            f"circulant metric ({a}, {b}, {c}) is numerically degenerate (d = {d:.3e})"
-        )
-    abar = (a * (a + c) - 2.0 * b * b) / d
-    bbar = (b * (c - a)) / d
-    cbar = (2.0 * b * b - c * (a + c)) / d
-    return np.array(
-        [
-            [abar, bbar, cbar, bbar],
-            [bbar, abar, bbar, cbar],
-            [cbar, bbar, abar, bbar],
-            [bbar, cbar, bbar, abar],
-        ]
-    )
+    """The inverse at one triple; raises SingularMetricError where it is degenerate."""
+    ginv, d, degenerate = inverse_metrics([[t.a, t.b, t.c]])
+    if degenerate[0]:
+        raise degeneracy_error(t.a, t.b, t.c, float(d[0]))
+    return ginv[0]
 
 
 def is_positive_definite_ordered(t: CirculantTriple) -> bool:

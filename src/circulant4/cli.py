@@ -1,14 +1,15 @@
 """Command line front end: `circulant4 check` and `circulant4 scan`.
 
 Exit codes: 0 when every requested check passed, 1 when some check failed,
-2 on usage or config errors. The CIRCULANT4_JOBS environment variable sets
-the number of worker processes for scans (default: available cores); the
-report content does not depend on it.
+2 on usage or config errors. Scans run serially unless the CIRCULANT4_JOBS
+environment variable asks for more worker processes; the report content
+does not depend on it.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -118,7 +119,7 @@ def _parse_checks(text: str) -> tuple[str, ...]:
 def _jobs_from_env() -> int:
     raw = os.environ.get(JOBS_ENV_VAR)
     if raw is None:
-        return os.cpu_count() or 1
+        return 1
     try:
         jobs = int(raw)
     except ValueError as exc:
@@ -130,8 +131,8 @@ def _jobs_from_env() -> int:
 
 def _execute(args) -> Report:
     manifold = _resolve_manifold(args.manifold)
-    if not args.tol > 0:
-        raise CliError(f"--tol must be positive, got {args.tol}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise CliError(f"--tol must be positive and finite, got {args.tol}")
     if args.command == "check":
         return run_check(manifold, _parse_point(args.point), tolerance=args.tol)
     config = ScanConfig(

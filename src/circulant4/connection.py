@@ -11,26 +11,45 @@ first-order system on the coefficient gradients; both the expanded
 16-relation form and the reduced 8-relation form are exposed as labeled
 residual reports, and `parallelism_verdict` requires the differential and
 algebraic criteria to agree.
+
+Every quantity is computed for N points at once by the `*_batch` stage
+functions, which `Connection` chains, each stage once, on first use. The
+per-point functions (`christoffel`, `nabla_q`, ...) are its N = 1 views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .circulant import AFFINOR, inverse_metric
+from .circulant import (
+    AFFINOR_NEXT,
+    AFFINOR_PREVIOUS,
+    SLOT_FIELD,
+    CirculantTriple,
+    degeneracy_error,
+    inverse_metrics,
+)
 from .fields import as_point
 from .manifolds import ManifoldSpec
 
 __all__ = [
     "DomainError",
     "ResidualReport",
+    "Connection",
     "metric_partials",
+    "metric_partials_batch",
+    "first_kind_batch",
     "christoffel",
+    "christoffel_batch",
     "nabla_q",
+    "nabla_q_batch",
     "gradient_condition_residuals",
+    "gradient_condition_batch",
     "full_system_residuals",
+    "full_system_batch",
     "parallelism_verdict",
 ]
 
@@ -59,23 +78,179 @@ class ResidualReport:
         return dict(self.entries)
 
 
-# field index (0 = A, 1 = B, 2 = C) feeding metric slot (a, j), by (j - a) mod 4
-_OFFSET_FIELD = (0, 1, 2, 1)
-_SLOT_FIELD = np.array(
-    [[_OFFSET_FIELD[(j - a) % 4] for j in range(4)] for a in range(4)]
+# Subscripts denote partials: A1 is dA/dx1 and so on.
+REDUCED_LABELS = (
+    "A1 - C3",
+    "A2 - C4",
+    "A3 - C1",
+    "A4 - C2",
+    "B1 - B3",
+    "B2 - B4",
+    "2*B1 - C4 - C2",
+    "2*B2 - C1 - C3",
+)
+FULL_LABELS = (
+    "A4 - B1 + B3 - C2",
+    "A4 + B1 - B3 - C2",
+    "2*A2 + A4 - 3*B1 - B3 + C2",
+    "A3 + B2 - B4 - C1",
+    "A3 - B2 + B4 - C1",
+    "A2 - B1 + B3 - C4",
+    "A2 + B1 - B3 - C4",
+    "A4 - B1 - 3*B3 + C2 + 2*C4",
+    "A2 + 2*A4 - 3*B1 - B3 + C4",
+    "A2 + 2*A4 - B1 - 3*B3 + C4",
+    "A1 + 2*A3 - 3*B2 - B4 + C3",
+    "A1 - B2 + B4 - C3",
+    "A3 - B2 - 3*B4 + C1 + 2*C3",
+    "A1 - B2 - 3*B4 + 2*C1 + C3",
+    "2*A1 + A3 - B2 - 3*B4 + C1",
+    "A2 - B1 - 3*B3 + 2*C2 + C4",
 )
 
 
-def _field_gradients(m: ManifoldSpec, p) -> np.ndarray:
-    """Rows are the gradients of A, B, C at p, shape (3, 4)."""
-    return np.stack([m.A.gradient(p), m.B.gradient(p), m.C.gradient(p)])
+def metric_partials_batch(gradients) -> np.ndarray:
+    """dg[n, i, a, j] = d_i g_aj, from the field gradients (N, 3, 4)."""
+    return np.moveaxis(gradients[:, SLOT_FIELD], 3, 1)
 
 
-def metric_partials(m: ManifoldSpec, p) -> np.ndarray:
-    """dg[i, a, j] = d_i g_aj at p."""
-    grads = _field_gradients(m, p)
-    by_slot = grads[_SLOT_FIELD]  # [a, j, i]
-    return np.moveaxis(by_slot, 2, 0)
+def first_kind_batch(dg) -> np.ndarray:
+    """t[n, a, i, j] = d_i g_aj + d_j g_ai - d_a g_ij, twice the symbols of the first kind."""
+    return np.einsum("niaj->naij", dg) + np.einsum("njai->naij", dg) - dg
+
+
+def christoffel_batch(ginv, t) -> np.ndarray:
+    """Gamma[n, s, i, j] = g^{as} t[n, a, i, j] / 2."""
+    return 0.5 * np.einsum("nas,naij->nsij", ginv, t)
+
+
+def nabla_q_batch(gamma) -> np.ndarray:
+    """nq[n, i, s, j] = Gamma^s_ik q^k_j - Gamma^k_ij q^s_k.
+
+    q is a permutation, so both products only pick entries of Gamma.
+    """
+    return (gamma[..., AFFINOR_NEXT] - gamma[:, AFFINOR_PREVIOUS]).transpose(0, 2, 1, 3)
+
+
+def gradient_condition_batch(gradients) -> np.ndarray:
+    """The eight reduced residuals (in `REDUCED_LABELS` order) at N points, (N, 8)."""
+    (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4) = np.moveaxis(gradients, 0, 2)
+    return np.abs(
+        np.stack(
+            [
+                a1 - c3,
+                a2 - c4,
+                a3 - c1,
+                a4 - c2,
+                b1 - b3,
+                b2 - b4,
+                2.0 * b1 - c4 - c2,
+                2.0 * b2 - c1 - c3,
+            ],
+            axis=1,
+        )
+    )
+
+
+def full_system_batch(gradients) -> np.ndarray:
+    """The sixteen expanded residuals (in `FULL_LABELS` order) at N points, (N, 16)."""
+    (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4) = np.moveaxis(gradients, 0, 2)
+    return np.abs(
+        np.stack(
+            [
+                a4 - b1 + b3 - c2,
+                a4 + b1 - b3 - c2,
+                2.0 * a2 + a4 - 3.0 * b1 - b3 + c2,
+                a3 + b2 - b4 - c1,
+                a3 - b2 + b4 - c1,
+                a2 - b1 + b3 - c4,
+                a2 + b1 - b3 - c4,
+                # -3*B3 here: the +3*B3 variant equals 3*(C2 + C4) under the
+                # reduced relations, so it is not implied by them.
+                a4 - b1 - 3.0 * b3 + c2 + 2.0 * c4,
+                a2 + 2.0 * a4 - 3.0 * b1 - b3 + c4,
+                a2 + 2.0 * a4 - b1 - 3.0 * b3 + c4,
+                a1 + 2.0 * a3 - 3.0 * b2 - b4 + c3,
+                a1 - b2 + b4 - c3,
+                a3 - b2 - 3.0 * b4 + c1 + 2.0 * c3,
+                a1 - b2 - 3.0 * b4 + 2.0 * c1 + c3,
+                2.0 * a1 + a3 - b2 - 3.0 * b4 + c1,
+                a2 - b1 - 3.0 * b3 + 2.0 * c2 + c4,
+            ],
+            axis=1,
+        )
+    )
+
+
+class Connection:
+    """The connection of a manifold at N points, from the jets of A, B, C there.
+
+    Built from values (N, 3), gradients (N, 3, 4) and, for curvature,
+    Hessians (N, 3, 4, 4), as `ManifoldSpec.jets` returns them. The inverse
+    metric is computed at once, every later stage once, for all N points,
+    on first use. Points where the metric is numerically degenerate are
+    flagged in `degenerate`; their rows of every derived array are NaN.
+    """
+
+    jet_order = 1
+
+    def __init__(self, values, gradients, hessians=None):
+        self.values = values
+        self.gradients = gradients
+        self.hessians = hessians
+        self.inverse, self.d, self.degenerate = inverse_metrics(values)
+
+    @classmethod
+    def at(cls, manifold: ManifoldSpec, p):
+        """The pass at the single point p.
+
+        Raises DomainError on an excluded locus, ValueError where a field
+        value is not finite and SingularMetricError where the metric is
+        numerically degenerate.
+        """
+        p = as_point(p)
+        _check_domain(manifold, p)
+        values, gradients, hessians = manifold.jets(p[None], cls.jet_order)
+        triple = CirculantTriple(*values[0].tolist())
+        result = cls(values, gradients, hessians)
+        if result.degenerate[0]:
+            raise degeneracy_error(triple.a, triple.b, triple.c, float(result.d[0]))
+        return result
+
+    def degeneracy_message(self, n: int) -> str:
+        """Why point n has no connection."""
+        a, b, c = self.values[n].tolist()
+        return str(degeneracy_error(a, b, c, float(self.d[n])))
+
+    @cached_property
+    def metric(self) -> np.ndarray:
+        """g[n, a, j], (N, 4, 4)."""
+        return self.values[:, SLOT_FIELD]
+
+    @cached_property
+    def metric_partials(self) -> np.ndarray:
+        return metric_partials_batch(self.gradients)
+
+    @cached_property
+    def first_kind(self) -> np.ndarray:
+        return first_kind_batch(self.metric_partials)
+
+    @cached_property
+    def christoffel(self) -> np.ndarray:
+        return christoffel_batch(self.inverse, self.first_kind)
+
+    @cached_property
+    def nabla_q(self) -> np.ndarray:
+        return nabla_q_batch(self.christoffel)
+
+    @cached_property
+    def nabla_q_max(self) -> np.ndarray:
+        """max |nabla q| per point, (N,)."""
+        return np.abs(self.nabla_q).max(axis=(1, 2, 3))
+
+    @cached_property
+    def gradient_conditions(self) -> np.ndarray:
+        return gradient_condition_batch(self.gradients)
 
 
 def _check_domain(m: ManifoldSpec, p):
@@ -87,49 +262,37 @@ def _check_domain(m: ManifoldSpec, p):
             )
 
 
+def _gradients_at(m: ManifoldSpec, p) -> np.ndarray:
+    _, gradients, _ = m.jets(as_point(p)[None], order=1)
+    return gradients
+
+
+def metric_partials(m: ManifoldSpec, p) -> np.ndarray:
+    """dg[i, a, j] = d_i g_aj at p."""
+    return metric_partials_batch(_gradients_at(m, p))[0]
+
+
 def christoffel(m: ManifoldSpec, p) -> np.ndarray:
     """Gamma[s, i, j] = Gamma^s_ij at p, symmetric in (i, j).
 
     Raises DomainError on an excluded locus and SingularMetricError when the
     metric is numerically degenerate there.
     """
-    p = as_point(p)
-    _check_domain(m, p)
-    ginv = inverse_metric(m.triple_at(p))
-    dg = metric_partials(m, p)
-    t = np.einsum("iaj->aij", dg) + np.einsum("jai->aij", dg) - dg
-    return 0.5 * np.einsum("as,aij->sij", ginv, t)
+    return Connection.at(m, p).christoffel[0]
 
 
 def nabla_q(m: ManifoldSpec, p) -> np.ndarray:
     """nq[i, s, j] = nabla_i q^s_j; identically zero iff q is parallel at p."""
-    gamma = christoffel(m, p)
-    return np.einsum("sik,jk->isj", gamma, AFFINOR) - np.einsum(
-        "kij,ks->isj", gamma, AFFINOR
-    )
+    return Connection.at(m, p).nabla_q[0]
 
 
 def gradient_condition_residuals(m: ManifoldSpec, p) -> ResidualReport:
     """The reduced system on the coefficient gradients, eight residuals.
 
-    Subscripts denote partials: A1 is dA/dx1 and so on. All eight vanish
-    exactly when nabla q vanishes at p.
+    All eight vanish exactly when nabla q vanishes at p.
     """
-    ga, gb, gc = _field_gradients(m, as_point(p))
-    a1, a2, a3, a4 = ga
-    b1, b2, b3, b4 = gb
-    c1, c2, c3, c4 = gc
-    entries = (
-        ("A1 - C3", a1 - c3),
-        ("A2 - C4", a2 - c4),
-        ("A3 - C1", a3 - c1),
-        ("A4 - C2", a4 - c2),
-        ("B1 - B3", b1 - b3),
-        ("B2 - B4", b2 - b4),
-        ("2*B1 - C4 - C2", 2.0 * b1 - c4 - c2),
-        ("2*B2 - C1 - C3", 2.0 * b2 - c1 - c3),
-    )
-    return ResidualReport(tuple((label, abs(float(v))) for label, v in entries))
+    residuals = gradient_condition_batch(_gradients_at(m, p))[0]
+    return ResidualReport(tuple(zip(REDUCED_LABELS, residuals.tolist())))
 
 
 def full_system_residuals(m: ManifoldSpec, p) -> ResidualReport:
@@ -139,31 +302,8 @@ def full_system_residuals(m: ManifoldSpec, p) -> ResidualReport:
     coefficient sums at most 8, so its residual is bounded by 8 times the
     largest reduced residual.
     """
-    ga, gb, gc = _field_gradients(m, as_point(p))
-    a1, a2, a3, a4 = ga
-    b1, b2, b3, b4 = gb
-    c1, c2, c3, c4 = gc
-    entries = (
-        ("A4 - B1 + B3 - C2", a4 - b1 + b3 - c2),
-        ("A4 + B1 - B3 - C2", a4 + b1 - b3 - c2),
-        ("2*A2 + A4 - 3*B1 - B3 + C2", 2.0 * a2 + a4 - 3.0 * b1 - b3 + c2),
-        ("A3 + B2 - B4 - C1", a3 + b2 - b4 - c1),
-        ("A3 - B2 + B4 - C1", a3 - b2 + b4 - c1),
-        ("A2 - B1 + B3 - C4", a2 - b1 + b3 - c4),
-        ("A2 + B1 - B3 - C4", a2 + b1 - b3 - c4),
-        # -3*B3 here: the +3*B3 variant equals 3*(C2 + C4) under the reduced
-        # relations, so it is not implied by them.
-        ("A4 - B1 - 3*B3 + C2 + 2*C4", a4 - b1 - 3.0 * b3 + c2 + 2.0 * c4),
-        ("A2 + 2*A4 - 3*B1 - B3 + C4", a2 + 2.0 * a4 - 3.0 * b1 - b3 + c4),
-        ("A2 + 2*A4 - B1 - 3*B3 + C4", a2 + 2.0 * a4 - b1 - 3.0 * b3 + c4),
-        ("A1 + 2*A3 - 3*B2 - B4 + C3", a1 + 2.0 * a3 - 3.0 * b2 - b4 + c3),
-        ("A1 - B2 + B4 - C3", a1 - b2 + b4 - c3),
-        ("A3 - B2 - 3*B4 + C1 + 2*C3", a3 - b2 - 3.0 * b4 + c1 + 2.0 * c3),
-        ("A1 - B2 - 3*B4 + 2*C1 + C3", a1 - b2 - 3.0 * b4 + 2.0 * c1 + c3),
-        ("2*A1 + A3 - B2 - 3*B4 + C1", 2.0 * a1 + a3 - b2 - 3.0 * b4 + c1),
-        ("A2 - B1 - 3*B3 + 2*C2 + C4", a2 - b1 - 3.0 * b3 + 2.0 * c2 + c4),
-    )
-    return ResidualReport(tuple((label, abs(float(v))) for label, v in entries))
+    residuals = full_system_batch(_gradients_at(m, p))[0]
+    return ResidualReport(tuple(zip(FULL_LABELS, residuals.tolist())))
 
 
 def parallelism_verdict(m: ManifoldSpec, p, tol: float = 1e-8):
@@ -176,8 +316,11 @@ def parallelism_verdict(m: ManifoldSpec, p, tol: float = 1e-8):
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    nq_max = float(np.max(np.abs(nabla_q(m, p))))
-    conditions = gradient_condition_residuals(m, p)
-    verdict = nq_max <= tol and conditions.max_residual <= tol
-    report = ResidualReport(conditions.entries + (("max |nabla q|", nq_max),))
+    connection = Connection.at(m, p)
+    nq_max = float(connection.nabla_q_max[0])
+    conditions = connection.gradient_conditions[0].tolist()
+    verdict = nq_max <= tol and max(conditions) <= tol
+    report = ResidualReport(
+        tuple(zip(REDUCED_LABELS, conditions)) + (("max |nabla q|", nq_max),)
+    )
     return verdict, report

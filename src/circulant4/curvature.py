@@ -14,6 +14,10 @@ the field Hessians together with d g^{-1} = -g^{-1} (d g) g^{-1}; a
 central-difference route (`christoffel_partials_fd`, `riemann_fd`) is kept
 as an independent oracle.
 
+`Geometry` extends the batched `Connection` pass with d Gamma, R and the
+lowered R, each computed once for N points; `christoffel_partials`,
+`riemann` and `riemann_lowered` are its N = 1 views.
+
 On manifolds where q is parallel the curvature satisfies two structure
 identities: the (0,4) tensor absorbs q from the last slot into the third as
 q^3 (`curvature_q_invariance_residual`), equivalently R(x, y, q z, q u)
@@ -24,49 +28,109 @@ amount by which the identity fails, zero up to roundoff when it holds.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .circulant import AFFINOR, affinor_power, apply_affinor, inverse_metric, metric_components
-from .connection import christoffel, metric_partials
+from .circulant import (
+    AFFINOR_NEXT,
+    AFFINOR_PREVIOUS,
+    SLOT_FIELD,
+    apply_affinor,
+    inverse_metric,
+    metric_components,
+)
+from .connection import Connection, christoffel
 from .fields import as_point
 from .manifolds import ManifoldSpec
 
 __all__ = [
+    "Geometry",
     "christoffel_partials",
+    "christoffel_partials_batch",
     "christoffel_partials_fd",
     "riemann",
+    "riemann_batch",
     "riemann_fd",
     "riemann_lowered",
     "lower_index",
+    "lower_index_batch",
     "raise_index",
     "contract_lowered",
     "curvature_q_invariance_residual",
     "max_curvature_q_invariance_residual",
+    "q_invariance_gaps",
     "curvature_q_commutation_residual",
+    "q_commutation_gaps",
 ]
 
+def christoffel_partials_batch(ginv, dg, t, hessians) -> np.ndarray:
+    """dgamma[n, m, s, i, j] = d_m Gamma^s_ij, fully analytic.
 
-def _metric_second_partials(m: ManifoldSpec, p) -> np.ndarray:
-    """hg[m, i, a, j] = d_m d_i g_aj, from the exact field Hessians."""
-    from .connection import _SLOT_FIELD  # shared slot-to-field map
+    ginv, dg and t as in `Connection` (`inverse`, `metric_partials`,
+    `first_kind`), hessians the field Hessians (N, 3, 4, 4).
+    """
+    hg = np.einsum("najmi->nmiaj", hessians[:, SLOT_FIELD])  # d_m d_i g_aj
+    dt = np.einsum("nmiaj->nmaij", hg) + np.einsum("nmjai->nmaij", hg) - hg
+    dginv = -np.einsum("nab,nmbc,ncd->nmad", ginv, dg, ginv)
+    return 0.5 * (
+        np.einsum("nmas,naij->nmsij", dginv, t)
+        + np.einsum("nas,nmaij->nmsij", ginv, dt)
+    )
 
-    hessians = np.stack([m.A.hessian(p), m.B.hessian(p), m.C.hessian(p)])
-    by_slot = hessians[_SLOT_FIELD]  # [a, j, m, i]
-    return np.einsum("ajmi->miaj", by_slot)
+
+def riemann_batch(gamma, dgamma) -> np.ndarray:
+    """r[n, l, k, j, i], the (1,3) curvature from Gamma and d Gamma."""
+    return (
+        np.einsum("njlik->nlkji", dgamma)
+        - np.einsum("niljk->nlkji", dgamma)
+        + np.einsum("nljs,nsik->nlkji", gamma, gamma)
+        - np.einsum("nlis,nsjk->nlkji", gamma, gamma)
+    )
+
+
+def lower_index_batch(g, r13) -> np.ndarray:
+    """r4[n, h, k, j, i] = g_lh r13[n, l, k, j, i]."""
+    return np.einsum("nlh,nlkji->nhkji", g, r13)
+
+
+def q_invariance_gaps(r4) -> np.ndarray:
+    """max over basis 4-tuples of |R(x, y, z, qu) - R(x, y, q^3 z, u)|, per point."""
+    return np.abs(r4[:, AFFINOR_NEXT] - r4[:, :, AFFINOR_PREVIOUS]).max(axis=(1, 2, 3, 4))
+
+
+def q_commutation_gaps(r13) -> np.ndarray:
+    """Largest entry of the commutators of q with the R(e_j, e_i), per point."""
+    return np.abs(r13[:, :, AFFINOR_NEXT] - r13[:, AFFINOR_PREVIOUS]).max(axis=(1, 2, 3, 4))
+
+
+class Geometry(Connection):
+    """The connection pass of `Connection` plus curvature, for N points.
+
+    Adds d Gamma, R and the lowered R, each computed once, on first use;
+    both curvature checks read the same R. Needs the Hessians.
+    """
+
+    jet_order = 2
+
+    @cached_property
+    def christoffel_partials(self) -> np.ndarray:
+        return christoffel_partials_batch(
+            self.inverse, self.metric_partials, self.first_kind, self.hessians
+        )
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        return riemann_batch(self.christoffel, self.christoffel_partials)
+
+    @cached_property
+    def riemann_lowered(self) -> np.ndarray:
+        return lower_index_batch(self.metric, self.riemann)
 
 
 def christoffel_partials(m: ManifoldSpec, p) -> np.ndarray:
     """dgamma[m, s, i, j] = d_m Gamma^s_ij, fully analytic."""
-    p = as_point(p)
-    ginv = inverse_metric(m.triple_at(p))
-    dg = metric_partials(m, p)
-    hg = _metric_second_partials(m, p)
-    t = np.einsum("iaj->aij", dg) + np.einsum("jai->aij", dg) - dg
-    dt = np.einsum("miaj->maij", hg) + np.einsum("mjai->maij", hg) - hg
-    dginv = -np.einsum("ab,mbc,cd->mad", ginv, dg, ginv)
-    return 0.5 * (
-        np.einsum("mas,aij->msij", dginv, t) + np.einsum("as,maij->msij", ginv, dt)
-    )
+    return Geometry.at(m, p).christoffel_partials[0]
 
 
 def christoffel_partials_fd(m: ManifoldSpec, p, h: float = 1e-4) -> np.ndarray:
@@ -82,28 +146,20 @@ def christoffel_partials_fd(m: ManifoldSpec, p, h: float = 1e-4) -> np.ndarray:
     return out
 
 
-def _assemble_riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
-    return (
-        np.einsum("jlik->lkji", dgamma)
-        - np.einsum("iljk->lkji", dgamma)
-        + np.einsum("ljs,sik->lkji", gamma, gamma)
-        - np.einsum("lis,sjk->lkji", gamma, gamma)
-    )
-
-
 def riemann(m: ManifoldSpec, p) -> np.ndarray:
     """The (1,3) curvature r[l, k, j, i], antisymmetric in (j, i)."""
-    return _assemble_riemann(christoffel(m, p), christoffel_partials(m, p))
+    return Geometry.at(m, p).riemann[0]
 
 
 def riemann_fd(m: ManifoldSpec, p, h: float = 1e-4) -> np.ndarray:
     """Same assembly with finite-difference Christoffel partials."""
-    return _assemble_riemann(christoffel(m, p), christoffel_partials_fd(m, p, h))
+    dgamma = christoffel_partials_fd(m, p, h)
+    return riemann_batch(christoffel(m, p)[None], dgamma[None])[0]
 
 
 def lower_index(t, r13: np.ndarray) -> np.ndarray:
     """r4[h, k, j, i] = g_lh r13[l, k, j, i] for the metric value t."""
-    return np.einsum("lh,lkji->hkji", metric_components(t), r13)
+    return lower_index_batch(metric_components(t)[None], np.asarray(r13)[None])[0]
 
 
 def raise_index(t, r4: np.ndarray) -> np.ndarray:
@@ -113,8 +169,7 @@ def raise_index(t, r4: np.ndarray) -> np.ndarray:
 
 def riemann_lowered(m: ManifoldSpec, p) -> np.ndarray:
     """The (0,4) curvature with the classical pair symmetries."""
-    p = as_point(p)
-    return lower_index(m.triple_at(p), riemann(m, p))
+    return Geometry.at(m, p).riemann_lowered[0]
 
 
 def contract_lowered(r4: np.ndarray, x, y, z, u) -> float:
@@ -130,25 +185,11 @@ def curvature_q_invariance_residual(m: ManifoldSpec, p, x, y, z, u) -> float:
     return abs(lhs - rhs)
 
 
-def _q_invariance_gap(r4: np.ndarray) -> float:
-    q1 = AFFINOR
-    q3 = affinor_power(3)
-    lhs = np.einsum("pkji,hp->hkji", r4, q1)
-    rhs = np.einsum("hpji,kp->hkji", r4, q3)
-    return float(np.max(np.abs(lhs - rhs)))
-
-
 def max_curvature_q_invariance_residual(m: ManifoldSpec, p) -> float:
     """The slot-transfer residual maximized over all basis 4-tuples."""
-    return _q_invariance_gap(riemann_lowered(m, p))
-
-
-def _q_commutation_gap(r13: np.ndarray) -> float:
-    lhs = np.einsum("lsji,ks->lkji", r13, AFFINOR)
-    rhs = np.einsum("skji,sl->lkji", r13, AFFINOR)
-    return float(np.max(np.abs(lhs - rhs)))
+    return float(q_invariance_gaps(Geometry.at(m, p).riemann_lowered)[0])
 
 
 def curvature_q_commutation_residual(m: ManifoldSpec, p) -> float:
     """Largest entry of the commutator of q with the endomorphisms R(e_j, e_i)."""
-    return _q_commutation_gap(riemann(m, p))
+    return float(q_commutation_gaps(Geometry.at(m, p).riemann)[0])

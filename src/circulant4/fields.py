@@ -7,6 +7,12 @@ by coefficient arithmetic, so the connection and curvature routines never
 depend on numerical differentiation. A central-difference routine is still
 provided (`fd_gradient`) as an independent check on the analytic path.
 
+The geometry pipeline evaluates fields through their compiled form
+(`ScalarField.compile`): flat exponent and coefficient arrays for the field
+and its 14 distinct partials, evaluated for N points at once by `jets`. It
+reproduces `ScalarField.__call__`, `gradient` and `hessian` bit for bit,
+which stay as the per-point reference.
+
 Fields can be built programmatically (`ScalarField.coordinate`, arithmetic
 operators) or parsed from a small expression grammar:
 
@@ -25,20 +31,39 @@ implicit multiplication. Decimal literals may carry an exponent suffix
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
 
 __all__ = [
     "ScalarField",
+    "CompiledField",
     "ParseError",
     "parse_field",
     "fd_gradient",
     "as_point",
+    "jets",
+    "scalar_pow",
 ]
 
 _NVARS = 4
 _ZERO = (0, 0, 0, 0)
+
+# jet slots of a compiled field: 0 is the value, 1 + i the partial d_i and
+# 5 + k the second partial d_i d_j, i <= j, of the k-th pair below
+_SECOND_PAIRS = tuple((i, j) for i in range(_NVARS) for j in range(i, _NVARS))
+_SLOT_FIRST = np.array([-1] + list(range(_NVARS)) + [i for i, _ in _SECOND_PAIRS])
+_SLOT_SECOND = np.array([-1] * (1 + _NVARS) + [j for _, j in _SECOND_PAIRS])
+# derivative counts per variable, [slot, var]
+_SLOT_DERIVATIVES = (np.arange(_NVARS) == _SLOT_FIRST[:, None]).astype(np.int64) + (
+    np.arange(_NVARS) == _SLOT_SECOND[:, None]
+)
+_HESSIAN_SLOTS = np.empty((_NVARS, _NVARS), dtype=np.intp)
+for _k, (_i, _j) in enumerate(_SECOND_PAIRS):
+    _HESSIAN_SLOTS[_i, _j] = _HESSIAN_SLOTS[_j, _i] = 1 + _NVARS + _k
+# slots needed for jets up to order 0, 1, 2
+_ORDER_SLOTS = (1, 1 + _NVARS, 1 + _NVARS + len(_SECOND_PAIRS))
 
 
 def as_point(p) -> np.ndarray:
@@ -49,6 +74,40 @@ def as_point(p) -> np.ndarray:
     if not np.all(np.isfinite(q)):
         raise ValueError("point coordinates must be finite")
     return q
+
+
+def _as_points(points) -> np.ndarray:
+    """Coerce to a float array of shape (N, 4), rejecting non-finite input."""
+    q = np.asarray(points, dtype=float)
+    if q.ndim != 2 or q.shape[1] != _NVARS:
+        raise ValueError(f"expected points of shape (N, 4), got shape {q.shape}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("point coordinates must be finite")
+    return q
+
+
+def _pow_or_inf(x: float, e: int) -> float:
+    try:
+        return math.pow(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x) if e % 2 else math.inf
+
+
+def scalar_pow(values, e: int) -> np.ndarray:
+    """values**e elementwise, bit for bit as a Python or numpy scalar computes it.
+
+    Scalar powers call the C library's pow. numpy's array power, and repeated
+    multiplication, differ from it in the last bit on a few percent of
+    inputs, which would make batched and per-point results disagree.
+    Overflow gives inf with the sign of the exact power.
+    """
+    values = np.asarray(values, dtype=float)
+    flat = values.ravel().tolist()
+    try:
+        out = [math.pow(x, e) for x in flat]
+    except OverflowError:
+        out = [_pow_or_inf(x, e) for x in flat]
+    return np.array(out, dtype=float).reshape(values.shape)
 
 
 def _graded_lex_key(exps):
@@ -71,7 +130,7 @@ class ScalarField:
         for ``2*x1*x2``. Omitted or empty gives the zero field.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_compiled")
 
     def __init__(self, terms=None):
         clean = {}
@@ -124,6 +183,15 @@ class ScalarField:
         return max((sum(e) for e in self._terms), default=0)
 
     # evaluation and derivatives
+
+    def compile(self) -> "CompiledField":
+        """The compiled form, built on first use and kept on the field."""
+        try:
+            return self._compiled
+        except AttributeError:
+            compiled = CompiledField(self._terms)
+            object.__setattr__(self, "_compiled", compiled)
+            return compiled
 
     def __call__(self, p) -> float:
         p = as_point(p)
@@ -260,6 +328,104 @@ class ScalarField:
 
     def __repr__(self):
         return f"ScalarField({self.to_string()!r})"
+
+
+class CompiledField:
+    """A field and its 14 distinct partials as flat exponent/coefficient arrays.
+
+    Slot 0 holds the field, slots 1-4 its first partials and slots 5-14 the
+    second partials d_i d_j, i <= j. Lowering one exponent of every term
+    keeps the canonical term order, so each slot lists its terms in the
+    field's order, with the coefficients `ScalarField.partial` computes
+    (c * e_i, then times e_j). `evaluate` multiplies and sums in the order
+    of `ScalarField.__call__`, so the results agree with `__call__`,
+    `gradient` and `hessian` bit for bit.
+    """
+
+    __slots__ = ("exponents", "coefficients", "schedule", "max_exponents", "_prefix")
+
+    def __init__(self, terms: dict):
+        exps = np.array(list(terms), dtype=np.int64).reshape(-1, _NVARS)
+        coeffs = np.array(list(terms.values()), dtype=float)
+        lowered = exps[None, :, :] - _SLOT_DERIVATIVES[:, None, :]  # [slot, term, var]
+        keep = np.all(lowered >= 0, axis=2)
+        # the exponents a slot's coefficient is multiplied by, first d_i,
+        # then d_j of the lowered term; 1, an exact no-op, where it has none
+        first = np.where(_SLOT_FIRST[:, None] < 0, 1, exps[:, _SLOT_FIRST].T)
+        second = np.where(
+            _SLOT_SECOND[:, None] < 0,
+            1,
+            exps[:, _SLOT_SECOND].T - (_SLOT_FIRST == _SLOT_SECOND)[:, None],
+        )
+        slot_of, term_of = np.nonzero(keep)  # slot-major, terms in field order
+        counts = keep.sum(axis=1)
+        # schedule[j, s]: flat index of the j-th term of slot s; -1 pads,
+        # and evaluate() appends a zero column for it to read
+        schedule = np.full((counts.max(), len(counts)), -1, dtype=np.intp)
+        schedule[np.cumsum(keep, axis=1)[slot_of, term_of] - 1, slot_of] = np.arange(
+            len(slot_of)
+        )
+        self.exponents = lowered[slot_of, term_of]
+        self.coefficients = (
+            coeffs[term_of] * first[slot_of, term_of] * second[slot_of, term_of]
+        )
+        self.schedule = schedule
+        self.max_exponents = exps.max(axis=0, initial=0)
+        offsets = np.concatenate([[0], np.cumsum(counts)])
+        # per order: (terms used, schedule rows used)
+        self._prefix = tuple((int(offsets[n]), int(counts[:n].max())) for n in _ORDER_SLOTS)
+
+    def evaluate(self, powers, order: int = 2) -> np.ndarray:
+        """Slots 0 .. (1, 5, 15)[order] - 1 at N points, shape (N, slots).
+
+        powers[k] is the table of x_{k+1}**e, shape (N, e_max + 1), with
+        column e computed by `scalar_pow`.
+        """
+        nterms, rows = self._prefix[order]
+        exps = self.exponents[:nterms]
+        mono = self.coefficients[:nterms] * powers[0][:, exps[:, 0]]
+        for k in range(1, _NVARS):
+            mono *= powers[k][:, exps[:, k]]
+        mono = np.concatenate([mono, np.zeros((len(mono), 1))], axis=1)
+        schedule = self.schedule[:rows, : _ORDER_SLOTS[order]]
+        # one term per slot at a time, from 0.0, as __call__ sums; adding
+        # the zero padding leaves every partial sum unchanged
+        out = np.zeros((len(mono), schedule.shape[1]))
+        for row in schedule:
+            out += mono[:, row]
+        return out
+
+
+def _power_table(column: np.ndarray, top: int) -> np.ndarray:
+    table = np.empty((len(column), top + 1))
+    table[:, 0] = 1.0
+    if top >= 1:
+        table[:, 1] = column
+    for e in range(2, top + 1):
+        table[:, e] = scalar_pow(column, e)
+    return table
+
+
+def jets(fields, points, order: int = 2):
+    """Values, gradients and Hessians of several fields at N points at once.
+
+    Returns (values (N, F), gradients (N, F, 4), hessians (N, F, 4, 4)) for
+    F fields; with order 0 or 1 the higher derivatives are skipped and
+    returned as None. Entry for entry, the results equal `__call__`,
+    `gradient` and `hessian` of each field at each point.
+    """
+    if order not in (0, 1, 2):
+        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+    points = _as_points(points)
+    compiled = [field.compile() for field in fields]
+    top = np.max([c.max_exponents for c in compiled], axis=0)
+    powers = [_power_table(points[:, k], int(top[k])) for k in range(_NVARS)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        slots = np.stack([c.evaluate(powers, order) for c in compiled], axis=1)
+    values = slots[:, :, 0]
+    gradients = slots[:, :, 1 : 1 + _NVARS] if order >= 1 else None
+    hessians = slots[:, :, _HESSIAN_SLOTS] if order == 2 else None
+    return values, gradients, hessians
 
 
 def fd_gradient(field, p, h: float | None = None) -> np.ndarray:

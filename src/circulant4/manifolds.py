@@ -2,8 +2,11 @@
 
 A manifold here is R^4 (minus excluded loci) carrying the circulant metric
 whose components at p are (A(p), B(p), C(p)). Validity of a point means it
-avoids the excluded loci and the triple is ordered A > C > B > 0, which is
-sufficient for positive definiteness.
+avoids the excluded loci, the triple is finite and it is ordered
+A > C > B > 0, which is sufficient for positive definiteness. Both the
+field jets (`ManifoldSpec.jets`) and validity (`ManifoldSpec.domain_reasons`)
+work on N points at once; `triple_at` and `domain_valid` are their N = 1
+views.
 
 The built-in example uses
 
@@ -29,8 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .circulant import CirculantTriple, metric_components
-from .fields import ParseError, ScalarField, as_point, parse_field
+from .fields import ParseError, ScalarField, as_point, jets, parse_field
 
 __all__ = [
     "SignLineLocus",
@@ -52,9 +57,12 @@ class SignLineLocus:
     signs: tuple[int, int, int, int]
 
     def contains(self, p) -> bool:
-        p = as_point(p)
-        v = [s * x for s, x in zip(self.signs, p)]
-        return v[0] == v[1] == v[2] == v[3]
+        return bool(self.contains_points(as_point(p)[None])[0])
+
+    def contains_points(self, points) -> np.ndarray:
+        """Membership of each row of an (N, 4) array of points."""
+        v = np.asarray(points, dtype=float) * np.asarray(self.signs)
+        return (v[:, 0] == v[:, 1]) & (v[:, 1] == v[:, 2]) & (v[:, 2] == v[:, 3])
 
 
 @dataclass(frozen=True)
@@ -74,31 +82,54 @@ class ManifoldSpec:
     C: ScalarField
     excluded_loci: tuple[SignLineLocus, ...] = field(default=())
 
+    def jets(self, points, order: int = 2):
+        """Values (N, 3), gradients (N, 3, 4) and Hessians (N, 3, 4, 4) of A, B, C.
+
+        Derivatives above `order` are skipped and returned as None.
+        """
+        return jets((self.A, self.B, self.C), points, order)
+
     def triple_at(self, p) -> CirculantTriple:
-        p = as_point(p)
-        return CirculantTriple(self.A(p), self.B(p), self.C(p))
+        values, _, _ = self.jets(as_point(p)[None], order=0)
+        return CirculantTriple(*values[0].tolist())
 
     def metric_at(self, p):
         return metric_components(self.triple_at(p))
 
-    def domain_valid(self, p) -> DomainStatus:
-        """Pointwise validity: off the excluded loci and A > C > B > 0.
+    def domain_reasons(self, points, triples) -> list:
+        """Why each point is invalid, None where it is valid.
 
-        The ordering is checked in the stated sequence so the reason string
-        names the first violated comparison.
+        points is (N, 4) and triples the field values there, (N, 3). The
+        tests run in a fixed sequence (excluded loci, a non-finite
+        component, then A > C, C > B, B > 0), so the reason names the first
+        one that fails.
         """
-        p = as_point(p)
+        points = np.asarray(points, dtype=float)
+        a, b, c = np.asarray(triples, dtype=float).T
+        reasons = np.full(len(points), None, dtype=object)
+        pending = np.ones(len(points), dtype=bool)
+
+        def fail(mask, reason):
+            hit = pending & mask
+            reasons[hit] = reason
+            pending[hit] = False
+
         for locus in self.excluded_loci:
-            if locus.contains(p):
-                return DomainStatus(False, f"excluded locus {locus.label}")
-        t = self.triple_at(p)
-        if not t.a > t.c:
-            return DomainStatus(False, "A > C violated")
-        if not t.c > t.b:
-            return DomainStatus(False, "C > B violated")
-        if not t.b > 0.0:
-            return DomainStatus(False, "B > 0 violated")
-        return DomainStatus(True)
+            fail(locus.contains_points(points), f"excluded locus {locus.label}")
+        for name, values in zip("ABC", (a, b, c)):
+            fail(~np.isfinite(values), f"{name} is not finite")
+        with np.errstate(invalid="ignore"):
+            fail(~(a > c), "A > C violated")
+            fail(~(c > b), "C > B violated")
+            fail(~(b > 0.0), "B > 0 violated")
+        return reasons.tolist()
+
+    def domain_valid(self, p) -> DomainStatus:
+        """Pointwise validity, the N = 1 view of `domain_reasons`."""
+        p = as_point(p)[None]
+        values, _, _ = self.jets(p, order=0)
+        reason = self.domain_reasons(p, values)[0]
+        return DomainStatus(reason is None, reason)
 
 
 def example_manifold() -> ManifoldSpec:

@@ -9,7 +9,12 @@ A check evaluates a named criterion at one point of a manifold:
 
 The two curvature residuals are compared against tol scaled by 1 + the
 largest curvature component. Checks other than validity are skipped (null
-in the report) at invalid points.
+in the report) at invalid points, and triple components that are not
+finite are reported as null.
+
+Points are evaluated in chunks of CHUNK_SIZE by one batched pass: the
+field jets, validity and one `Geometry` (Gamma, nabla q, d Gamma, R) that
+every check reads. `evaluate_point` is the same pass at a single point.
 
 Reports are plain mappings rendered to JSON or CSV. Rendering is
 deterministic: fixed key order, records in row-major grid order, floats in
@@ -19,7 +24,6 @@ regardless of how many worker processes evaluated the grid.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -30,14 +34,8 @@ from io import StringIO
 
 import numpy as np
 
-from .circulant import SingularMetricError
-from .connection import DomainError, parallelism_verdict
-from .curvature import (
-    _q_commutation_gap,
-    _q_invariance_gap,
-    riemann,
-    riemann_lowered,
-)
+from . import __version__
+from .curvature import Geometry, q_commutation_gaps, q_invariance_gaps
 from .fields import as_point
 from .manifolds import ManifoldSpec
 
@@ -46,6 +44,7 @@ __all__ = [
     "AxisSpec",
     "ScanConfig",
     "Report",
+    "CHUNK_SIZE",
     "evaluate_point",
     "run_check",
     "run_scan",
@@ -54,7 +53,14 @@ __all__ = [
 
 CHECKS = ("validity", "parallel", "curvature31", "curvature32")
 
-_VERSION = "0.1.0"
+_VERSION = __version__
+
+# grid points per batched pass; larger chunks amortize more numpy calls per
+# point but hold proportionally larger curvature temporaries
+CHUNK_SIZE = 64
+
+# highest derivative of A, B, C that each check needs
+_JET_ORDER = {"validity": 0, "parallel": 1, "curvature31": 2, "curvature32": 2}
 
 
 @dataclass(frozen=True)
@@ -102,69 +108,90 @@ class ScanConfig:
 
     def points(self):
         """Grid points in row-major order (last axis fastest)."""
-        for coords in itertools.product(*(axis.values() for axis in self.axes)):
-            yield np.array(coords)
+        for chunk in _grid_chunks(self.axes, CHUNK_SIZE):
+            yield from chunk
 
 
-def _parallel_outcome(m: ManifoldSpec, p, tol: float) -> dict:
-    verdict, report = parallelism_verdict(m, p, tol)
-    nq_max = report["max |nabla q|"]
-    gradient_max = max(v for k, v in report.entries if k != "max |nabla q|")
-    return {
-        "passed": verdict,
-        "nabla_q_max": nq_max,
-        "gradient_condition_max": gradient_max,
-    }
+def _parallel_outcomes(geometry: Geometry, tol: float) -> list[dict]:
+    nq_max = geometry.nabla_q_max.tolist()
+    gradient_max = np.max(geometry.gradient_conditions, axis=1).tolist()
+    return [
+        {"passed": nq <= tol and gm <= tol, "nabla_q_max": nq, "gradient_condition_max": gm}
+        for nq, gm in zip(nq_max, gradient_max)
+    ]
 
 
-def _curvature31_outcome(m: ManifoldSpec, p, tol: float) -> dict:
-    r4 = riemann_lowered(m, p)
-    scale = 1.0 + float(np.max(np.abs(r4)))
-    residual = _q_invariance_gap(r4)
-    return {"passed": residual <= tol * scale, "residual": residual, "scale": scale}
+def _curvature_outcomes(residuals: np.ndarray, tensor: np.ndarray, tol: float) -> list[dict]:
+    scales = (1.0 + np.abs(tensor).max(axis=(1, 2, 3, 4))).tolist()
+    return [
+        {"passed": residual <= tol * scale, "residual": residual, "scale": scale}
+        for residual, scale in zip(residuals.tolist(), scales)
+    ]
 
 
-def _curvature32_outcome(m: ManifoldSpec, p, tol: float) -> dict:
-    r13 = riemann(m, p)
-    scale = 1.0 + float(np.max(np.abs(r13)))
-    residual = _q_commutation_gap(r13)
-    return {"passed": residual <= tol * scale, "residual": residual, "scale": scale}
+def _curvature31_outcomes(geometry: Geometry, tol: float) -> list[dict]:
+    r4 = geometry.riemann_lowered
+    return _curvature_outcomes(q_invariance_gaps(r4), r4, tol)
+
+
+def _curvature32_outcomes(geometry: Geometry, tol: float) -> list[dict]:
+    r13 = geometry.riemann
+    return _curvature_outcomes(q_commutation_gaps(r13), r13, tol)
 
 
 _GEOMETRY_CHECKS = {
-    "parallel": _parallel_outcome,
-    "curvature31": _curvature31_outcome,
-    "curvature32": _curvature32_outcome,
+    "parallel": _parallel_outcomes,
+    "curvature31": _curvature31_outcomes,
+    "curvature32": _curvature32_outcomes,
 }
+
+
+def _finite_or_none(x: float):
+    return x if math.isfinite(x) else None
+
+
+def _evaluate_chunk(manifold: ManifoldSpec, points, checks, tolerance: float) -> list[dict]:
+    """The records of an (N, 4) array of points, from one batched pass."""
+    order = max((_JET_ORDER[c] for c in checks), default=0)
+    values, gradients, hessians = manifold.jets(points, order)
+    reasons = manifold.domain_reasons(points, values)
+    outcomes = {check: [None] * len(points) for check in checks if check != "validity"}
+    rows = [n for n, reason in enumerate(reasons) if reason is None]
+    if outcomes and rows:
+        geometry = Geometry(
+            values[rows], gradients[rows], None if hessians is None else hessians[rows]
+        )
+        errors = {
+            k: {"passed": False, "error": geometry.degeneracy_message(k)}
+            for k in np.flatnonzero(geometry.degenerate).tolist()
+        }
+        for check, column in outcomes.items():
+            for k, (n, outcome) in enumerate(zip(rows, _GEOMETRY_CHECKS[check](geometry, tolerance))):
+                column[n] = dict(errors[k]) if k in errors else outcome
+    records = []
+    for n, (point, triple, reason) in enumerate(zip(points.tolist(), values.tolist(), reasons)):
+        valid = reason is None
+        record = {
+            "point": point,
+            "triple": dict(zip("ABC", map(_finite_or_none, triple))),
+            "valid": valid,
+            "reason": reason,
+            "checks": {},
+        }
+        for check in checks:
+            if check == "validity":
+                record["checks"]["validity"] = {"passed": valid}
+            else:
+                record["checks"][check] = outcomes[check][n]
+        records.append(record)
+    return records
 
 
 def evaluate_point(
     manifold: ManifoldSpec, point, checks=CHECKS, tolerance: float = 1e-8
 ) -> dict:
     """One record of the report: triple, validity and check outcomes at point."""
-    p = as_point(point)
-    status = manifold.domain_valid(p)
-    t = manifold.triple_at(p)
-    record = {
-        "point": [float(x) for x in p],
-        "triple": {"A": t.a, "B": t.b, "C": t.c},
-        "valid": status.valid,
-        "reason": status.reason,
-        "checks": {},
-    }
-    for check in checks:
-        if check == "validity":
-            record["checks"]["validity"] = {"passed": status.valid}
-        elif not status.valid:
-            record["checks"][check] = None
-        else:
-            try:
-                record["checks"][check] = _GEOMETRY_CHECKS[check](
-                    manifold, p, tolerance
-                )
-            except (DomainError, SingularMetricError) as exc:
-                record["checks"][check] = {"passed": False, "error": str(exc)}
-    return record
+    return _evaluate_chunk(manifold, as_point(point)[None], checks, tolerance)[0]
 
 
 def _record_residual(check: str, outcome: dict) -> float | None:
@@ -258,24 +285,35 @@ def run_check(
     return Report(meta, (record,), _summarize([record], checks))
 
 
-def run_scan(manifold: ManifoldSpec, config: ScanConfig, jobs: int = 1) -> Report:
-    """Evaluate the configured checks over the whole grid.
+def _grid_chunks(axes, size: int):
+    """The grid points of `ScanConfig.points`, as (n, 4) arrays of up to size rows."""
+    values = [axis.values() for axis in axes]
+    shape = tuple(axis.count for axis in axes)
+    total = math.prod(shape)
+    for start in range(0, total, size):
+        index = np.unravel_index(np.arange(start, min(start + size, total)), shape)
+        yield np.stack([v[i] for v, i in zip(values, index)], axis=1)
 
-    jobs > 1 spreads the points over worker processes; record order and
+
+def run_scan(manifold: ManifoldSpec, config: ScanConfig, jobs: int = 1) -> Report:
+    """Evaluate the configured checks over the whole grid, CHUNK_SIZE points at a time.
+
+    jobs > 1 spreads the chunks over worker processes; record order and
     therefore the rendered report stay identical either way.
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
-    points = list(config.points())
     worker = partial(
-        evaluate_point, manifold, checks=config.checks, tolerance=config.tolerance
+        _evaluate_chunk, manifold, checks=config.checks, tolerance=config.tolerance
     )
-    if jobs > 1 and len(points) > 1:
-        chunk = max(1, len(points) // (4 * jobs))
+    chunks = _grid_chunks(config.axes, CHUNK_SIZE)
+    nchunks = -(-math.prod(axis.count for axis in config.axes) // CHUNK_SIZE)
+    if jobs > 1 and nchunks > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(worker, points, chunksize=chunk))
+            parts = list(pool.map(worker, chunks, chunksize=max(1, nchunks // (4 * jobs))))
     else:
-        records = [worker(p) for p in points]
+        parts = map(worker, chunks)
+    records = [record for part in parts for record in part]
     meta = _meta(manifold, "scan", config.checks, config.tolerance)
     meta["box"] = [
         {"start": a.start, "stop": a.stop, "count": a.count} for a in config.axes
@@ -297,7 +335,7 @@ def _csv_bool(value) -> str:
 
 def _csv_cells(record: dict) -> list[str]:
     cells = [repr(x) for x in record["point"]]
-    cells += [repr(record["triple"][k]) for k in ("A", "B", "C")]
+    cells += ["" if record["triple"][k] is None else repr(record["triple"][k]) for k in "ABC"]
     cells.append(_csv_bool(record["valid"]))
     cells.append(record["reason"] or "")
     for check in ("parallel", "curvature31", "curvature32"):

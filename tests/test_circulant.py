@@ -1,5 +1,7 @@
 """Affinor algebra and circulant closed forms against dense LU oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -19,6 +21,7 @@ from circulant4 import (
     metric_components,
     metric_determinant,
 )
+from circulant4.circulant import inverse_metrics
 
 T312 = CirculantTriple(3.0, 1.0, 2.0)
 
@@ -206,3 +209,34 @@ def test_isometry_of_affinor_powers(t, u, v):
     for k in (1, 2, 3):
         moved = inner(t, apply_affinor(k, u), apply_affinor(k, v))
         assert abs(moved - base) <= 1e-12 * (1 + abs(base))
+
+
+def _scalar_inverse(a, b, c):
+    """The closed form in Python floats, one triple at a time."""
+    d = (a - c) * ((a + c) ** 2 - 4.0 * b * b)
+    if abs(d) <= 1e-12 * (1.0 + abs(a) + abs(b) + abs(c)) ** 3:
+        return None
+    abar = (a * (a + c) - 2.0 * b * b) / d
+    bbar = (b * (c - a)) / d
+    cbar = (2.0 * b * b - c * (a + c)) / d
+    return metric_components(CirculantTriple(abar, bbar, cbar))
+
+
+@given(st.lists(st.tuples(_coords, _coords, _coords), max_size=12))
+def test_batched_inverse_matches_scalar_formula_bitwise(triples):
+    # exact zeros of d and a near-singular triple ride along in every batch
+    triples = triples + [(2.0, 0.0, 2.0), (3.0, 2.0, 1.0), (1 + 1e-13, 0.25, 1.0), (3.0, 1.0, 2.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ginv, d, degenerate = inverse_metrics(triples)
+    assert ginv.shape == (len(triples), 4, 4)
+    for row, flag, triple in zip(ginv, degenerate, triples):
+        expected = _scalar_inverse(*triple)
+        assert flag == (expected is None)
+        if flag:
+            assert np.all(np.isnan(row))
+            with pytest.raises(SingularMetricError):
+                inverse_metric(CirculantTriple(*triple))
+        else:
+            assert np.array_equal(row.view(np.int64), expected.view(np.int64))
+            assert np.array_equal(inverse_metric(CirculantTriple(*triple)), row)

@@ -1,10 +1,13 @@
 """Riemann curvature, its oracles, and the affinor structure identities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from circulant4 import (
     AFFINOR,
+    Geometry,
     apply_affinor,
     christoffel_partials,
     christoffel_partials_fd,
@@ -190,3 +193,23 @@ def test_identities_fail_without_parallelism():
     x, y, z, u = (rng.uniform(-1, 1, size=4) for _ in range(4))
     # a generic vector 4-tuple sees the violation as well
     assert curvature_q_invariance_residual(m, P0, x, y, z, u) > 1e-6
+
+
+def test_degenerate_rows_stay_local(nonflat_points):
+    m, points = nonflat_points
+    values, gradients, hessians = m.jets(np.array(points[:3]))
+    values = values.copy()
+    values[1] = (2.0, 1.0, 2.0)  # A = C: d = 0 exactly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        geometry = Geometry(values, gradients, hessians)
+        r4 = geometry.riemann_lowered
+        nq = geometry.nabla_q
+    assert geometry.degenerate.tolist() == [False, True, False]
+    assert np.all(np.isnan(r4[1])) and np.all(np.isnan(nq[1]))
+    assert "degenerate" in geometry.degeneracy_message(1)
+    for k in (0, 2):
+        alone = Geometry(values[k : k + 1], gradients[k : k + 1], hessians[k : k + 1])
+        assert np.array_equal(r4[k], alone.riemann_lowered[0])
+        assert np.array_equal(nq[k], alone.nabla_q[0])
+        assert np.array_equal(r4[k], riemann_lowered(m, points[k]))

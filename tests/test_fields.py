@@ -1,12 +1,24 @@
 """Polynomial fields: exact derivatives, canonical printing, parsing."""
 
+import os
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from circulant4 import ParseError, ScalarField, as_point, fd_gradient, parse_field
+from circulant4 import (
+    ParseError,
+    ScalarField,
+    as_point,
+    example_manifold,
+    fd_gradient,
+    load_manifold,
+    parse_field,
+)
+from circulant4.fields import jets
 
-from helpers import PARSER_CORPUS
+from helpers import PARSER_CORPUS, REPO_ROOT, random_polynomial
 
 x1, x2, x3, x4 = (ScalarField.coordinate(i) for i in (1, 2, 3, 4))
 
@@ -198,3 +210,105 @@ def test_product_rule(f, g, p):
     lhs = (f * g).partial(1)
     rhs = f * g.partial(1) + g * f.partial(1)
     assert abs(lhs(p) - rhs(p)) <= 1e-6 * (1 + abs(lhs(p)))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _reference_fields():
+    """Named fields the compiled kernel must reproduce bit for bit."""
+    example = example_manifold()
+    cubic = load_manifold(os.path.join(REPO_ROOT, "perfbench", "manifolds", "cubic.cfg"))
+    rng = np.random.default_rng(20261017)
+    fields = {
+        "zero": ScalarField(),
+        "constant": ScalarField.constant(2.5),
+        "negative constant": ScalarField.constant(-1 / 3),
+        "x1^4 x2": x1**4 * x2 - 3 * x3**2 * x4**3,
+        # two odd exponents in one term: (c * 3) * 3 and c * 9 round apart
+        "odd exponents": parse_field("0.1*x1^3*x2^3 - 1/3*x3^5*x4^3 + 0.7*x1^3*x4^5"),
+    }
+    for name in "ABC":
+        fields[f"example {name}"] = getattr(example, name)
+        fields[f"cubic {name}"] = getattr(cubic, name)
+    for k in range(8):
+        fields[f"random {k}"] = random_polynomial(rng, degree=4, terms=9, scale=3.0)
+    return fields
+
+
+REFERENCE_FIELDS = _reference_fields()
+
+
+def _reference_points():
+    rng = np.random.default_rng(20261018)
+    special = [
+        (0.0, 0.0, 0.0, 0.0),
+        (-0.0, 1.0, -1.0, 0.5),
+        (1.0, 0.1, 2.0, 0.2),
+        (1e-160, -1e-170, 1e-300, 3.0),
+        (1e100, -1e80, 2.0, 1e60),
+    ]
+    return np.vstack([special, rng.uniform(-3.0, 3.0, size=(60, 4))])
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_FIELDS))
+def test_compiled_jets_match_reference_bitwise(name):
+    f = REFERENCE_FIELDS[name]
+    points = _reference_points()
+    values, gradients, hessians = jets([f], points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref_values = [f(p) for p in points]
+        ref_gradients = [f.gradient(p) for p in points]
+        ref_hessians = [f.hessian(p) for p in points]
+    assert np.array_equal(_bits(values[:, 0]), _bits(ref_values))
+    assert np.array_equal(_bits(gradients[:, 0]), _bits(ref_gradients))
+    assert np.array_equal(_bits(hessians[:, 0]), _bits(ref_hessians))
+    # one point at a time: no row depends on the others
+    for k in (0, len(points) - 1):
+        single = jets([f], points[k : k + 1])
+        assert all(
+            np.array_equal(_bits(a), _bits(b[k : k + 1])) for a, b in
+            zip(single, (values, gradients, hessians))
+        )
+
+
+def test_jets_of_several_fields_and_orders():
+    m = example_manifold()
+    points = _reference_points()[:10]
+    values, gradients, hessians = jets([m.A, m.B, m.C], points)
+    assert values.shape == (10, 3)
+    assert gradients.shape == (10, 3, 4)
+    assert hessians.shape == (10, 3, 4, 4)
+    assert np.array_equal(hessians, np.swapaxes(hessians, 2, 3))
+    for k, f in enumerate((m.A, m.B, m.C)):
+        alone = jets([f], points)
+        assert np.array_equal(values[:, k], alone[0][:, 0])
+        assert np.array_equal(hessians[:, k], alone[2][:, 0])
+    v0, g0, h0 = jets([m.A, m.B, m.C], points, order=0)
+    assert np.array_equal(v0, values) and g0 is None and h0 is None
+    v1, g1, h1 = jets([m.A, m.B, m.C], points, order=1)
+    assert np.array_equal(g1, gradients) and h1 is None
+    with pytest.raises(ValueError):
+        jets([m.A], points, order=3)
+    with pytest.raises(ValueError):
+        jets([m.A], points[0])
+    with pytest.raises(ValueError):
+        jets([m.A], [[0.0, 0.0, 0.0, float("nan")]])
+
+
+def test_compiled_form_is_kept_on_the_field():
+    f = parse_field("x1^2*x3 - x4")
+    compiled = f.compile()
+    assert f.compile() is compiled
+    clone = pickle.loads(pickle.dumps(f))
+    assert clone == f
+    assert np.array_equal(jets([clone], [[1.0, 2.0, 3.0, 4.0]])[1], jets([f], [[1.0, 2.0, 3.0, 4.0]])[1])
+
+
+@given(_fields, st.tuples(*[st.floats(-4, 4)] * 4))
+def test_compiled_jets_match_reference_on_random_fields(f, p):
+    values, gradients, hessians = jets([f], [p])
+    assert _bits(values[0, 0]) == _bits(f(p))
+    assert np.array_equal(_bits(gradients[0, 0]), _bits(f.gradient(p)))
+    assert np.array_equal(_bits(hessians[0, 0]), _bits(f.hessian(p)))

@@ -1,14 +1,16 @@
 """Reports, grid scans, rendering determinism and the CLI contract."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from circulant4 import example_manifold
-from circulant4.cli import main
+from circulant4 import ManifoldSpec, ScalarField, __version__, example_manifold
+from circulant4.cli import _jobs_from_env, main
 from circulant4.scan import (
     CHECKS,
+    CHUNK_SIZE,
     AxisSpec,
     ScanConfig,
     evaluate_point,
@@ -17,7 +19,7 @@ from circulant4.scan import (
     run_scan,
 )
 
-from helpers import near_singular_manifold, run_cli
+from helpers import near_singular_manifold, nonflat_parallel_manifold, run_cli
 
 P0 = (1.0, 0.1, 2.0, 0.2)
 
@@ -342,3 +344,108 @@ def test_cli_subprocess_determinism():
 def test_cli_subprocess_usage_error():
     result = run_cli(["scan", "--manifold", "example"])
     assert result.returncode == 2
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _line_axes(start, stop, count, rest=(0.1, 2.0, 0.2)):
+    """A grid of count points along x1, the other coordinates fixed."""
+    return (AxisSpec(start, stop, count),) + tuple(AxisSpec(x, x, 1) for x in rest)
+
+
+@pytest.mark.parametrize("count", [1, CHUNK_SIZE - 1, CHUNK_SIZE + 1, 2 * CHUNK_SIZE + 1])
+@pytest.mark.parametrize(
+    "manifold", [example_manifold(), nonflat_parallel_manifold()], ids=["example", "cubic"]
+)
+def test_records_do_not_depend_on_chunking(manifold, count):
+    # every record, whether alone, first, inside or last in its chunk, is
+    # byte for byte the record of that point evaluated on its own
+    config = ScanConfig(_line_axes(0.3, 2.1, count, rest=(0.2, 1.8, 0.3)))
+    report = run_scan(manifold, config)
+    assert len(report.points) == count
+    assert report.summary["valid_points"] >= (count + 1) // 2
+    for point, record in zip(config.points(), report.points):
+        assert json.dumps(record) == json.dumps(evaluate_point(manifold, point))
+
+
+def test_degenerate_point_stays_local_to_its_chunk():
+    # near_singular_manifold plus x2: A - C = 1e-13 x1 + x2, so in row-major
+    # order the grid holds an invalid point, the degenerate point of
+    # test_evaluate_point_reports_errors, another invalid point and a
+    # comfortably invertible one
+    base = near_singular_manifold()
+    manifold = ManifoldSpec("bumped", base.A + ScalarField.coordinate(2), base.B, base.C)
+    config = ScanConfig(
+        (AxisSpec(1.0, 1e13, 2), AxisSpec(-1.0, 0.0, 2), AxisSpec(0, 0, 1), AxisSpec(0, 0, 1))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        records = run_scan(manifold, config).points
+    assert [record["valid"] for record in records] == [False, True, False, True]
+    degenerate, fine = records[1]["checks"], records[3]["checks"]
+    for check in ("parallel", "curvature31", "curvature32"):
+        assert degenerate[check]["passed"] is False
+        assert "degenerate" in degenerate[check]["error"]
+        assert "error" not in fine[check]
+    for point, record in zip(config.points(), records):
+        assert record == evaluate_point(manifold, point)
+
+
+def test_overflowing_point_is_an_invalid_record_in_its_chunk():
+    config = ScanConfig(_line_axes(1.0, 1e200, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run_scan(example_manifold(), config)
+    finite, overflow = report.points
+    assert finite == evaluate_point(example_manifold(), P0)
+    assert overflow["valid"] is False
+    assert overflow["reason"] == "A is not finite"
+    assert overflow["triple"]["A"] is None
+    assert overflow["checks"]["validity"] == {"passed": False}
+    assert all(overflow["checks"][c] is None for c in CHECKS[1:])
+    _strict_json(render_report(report))
+    row = render_report(report, fmt="csv").splitlines()[2]
+    assert row.startswith("1e+200,0.1,2.0,0.2,,3e+199,4e+200,false,A is not finite,")
+
+
+def test_cli_check_overflow_is_a_clean_failure(capsys):
+    code = main(["check", "--manifold", "example", "--point", "1e200,0.1,2,0.2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    record = _strict_json(captured.out)["points"][0]
+    assert record["valid"] is False
+    assert record["reason"] == "A is not finite"
+    assert record["triple"] == {"A": None, "B": 3e199, "C": 4e200}
+    assert all(record["checks"][c] is None for c in CHECKS[1:])
+
+
+@pytest.mark.parametrize("tol", ["inf", "1e400", "nan", "0"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", "--manifold", "example", "--point", "1,0.1,2,0.2"],
+        ["scan", "--manifold", "example", "--box", GOOD_BOX],
+    ],
+)
+def test_cli_rejects_non_finite_tolerance(capsys, command, tol):
+    assert main(command + ["--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --tol must be positive and finite")
+
+
+def test_scans_are_serial_by_default(monkeypatch):
+    monkeypatch.delenv("CIRCULANT4_JOBS", raising=False)
+    assert _jobs_from_env() == 1
+    monkeypatch.setenv("CIRCULANT4_JOBS", "3")
+    assert _jobs_from_env() == 3
+
+
+def test_report_version_is_the_package_version():
+    assert run_check(example_manifold(), P0).meta["version"] == __version__
