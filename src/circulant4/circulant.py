@@ -138,13 +138,15 @@ def inverse_metrics(triples):
     triples is an (N, 3) array of (a, b, c). Returns (ginv (N, 4, 4), d (N,),
     degenerate (N,)): a point is degenerate when |d|, with
     d = (a - c)((a + c)^2 - 4 b^2), falls at or below the degeneracy
-    threshold, and its ginv is NaN. The arithmetic is that of the scalar
-    formula, so each row equals its N = 1 result bit for bit.
+    threshold or is not finite, and its ginv is NaN. The arithmetic is that
+    of the scalar formula, so each row equals its N = 1 result bit for bit.
     """
     a, b, c = np.asarray(triples, dtype=float).T
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d = (a - c) * (scalar_pow(a + c, 2) - 4.0 * b * b)
-        degenerate = np.abs(d) <= _thresholds(a, b, c)
+        # written so that a NaN d (inf - inf) counts as degenerate; where d
+        # overflows to inf, so does the threshold
+        degenerate = ~(np.abs(d) > _thresholds(a, b, c))
         bars = np.stack(
             [
                 (a * (a + c) - 2.0 * b * b) / d,

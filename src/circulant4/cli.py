@@ -1,16 +1,13 @@
 """Command line front end: `circulant4 check` and `circulant4 scan`.
 
 Exit codes: 0 when every requested check passed, 1 when some check failed,
-2 on usage or config errors. Scans run serially unless the CIRCULANT4_JOBS
-environment variable asks for more worker processes; the report content
-does not depend on it.
+2 on usage or config errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -18,8 +15,6 @@ from .manifolds import ConfigError, ManifoldSpec, example_manifold, load_manifol
 from .scan import CHECKS, AxisSpec, Report, ScanConfig, render_report, run_check, run_scan
 
 __all__ = ["main", "build_parser"]
-
-JOBS_ENV_VAR = "CIRCULANT4_JOBS"
 
 _BUILTIN_MANIFOLDS = {"example": example_manifold}
 
@@ -106,41 +101,20 @@ def _parse_box(text: str) -> tuple[AxisSpec, ...]:
     return tuple(axes)
 
 
-def _parse_checks(text: str) -> tuple[str, ...]:
-    names = tuple(name.strip() for name in text.split(",") if name.strip())
-    unknown = sorted(set(names) - set(CHECKS))
-    if unknown:
-        raise CliError(f"unknown checks: {', '.join(unknown)}")
-    if not names:
-        raise CliError("--checks must name at least one check")
-    return names
-
-
-def _jobs_from_env() -> int:
-    raw = os.environ.get(JOBS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        jobs = int(raw)
-    except ValueError as exc:
-        raise CliError(f"{JOBS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if jobs < 1:
-        raise CliError(f"{JOBS_ENV_VAR} must be >= 1, got {jobs}")
-    return jobs
-
-
 def _execute(args) -> Report:
     manifold = _resolve_manifold(args.manifold)
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise CliError(f"--tol must be positive and finite, got {args.tol}")
     if args.command == "check":
         return run_check(manifold, _parse_point(args.point), tolerance=args.tol)
-    config = ScanConfig(
-        axes=_parse_box(args.box),
-        checks=_parse_checks(args.checks),
-        tolerance=args.tol,
-    )
-    return run_scan(manifold, config, jobs=_jobs_from_env())
+    axes = _parse_box(args.box)
+    checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
+    try:
+        # axes and tolerance are valid by now: only the check names can fail
+        config = ScanConfig(axes, checks, args.tol)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    return run_scan(manifold, config)
 
 
 def main(argv=None) -> int:

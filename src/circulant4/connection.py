@@ -12,9 +12,9 @@ first-order system on the coefficient gradients; both the expanded
 residual reports, and `parallelism_verdict` requires the differential and
 algebraic criteria to agree.
 
-Every quantity is computed for N points at once by the `*_batch` stage
-functions, which `Connection` chains, each stage once, on first use. The
-per-point functions (`christoffel`, `nabla_q`, ...) are its N = 1 views.
+Every quantity is computed for N points at once by `Connection`, each
+stage once, on first use. The per-point functions (`christoffel`,
+`nabla_q`, ...) are its N = 1 views.
 """
 
 from __future__ import annotations
@@ -41,11 +41,8 @@ __all__ = [
     "Connection",
     "metric_partials",
     "metric_partials_batch",
-    "first_kind_batch",
     "christoffel",
-    "christoffel_batch",
     "nabla_q",
-    "nabla_q_batch",
     "gradient_condition_residuals",
     "gradient_condition_batch",
     "full_system_residuals",
@@ -112,24 +109,6 @@ FULL_LABELS = (
 def metric_partials_batch(gradients) -> np.ndarray:
     """dg[n, i, a, j] = d_i g_aj, from the field gradients (N, 3, 4)."""
     return np.moveaxis(gradients[:, SLOT_FIELD], 3, 1)
-
-
-def first_kind_batch(dg) -> np.ndarray:
-    """t[n, a, i, j] = d_i g_aj + d_j g_ai - d_a g_ij, twice the symbols of the first kind."""
-    return np.einsum("niaj->naij", dg) + np.einsum("njai->naij", dg) - dg
-
-
-def christoffel_batch(ginv, t) -> np.ndarray:
-    """Gamma[n, s, i, j] = g^{as} t[n, a, i, j] / 2."""
-    return 0.5 * np.einsum("nas,naij->nsij", ginv, t)
-
-
-def nabla_q_batch(gamma) -> np.ndarray:
-    """nq[n, i, s, j] = Gamma^s_ik q^k_j - Gamma^k_ij q^s_k.
-
-    q is a permutation, so both products only pick entries of Gamma.
-    """
-    return (gamma[..., AFFINOR_NEXT] - gamma[:, AFFINOR_PREVIOUS]).transpose(0, 2, 1, 3)
 
 
 def gradient_condition_batch(gradients) -> np.ndarray:
@@ -233,15 +212,23 @@ class Connection:
 
     @cached_property
     def first_kind(self) -> np.ndarray:
-        return first_kind_batch(self.metric_partials)
+        """t[n, a, i, j] = d_i g_aj + d_j g_ai - d_a g_ij, twice the symbols of the first kind."""
+        dg = self.metric_partials
+        return np.einsum("niaj->naij", dg) + np.einsum("njai->naij", dg) - dg
 
     @cached_property
     def christoffel(self) -> np.ndarray:
-        return christoffel_batch(self.inverse, self.first_kind)
+        """Gamma[n, s, i, j] = g^{as} t[n, a, i, j] / 2."""
+        return 0.5 * np.einsum("nas,naij->nsij", self.inverse, self.first_kind)
 
     @cached_property
     def nabla_q(self) -> np.ndarray:
-        return nabla_q_batch(self.christoffel)
+        """nq[n, i, s, j] = Gamma^s_ik q^k_j - Gamma^k_ij q^s_k.
+
+        q is a permutation, so both products only pick entries of Gamma.
+        """
+        gamma = self.christoffel
+        return (gamma[..., AFFINOR_NEXT] - gamma[:, AFFINOR_PREVIOUS]).transpose(0, 2, 1, 3)
 
     @cached_property
     def nabla_q_max(self) -> np.ndarray:

@@ -47,7 +47,6 @@ from .manifolds import ManifoldSpec
 __all__ = [
     "Geometry",
     "christoffel_partials",
-    "christoffel_partials_batch",
     "christoffel_partials_fd",
     "riemann",
     "riemann_batch",
@@ -63,20 +62,6 @@ __all__ = [
     "curvature_q_commutation_residual",
     "q_commutation_gaps",
 ]
-
-def christoffel_partials_batch(ginv, dg, t, hessians) -> np.ndarray:
-    """dgamma[n, m, s, i, j] = d_m Gamma^s_ij, fully analytic.
-
-    ginv, dg and t as in `Connection` (`inverse`, `metric_partials`,
-    `first_kind`), hessians the field Hessians (N, 3, 4, 4).
-    """
-    hg = np.einsum("najmi->nmiaj", hessians[:, SLOT_FIELD])  # d_m d_i g_aj
-    dt = np.einsum("nmiaj->nmaij", hg) + np.einsum("nmjai->nmaij", hg) - hg
-    dginv = -np.einsum("nab,nmbc,ncd->nmad", ginv, dg, ginv)
-    return 0.5 * (
-        np.einsum("nmas,naij->nmsij", dginv, t)
-        + np.einsum("nas,nmaij->nmsij", ginv, dt)
-    )
 
 
 def riemann_batch(gamma, dgamma) -> np.ndarray:
@@ -115,8 +100,14 @@ class Geometry(Connection):
 
     @cached_property
     def christoffel_partials(self) -> np.ndarray:
-        return christoffel_partials_batch(
-            self.inverse, self.metric_partials, self.first_kind, self.hessians
+        """dgamma[n, m, s, i, j] = d_m Gamma^s_ij, fully analytic."""
+        ginv = self.inverse
+        hg = np.einsum("najmi->nmiaj", self.hessians[:, SLOT_FIELD])  # d_m d_i g_aj
+        dt = np.einsum("nmiaj->nmaij", hg) + np.einsum("nmjai->nmaij", hg) - hg
+        dginv = -np.einsum("nab,nmbc,ncd->nmad", ginv, self.metric_partials, ginv)
+        return 0.5 * (
+            np.einsum("nmas,naij->nmsij", dginv, self.first_kind)
+            + np.einsum("nas,nmaij->nmsij", ginv, dt)
         )
 
     @cached_property

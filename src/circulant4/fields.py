@@ -119,9 +119,8 @@ class ScalarField:
 
     The map is canonicalized on construction: zero coefficients are dropped
     and terms are kept in graded-lexicographic order, so evaluation order,
-    equality and printing are all deterministic. Instances are immutable;
-    sharing them across threads or pickling them into worker processes is
-    safe.
+    equality and printing are all deterministic. Instances are immutable,
+    so sharing them across threads is safe, and they pickle.
 
     Parameters
     ----------
@@ -153,7 +152,7 @@ class ScalarField:
         raise AttributeError("ScalarField is immutable")
 
     def __reduce__(self):
-        # bypass __setattr__ when unpickling into worker processes
+        # bypass __setattr__ when unpickling
         return (ScalarField, (self._terms,))
 
     # construction helpers

@@ -10,26 +10,26 @@ A check evaluates a named criterion at one point of a manifold:
 The two curvature residuals are compared against tol scaled by 1 + the
 largest curvature component. Checks other than validity are skipped (null
 in the report) at invalid points, and triple components that are not
-finite are reported as null.
+finite are reported as null. A check fails with an error instead of
+residuals where the metric is degenerate or where a derivative it needs,
+or its residual, is not finite, so reports hold no NaN or infinity.
 
-Points are evaluated in chunks of CHUNK_SIZE by one batched pass: the
-field jets, validity and one `Geometry` (Gamma, nabla q, d Gamma, R) that
-every check reads. `evaluate_point` is the same pass at a single point.
+Points are evaluated serially, in chunks of CHUNK_SIZE, by one batched
+pass: the field jets, validity and one `Geometry` (Gamma, nabla q,
+d Gamma, R) that every check reads. `evaluate_point` is the same pass at
+a single point.
 
 Reports are plain mappings rendered to JSON or CSV. Rendering is
 deterministic: fixed key order, records in row-major grid order, floats in
-shortest round-trip form, so identical inputs give byte-identical output
-regardless of how many worker processes evaluated the grid.
+shortest round-trip form, so identical inputs give byte-identical output.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from csv import writer as csv_writer
 from dataclasses import dataclass, field
-from functools import partial
 from io import StringIO
 
 import numpy as np
@@ -63,6 +63,17 @@ CHUNK_SIZE = 64
 _JET_ORDER = {"validity": 0, "parallel": 1, "curvature31": 2, "curvature32": 2}
 
 
+def _canonical_checks(checks) -> tuple[str, ...]:
+    """The named checks in CHECKS order; ValueError on an unknown name or none."""
+    checks = tuple(checks)
+    unknown = sorted(set(checks) - set(CHECKS))
+    if unknown:
+        raise ValueError(f"unknown checks: {', '.join(unknown)}")
+    if not checks:
+        raise ValueError("at least one check is required")
+    return tuple(c for c in CHECKS if c in checks)
+
+
 @dataclass(frozen=True)
 class AxisSpec:
     """One grid axis: count values evenly spaced over [start, stop]."""
@@ -94,15 +105,8 @@ class ScanConfig:
     def __post_init__(self):
         if len(self.axes) != 4 or not all(isinstance(a, AxisSpec) for a in self.axes):
             raise ValueError("exactly four AxisSpec axes are required")
-        unknown = sorted(set(self.checks) - set(CHECKS))
-        if unknown:
-            raise ValueError(f"unknown checks: {', '.join(unknown)}")
-        if not self.checks:
-            raise ValueError("at least one check is required")
-        # normalize to canonical order so equivalent configs report identically
-        object.__setattr__(
-            self, "checks", tuple(c for c in CHECKS if c in self.checks)
-        )
+        # canonical order, so equivalent configs report identically
+        object.__setattr__(self, "checks", _canonical_checks(self.checks))
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be positive and finite")
 
@@ -117,6 +121,8 @@ def _parallel_outcomes(geometry: Geometry, tol: float) -> list[dict]:
     gradient_max = np.max(geometry.gradient_conditions, axis=1).tolist()
     return [
         {"passed": nq <= tol and gm <= tol, "nabla_q_max": nq, "gradient_condition_max": gm}
+        if math.isfinite(nq) and math.isfinite(gm)
+        else {"passed": False, "error": "parallel residuals are not finite"}
         for nq, gm in zip(nq_max, gradient_max)
     ]
 
@@ -125,6 +131,8 @@ def _curvature_outcomes(residuals: np.ndarray, tensor: np.ndarray, tol: float) -
     scales = (1.0 + np.abs(tensor).max(axis=(1, 2, 3, 4))).tolist()
     return [
         {"passed": residual <= tol * scale, "residual": residual, "scale": scale}
+        if math.isfinite(residual) and math.isfinite(scale)
+        else {"passed": False, "error": "curvature is not finite"}
         for residual, scale in zip(residuals.tolist(), scales)
     ]
 
@@ -150,6 +158,18 @@ def _finite_or_none(x: float):
     return x if math.isfinite(x) else None
 
 
+def _jet_errors(geometry: Geometry, order: int) -> dict[int, str]:
+    """Why each point whose derivatives up to order are not all finite has no outcome."""
+    errors = {}
+    for name, jet in (("gradient", geometry.gradients), ("Hessian", geometry.hessians))[:order]:
+        if np.isfinite(jet).all():
+            continue
+        finite = np.isfinite(jet.reshape(len(jet), 3, -1)).all(axis=2)
+        for k, f in zip(*np.nonzero(~finite)):
+            errors.setdefault(int(k), f"{name} of {'ABC'[f]} is not finite")
+    return errors
+
+
 def _evaluate_chunk(manifold: ManifoldSpec, points, checks, tolerance: float) -> list[dict]:
     """The records of an (N, 4) array of points, from one batched pass."""
     order = max((_JET_ORDER[c] for c in checks), default=0)
@@ -161,13 +181,21 @@ def _evaluate_chunk(manifold: ManifoldSpec, points, checks, tolerance: float) ->
         geometry = Geometry(
             values[rows], gradients[rows], None if hessians is None else hessians[rows]
         )
-        errors = {
-            k: {"passed": False, "error": geometry.degeneracy_message(k)}
+        degenerate = {
+            k: geometry.degeneracy_message(k)
             for k in np.flatnonzero(geometry.degenerate).tolist()
         }
-        for check, column in outcomes.items():
-            for k, (n, outcome) in enumerate(zip(rows, _GEOMETRY_CHECKS[check](geometry, tolerance))):
-                column[n] = dict(errors[k]) if k in errors else outcome
+        errors_by_order = {
+            jet_order: {**_jet_errors(geometry, jet_order), **degenerate}
+            for jet_order in {_JET_ORDER[check] for check in outcomes}
+        }
+        # rows that get an error outcome may hold inf and NaN, without warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for check, column in outcomes.items():
+                errors = errors_by_order[_JET_ORDER[check]]
+                results = _GEOMETRY_CHECKS[check](geometry, tolerance)
+                for k, (n, outcome) in enumerate(zip(rows, results)):
+                    column[n] = {"passed": False, "error": errors[k]} if k in errors else outcome
     records = []
     for n, (point, triple, reason) in enumerate(zip(points.tolist(), values.tolist(), reasons)):
         valid = reason is None
@@ -191,6 +219,7 @@ def evaluate_point(
     manifold: ManifoldSpec, point, checks=CHECKS, tolerance: float = 1e-8
 ) -> dict:
     """One record of the report: triple, validity and check outcomes at point."""
+    checks = _canonical_checks(checks)
     return _evaluate_chunk(manifold, as_point(point)[None], checks, tolerance)[0]
 
 
@@ -274,9 +303,7 @@ def run_check(
     manifold: ManifoldSpec, point, checks=CHECKS, tolerance: float = 1e-8
 ) -> Report:
     """Evaluate the checks at a single point and wrap them as a report."""
-    checks = tuple(c for c in CHECKS if c in checks)
-    if not checks:
-        raise ValueError("at least one check is required")
+    checks = _canonical_checks(checks)
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError("tolerance must be positive and finite")
     record = evaluate_point(manifold, point, checks, tolerance)
@@ -295,25 +322,13 @@ def _grid_chunks(axes, size: int):
         yield np.stack([v[i] for v, i in zip(values, index)], axis=1)
 
 
-def run_scan(manifold: ManifoldSpec, config: ScanConfig, jobs: int = 1) -> Report:
-    """Evaluate the configured checks over the whole grid, CHUNK_SIZE points at a time.
-
-    jobs > 1 spreads the chunks over worker processes; record order and
-    therefore the rendered report stay identical either way.
-    """
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
-    worker = partial(
-        _evaluate_chunk, manifold, checks=config.checks, tolerance=config.tolerance
-    )
-    chunks = _grid_chunks(config.axes, CHUNK_SIZE)
-    nchunks = -(-math.prod(axis.count for axis in config.axes) // CHUNK_SIZE)
-    if jobs > 1 and nchunks > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(worker, chunks, chunksize=max(1, nchunks // (4 * jobs))))
-    else:
-        parts = map(worker, chunks)
-    records = [record for part in parts for record in part]
+def run_scan(manifold: ManifoldSpec, config: ScanConfig) -> Report:
+    """Evaluate the configured checks over the whole grid, CHUNK_SIZE points at a time."""
+    records = [
+        record
+        for chunk in _grid_chunks(config.axes, CHUNK_SIZE)
+        for record in _evaluate_chunk(manifold, chunk, config.checks, config.tolerance)
+    ]
     meta = _meta(manifold, "scan", config.checks, config.tolerance)
     meta["box"] = [
         {"start": a.start, "stop": a.stop, "count": a.count} for a in config.axes

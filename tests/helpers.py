@@ -126,16 +126,13 @@ PARSER_CORPUS = (
 )
 
 
-def run_cli(args, env_extra=None, cwd=None):
-    """Run the CLI in a subprocess with src/ importable."""
+def run_python(*args):
+    """Run the Python interpreter in a subprocess with src/ importable."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "circulant4", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=cwd,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_cli(args):
+    """Run the CLI in a subprocess with src/ importable."""
+    return run_python("-m", "circulant4", *args)

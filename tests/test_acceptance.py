@@ -307,15 +307,13 @@ def test_9_tooling(report_line):
         for p, record in zip(config.points(), report.points)
     )
 
-    # byte-identical reports, with and without worker processes
+    # byte-identical reports from two runs
     args = ["scan", "--manifold", "example", "--box", "0.8:1.2:2,0:0.2:2,1.8:2.2:2,0.1:0.3:2"]
     first = run_cli(args)
     second = run_cli(args)
-    workers = run_cli(args, env_extra={"CIRCULANT4_JOBS": "2"})
     determinism_ok = (
         first.returncode == 0
         and first.stdout == second.stdout
-        and first.stdout == workers.stdout
         and json.loads(first.stdout)["summary"]["all_passed"] is True
     )
 

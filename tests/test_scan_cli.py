@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from circulant4 import ManifoldSpec, ScalarField, __version__, example_manifold
-from circulant4.cli import _jobs_from_env, main
+from circulant4 import ManifoldSpec, ScalarField, __version__, example_manifold, parse_field
+from circulant4.cli import main
 from circulant4.scan import (
     CHECKS,
     CHUNK_SIZE,
@@ -166,15 +166,6 @@ def test_scan_records_match_run_check():
         assert single.points[0] == record
 
 
-def test_scan_worker_processes_change_nothing():
-    config = ScanConfig(GOOD_AXES, checks=("validity", "parallel"))
-    serial = run_scan(example_manifold(), config, jobs=1)
-    parallel = run_scan(example_manifold(), config, jobs=2)
-    assert serial.to_mapping() == parallel.to_mapping()
-    with pytest.raises(ValueError):
-        run_scan(example_manifold(), config, jobs=0)
-
-
 def test_render_json_round_trips():
     report = run_scan(example_manifold(), ScanConfig(MIXED_AXES))
     text = render_report(report)
@@ -236,12 +227,6 @@ def test_cli_usage_errors(capsys):
         assert err.startswith("error:")
 
 
-def test_cli_rejects_bad_jobs_env(capsys, monkeypatch):
-    monkeypatch.setenv("CIRCULANT4_JOBS", "zero")
-    assert main(["scan", "--manifold", "example", "--box", GOOD_BOX]) == 2
-    assert "CIRCULANT4_JOBS" in capsys.readouterr().err
-    monkeypatch.setenv("CIRCULANT4_JOBS", "0")
-    assert main(["scan", "--manifold", "example", "--box", GOOD_BOX]) == 2
 
 
 def test_cli_config_file_manifold(tmp_path, capsys):
@@ -336,9 +321,6 @@ def test_cli_subprocess_determinism():
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.startswith("{")
-    workers = run_cli(args, env_extra={"CIRCULANT4_JOBS": "2"})
-    assert workers.returncode == 0
-    assert workers.stdout == first.stdout
 
 
 def test_cli_subprocess_usage_error():
@@ -440,12 +422,100 @@ def test_cli_rejects_non_finite_tolerance(capsys, command, tol):
     assert captured.err.startswith("error: --tol must be positive and finite")
 
 
-def test_scans_are_serial_by_default(monkeypatch):
-    monkeypatch.delenv("CIRCULANT4_JOBS", raising=False)
-    assert _jobs_from_env() == 1
-    monkeypatch.setenv("CIRCULANT4_JOBS", "3")
-    assert _jobs_from_env() == 3
-
-
 def test_report_version_is_the_package_version():
     assert run_check(example_manifold(), P0).meta["version"] == __version__
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda checks: ScanConfig(GOOD_AXES, checks=checks).checks,
+        lambda checks: tuple(run_check(example_manifold(), P0, checks=checks).meta["checks"]),
+        lambda checks: tuple(evaluate_point(example_manifold(), P0, checks=checks)["checks"]),
+    ],
+    ids=["ScanConfig", "run_check", "evaluate_point"],
+)
+def test_entry_points_share_one_rule_for_check_names(entry):
+    assert entry(("curvature32", "validity", "parallel", "validity")) == (
+        "validity",
+        "parallel",
+        "curvature32",
+    )
+    with pytest.raises(ValueError, match="unknown checks: spin"):
+        entry(("spin",))
+    with pytest.raises(ValueError, match="unknown checks: spin"):
+        entry(("validity", "spin"))
+    with pytest.raises(ValueError, match="at least one check is required"):
+        entry(())
+
+
+# the triple stays small where x1 = x2, but from x1 = 10.42 on the
+# Hessian of A overflows and from 10.54 on its gradient does too
+STEEP_A = "x1^300 - x2^300 + 10"
+
+
+def _steep_manifold():
+    return ManifoldSpec("steep", parse_field(STEEP_A), parse_field("1"), parse_field("3"))
+
+
+def _main_strictly(argv, capsys):
+    """Exit code and strict-JSON report of main, with warnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return code, _strict_json(captured.out)
+
+
+@pytest.mark.parametrize(
+    "field, point, expected",
+    [
+        # finite and valid, but d = inf - inf is NaN
+        (None, "1e100,1e99,2e100,2e99", ["degenerate"] * 3),
+        (STEEP_A, "10.6,10.6,0,0", ["gradient of A is not finite"] * 3),
+        (STEEP_A, "10.5,10.5,0,0", [None] + ["Hessian of A is not finite"] * 2),
+        # finite jets, but Gamma Gamma overflows in R, or Gamma itself does
+        ("1e200*x1 + 10", "0,0,0,0", [None] + ["curvature is not finite"] * 2),
+        ("1.5e308*x1 + 10", "0,0,0,0", ["parallel residuals"] + ["curvature"] * 2),
+    ],
+)
+def test_cli_check_non_finite_values_are_errors(tmp_path, capsys, field, point, expected):
+    manifold = "example"
+    if field is not None:
+        manifold = str(tmp_path / "field.cfg")
+        (tmp_path / "field.cfg").write_text(f"A = {field}\nB = 1\nC = 3\n")
+    code, report = _main_strictly(["check", "--manifold", manifold, "--point", point], capsys)
+    assert code == 1
+    record = report["points"][0]
+    assert record["valid"] is True
+    for check, error in zip(CHECKS[1:], expected):
+        outcome = record["checks"][check]
+        assert outcome["passed"] is False
+        if error is None:
+            assert "error" not in outcome
+        else:
+            assert error in outcome["error"]
+            assert report["summary"]["checks"][check]["max_residual"] is None
+
+
+def test_non_finite_derivatives_stay_local_to_their_chunk():
+    # in row-major order: an ordinary valid point, an invalid one, one whose
+    # triple is so large that d overflows, and one whose gradient overflows
+    manifold = _steep_manifold()
+    config = ScanConfig(
+        (AxisSpec(1.0, 10.6, 2), AxisSpec(1.0, 10.6, 2), AxisSpec(0, 0, 1), AxisSpec(0, 0, 1))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_scan(manifold, config)
+        singles = [evaluate_point(manifold, point) for point in config.points()]
+    ordinary, invalid, huge, steep = report.points
+    assert list(report.points) == singles
+    assert invalid["valid"] is False
+    assert ordinary["valid"] is True
+    for check in CHECKS[1:]:
+        assert "error" not in ordinary["checks"][check]
+        assert "degenerate" in huge["checks"][check]["error"]
+        assert steep["checks"][check]["error"] == "gradient of A is not finite"
+    _strict_json(render_report(report))
