@@ -126,9 +126,10 @@ def degeneracy_threshold(t: CirculantTriple) -> float:
 
 def degeneracy_error(a: float, b: float, c: float, d: float) -> SingularMetricError:
     """The error for a degenerate triple, d as in `inverse_metrics`."""
-    return SingularMetricError(
-        f"circulant metric ({a}, {b}, {c}) is numerically degenerate (d = {d:.3e})"
-    )
+    problem = "is numerically degenerate"
+    if math.isinf(d):
+        problem = "has an overflowing closed-form inverse"
+    return SingularMetricError(f"circulant metric ({a}, {b}, {c}) {problem} (d = {d:.3e})")
 
 
 def inverse_metrics(triples):

@@ -7,10 +7,11 @@ Exit codes: 0 when every requested check passed, 1 when some check failed,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
+from .connection import check_tolerance
+from .fields import as_point
 from .manifolds import ConfigError, ManifoldSpec, example_manifold, load_manifold
 from .scan import CHECKS, AxisSpec, Report, ScanConfig, render_report, run_check, run_scan
 
@@ -103,17 +104,18 @@ def _parse_box(text: str) -> tuple[AxisSpec, ...]:
 
 def _execute(args) -> Report:
     manifold = _resolve_manifold(args.manifold)
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise CliError(f"--tol must be positive and finite, got {args.tol}")
-    if args.command == "check":
-        return run_check(manifold, _parse_point(args.point), tolerance=args.tol)
-    axes = _parse_box(args.box)
-    checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
     try:
-        # axes and tolerance are valid by now: only the check names can fail
-        config = ScanConfig(axes, checks, args.tol)
+        # the library rejects bad inputs with ValueError; here they exit 2
+        check_tolerance(args.tol, "--tol")
+        if args.command == "check":
+            point = as_point(_parse_point(args.point))
+        else:
+            checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
+            config = ScanConfig(_parse_box(args.box), checks, args.tol)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
+    if args.command == "check":
+        return run_check(manifold, point, tolerance=args.tol)
     return run_scan(manifold, config)
 
 

@@ -14,11 +14,14 @@ algebraic criteria to agree.
 
 Every quantity is computed for N points at once by `Connection`, each
 stage once, on first use. The per-point functions (`christoffel`,
-`nabla_q`, ...) are its N = 1 views.
+`nabla_q`, ...) are its N = 1 views; they raise the reason that
+`Connection.failures` gives for a point with no result, which scan records
+report. `check_tolerance` is the one rule for a usable tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +31,7 @@ from .circulant import (
     AFFINOR_NEXT,
     AFFINOR_PREVIOUS,
     SLOT_FIELD,
-    CirculantTriple,
+    SingularMetricError,
     degeneracy_error,
     inverse_metrics,
 )
@@ -39,6 +42,7 @@ __all__ = [
     "DomainError",
     "ResidualReport",
     "Connection",
+    "check_tolerance",
     "metric_partials",
     "metric_partials_batch",
     "christoffel",
@@ -53,6 +57,12 @@ __all__ = [
 
 class DomainError(ValueError):
     """The point lies on an excluded locus of the manifold."""
+
+
+def check_tolerance(tol: float, name: str = "tolerance") -> None:
+    """Raise ValueError unless tol is positive and finite."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{name} must be positive and finite, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -169,6 +179,7 @@ class Connection:
     metric is computed at once, every later stage once, for all N points,
     on first use. Points where the metric is numerically degenerate are
     flagged in `degenerate`; their rows of every derived array are NaN.
+    `failures` says which points have no result, and why.
     """
 
     jet_order = 1
@@ -183,23 +194,38 @@ class Connection:
     def at(cls, manifold: ManifoldSpec, p):
         """The pass at the single point p.
 
-        Raises DomainError on an excluded locus, ValueError where a field
-        value is not finite and SingularMetricError where the metric is
-        numerically degenerate.
+        Raises DomainError on an excluded locus, SingularMetricError where
+        the metric is numerically degenerate and ValueError naming the
+        field where a value or a derivative the pass needs is not finite.
         """
         p = as_point(p)
         _check_domain(manifold, p)
-        values, gradients, hessians = manifold.jets(p[None], cls.jet_order)
-        triple = CirculantTriple(*values[0].tolist())
-        result = cls(values, gradients, hessians)
-        if result.degenerate[0]:
-            raise degeneracy_error(triple.a, triple.b, triple.c, float(result.d[0]))
+        result = cls(*manifold.jets(p[None], cls.jet_order))
+        failure = result.failures(cls.jet_order)[0]
+        if failure is not None:
+            singular = result.degenerate[0] and np.isfinite(result.values).all()
+            raise (SingularMetricError if singular else ValueError)(failure)
         return result
 
-    def degeneracy_message(self, n: int) -> str:
-        """Why point n has no connection."""
-        a, b, c = self.values[n].tolist()
-        return str(degeneracy_error(a, b, c, float(self.d[n])))
+    def failures(self, order: int) -> list:
+        """Why each point has no result from derivatives up to order, None where it has one.
+
+        The first that applies: a field value is not finite, the metric is
+        degenerate, a field's gradient (order >= 1), then its Hessian
+        (order 2), is not all finite.
+        """
+        failures = [None] * len(self.values)
+        # a field value that is not finite makes d so too, and the point degenerate
+        for n in np.flatnonzero(self.degenerate).tolist():
+            values = self.values[n].tolist()
+            bad = [name for name, value in zip("ABC", values) if not math.isfinite(value)]
+            error = degeneracy_error(*values, float(self.d[n]))
+            failures[n] = f"{bad[0]} is not finite" if bad else str(error)
+        for name, jet in (("gradient", self.gradients), ("Hessian", self.hessians))[:order]:
+            finite = np.isfinite(jet.reshape(len(jet), 3, -1)).all(axis=2)
+            for n, f in zip(*np.nonzero(~finite)):
+                failures[n] = failures[n] or f"{name} of {'ABC'[f]} is not finite"
+        return failures
 
     @cached_property
     def metric(self) -> np.ndarray:
@@ -262,8 +288,9 @@ def metric_partials(m: ManifoldSpec, p) -> np.ndarray:
 def christoffel(m: ManifoldSpec, p) -> np.ndarray:
     """Gamma[s, i, j] = Gamma^s_ij at p, symmetric in (i, j).
 
-    Raises DomainError on an excluded locus and SingularMetricError when the
-    metric is numerically degenerate there.
+    Raises DomainError on an excluded locus, SingularMetricError when the
+    metric is numerically degenerate there and ValueError naming the field
+    whose value or gradient is not finite.
     """
     return Connection.at(m, p).christoffel[0]
 
@@ -301,8 +328,7 @@ def parallelism_verdict(m: ManifoldSpec, p, tol: float = 1e-8):
     within tol. The report lists the eight reduced residuals followed by
     the nabla q maximum.
     """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+    check_tolerance(tol)
     connection = Connection.at(m, p)
     nq_max = float(connection.nabla_q_max[0])
     conditions = connection.gradient_conditions[0].tolist()

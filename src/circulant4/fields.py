@@ -365,9 +365,11 @@ class CompiledField:
             len(slot_of)
         )
         self.exponents = lowered[slot_of, term_of]
-        self.coefficients = (
-            coeffs[term_of] * first[slot_of, term_of] * second[slot_of, term_of]
-        )
+        # a huge coefficient times an exponent gives inf, as in `partial`
+        with np.errstate(over="ignore"):
+            self.coefficients = (
+                coeffs[term_of] * first[slot_of, term_of] * second[slot_of, term_of]
+            )
         self.schedule = schedule
         self.max_exponents = exps.max(axis=0, initial=0)
         offsets = np.concatenate([[0], np.cumsum(counts)])

@@ -11,8 +11,8 @@ The two curvature residuals are compared against tol scaled by 1 + the
 largest curvature component. Checks other than validity are skipped (null
 in the report) at invalid points, and triple components that are not
 finite are reported as null. A check fails with an error instead of
-residuals where the metric is degenerate or where a derivative it needs,
-or its residual, is not finite, so reports hold no NaN or infinity.
+residuals where `Connection.failures` says why the point has no result
+or where its residual is not finite, so reports hold no NaN or infinity.
 
 Points are evaluated serially, in chunks of CHUNK_SIZE, by one batched
 pass: the field jets, validity and one `Geometry` (Gamma, nabla q,
@@ -35,6 +35,7 @@ from io import StringIO
 import numpy as np
 
 from . import __version__
+from .connection import check_tolerance
 from .curvature import Geometry, q_commutation_gaps, q_invariance_gaps
 from .fields import as_point
 from .manifolds import ManifoldSpec
@@ -58,9 +59,6 @@ _VERSION = __version__
 # grid points per batched pass; larger chunks amortize more numpy calls per
 # point but hold proportionally larger curvature temporaries
 CHUNK_SIZE = 64
-
-# highest derivative of A, B, C that each check needs
-_JET_ORDER = {"validity": 0, "parallel": 1, "curvature31": 2, "curvature32": 2}
 
 
 def _canonical_checks(checks) -> tuple[str, ...]:
@@ -107,13 +105,7 @@ class ScanConfig:
             raise ValueError("exactly four AxisSpec axes are required")
         # canonical order, so equivalent configs report identically
         object.__setattr__(self, "checks", _canonical_checks(self.checks))
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError("tolerance must be positive and finite")
-
-    def points(self):
-        """Grid points in row-major order (last axis fastest)."""
-        for chunk in _grid_chunks(self.axes, CHUNK_SIZE):
-            yield from chunk
+        check_tolerance(self.tolerance)
 
 
 def _parallel_outcomes(geometry: Geometry, tol: float) -> list[dict]:
@@ -127,30 +119,22 @@ def _parallel_outcomes(geometry: Geometry, tol: float) -> list[dict]:
     ]
 
 
-def _curvature_outcomes(residuals: np.ndarray, tensor: np.ndarray, tol: float) -> list[dict]:
+def _curvature_outcomes(tensor: np.ndarray, gaps, tol: float) -> list[dict]:
     scales = (1.0 + np.abs(tensor).max(axis=(1, 2, 3, 4))).tolist()
     return [
         {"passed": residual <= tol * scale, "residual": residual, "scale": scale}
         if math.isfinite(residual) and math.isfinite(scale)
         else {"passed": False, "error": "curvature is not finite"}
-        for residual, scale in zip(residuals.tolist(), scales)
+        for residual, scale in zip(gaps(tensor).tolist(), scales)
     ]
 
 
-def _curvature31_outcomes(geometry: Geometry, tol: float) -> list[dict]:
-    r4 = geometry.riemann_lowered
-    return _curvature_outcomes(q_invariance_gaps(r4), r4, tol)
-
-
-def _curvature32_outcomes(geometry: Geometry, tol: float) -> list[dict]:
-    r13 = geometry.riemann
-    return _curvature_outcomes(q_commutation_gaps(r13), r13, tol)
-
-
+# each check past validity: the highest derivative of A, B, C it needs and
+# its outcomes at the points of a Geometry g, for the tolerance t
 _GEOMETRY_CHECKS = {
-    "parallel": _parallel_outcomes,
-    "curvature31": _curvature31_outcomes,
-    "curvature32": _curvature32_outcomes,
+    "parallel": (1, _parallel_outcomes),
+    "curvature31": (2, lambda g, t: _curvature_outcomes(g.riemann_lowered, q_invariance_gaps, t)),
+    "curvature32": (2, lambda g, t: _curvature_outcomes(g.riemann, q_commutation_gaps, t)),
 }
 
 
@@ -158,44 +142,28 @@ def _finite_or_none(x: float):
     return x if math.isfinite(x) else None
 
 
-def _jet_errors(geometry: Geometry, order: int) -> dict[int, str]:
-    """Why each point whose derivatives up to order are not all finite has no outcome."""
-    errors = {}
-    for name, jet in (("gradient", geometry.gradients), ("Hessian", geometry.hessians))[:order]:
-        if np.isfinite(jet).all():
-            continue
-        finite = np.isfinite(jet.reshape(len(jet), 3, -1)).all(axis=2)
-        for k, f in zip(*np.nonzero(~finite)):
-            errors.setdefault(int(k), f"{name} of {'ABC'[f]} is not finite")
-    return errors
-
-
 def _evaluate_chunk(manifold: ManifoldSpec, points, checks, tolerance: float) -> list[dict]:
     """The records of an (N, 4) array of points, from one batched pass."""
-    order = max((_JET_ORDER[c] for c in checks), default=0)
+    outcomes = {check: [None] * len(points) for check in checks if check != "validity"}
+    order = max((_GEOMETRY_CHECKS[check][0] for check in outcomes), default=0)
     values, gradients, hessians = manifold.jets(points, order)
     reasons = manifold.domain_reasons(points, values)
-    outcomes = {check: [None] * len(points) for check in checks if check != "validity"}
     rows = [n for n, reason in enumerate(reasons) if reason is None]
     if outcomes and rows:
         geometry = Geometry(
             values[rows], gradients[rows], None if hessians is None else hessians[rows]
         )
-        degenerate = {
-            k: geometry.degeneracy_message(k)
-            for k in np.flatnonzero(geometry.degenerate).tolist()
-        }
-        errors_by_order = {
-            jet_order: {**_jet_errors(geometry, jet_order), **degenerate}
-            for jet_order in {_JET_ORDER[check] for check in outcomes}
+        failures = {
+            jet_order: geometry.failures(jet_order)
+            for jet_order in {_GEOMETRY_CHECKS[check][0] for check in outcomes}
         }
         # rows that get an error outcome may hold inf and NaN, without warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for check, column in outcomes.items():
-                errors = errors_by_order[_JET_ORDER[check]]
-                results = _GEOMETRY_CHECKS[check](geometry, tolerance)
-                for k, (n, outcome) in enumerate(zip(rows, results)):
-                    column[n] = {"passed": False, "error": errors[k]} if k in errors else outcome
+                jet_order, evaluate = _GEOMETRY_CHECKS[check]
+                results = evaluate(geometry, tolerance)
+                for n, failure, outcome in zip(rows, failures[jet_order], results):
+                    column[n] = outcome if failure is None else {"passed": False, "error": failure}
     records = []
     for n, (point, triple, reason) in enumerate(zip(points.tolist(), values.tolist(), reasons)):
         valid = reason is None
@@ -220,6 +188,7 @@ def evaluate_point(
 ) -> dict:
     """One record of the report: triple, validity and check outcomes at point."""
     checks = _canonical_checks(checks)
+    check_tolerance(tolerance)
     return _evaluate_chunk(manifold, as_point(point)[None], checks, tolerance)[0]
 
 
@@ -304,8 +273,6 @@ def run_check(
 ) -> Report:
     """Evaluate the checks at a single point and wrap them as a report."""
     checks = _canonical_checks(checks)
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError("tolerance must be positive and finite")
     record = evaluate_point(manifold, point, checks, tolerance)
     meta = _meta(manifold, "check", checks, tolerance)
     meta["point"] = record["point"]
@@ -313,7 +280,7 @@ def run_check(
 
 
 def _grid_chunks(axes, size: int):
-    """The grid points of `ScanConfig.points`, as (n, 4) arrays of up to size rows."""
+    """The grid points in row-major order (last axis fastest), in (n, 4) arrays of n <= size."""
     values = [axis.values() for axis in axes]
     shape = tuple(axis.count for axis in axes)
     total = math.prod(shape)

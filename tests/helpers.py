@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
@@ -28,6 +29,11 @@ def sample_valid_points(manifold, count, rng, low=-3.0, high=3.0, max_draws=100_
             if len(points) == count:
                 return points
     raise RuntimeError(f"found only {len(points)} of {count} valid points")
+
+
+def grid_points(axes):
+    """The points of a scan grid in row-major order (last axis fastest)."""
+    return list(itertools.product(*(axis.values() for axis in axes)))
 
 
 def random_polynomial(rng, degree=2, terms=3, scale=1.0):

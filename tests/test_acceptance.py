@@ -40,6 +40,7 @@ from circulant4.scan import AxisSpec, ScanConfig, run_check, run_scan
 
 from helpers import (
     PARSER_CORPUS,
+    grid_points,
     nonflat_parallel_manifold,
     perturbed_example,
     perturbed_example_fixed,
@@ -304,7 +305,7 @@ def test_9_tooling(report_line):
     report = run_scan(m, config)
     grid_ok = report.summary["points"] == 16 and all(
         run_check(m, p).points[0] == record
-        for p, record in zip(config.points(), report.points)
+        for p, record in zip(grid_points(axes), report.points)
     )
 
     # byte-identical reports from two runs

@@ -8,6 +8,7 @@ from circulant4 import (
     ManifoldSpec,
     ResidualReport,
     ScalarField,
+    SingularMetricError,
     christoffel,
     constant_manifold,
     example_manifold,
@@ -115,6 +116,10 @@ def test_christoffel_domain_errors():
     # indefinite but invertible metric, so the connection still exists there
     gamma = christoffel(m, (1, 2, 3, 4))
     assert np.all(np.isfinite(gamma))
+    # where a field overflows the error names it; the metric is not singular
+    with pytest.raises(ValueError, match="^A is not finite$") as err:
+        christoffel(m, (1e200, 0.1, 2.0, 0.2))
+    assert not isinstance(err.value, SingularMetricError)
 
 
 def test_metric_compatibility():
@@ -222,6 +227,8 @@ def test_parallelism_verdict():
 
     with pytest.raises(ValueError):
         parallelism_verdict(m, P0, tol=0.0)
+    with pytest.raises(ValueError):
+        parallelism_verdict(m, P0, tol=float("inf"))
 
 
 def test_perturbed_family_always_fails():

@@ -6,7 +6,17 @@ import warnings
 import numpy as np
 import pytest
 
-from circulant4 import ManifoldSpec, ScalarField, __version__, example_manifold, parse_field
+from circulant4 import (
+    ManifoldSpec,
+    ScalarField,
+    SingularMetricError,
+    __version__,
+    christoffel,
+    example_manifold,
+    parallelism_verdict,
+    parse_field,
+    riemann,
+)
 from circulant4.cli import main
 from circulant4.scan import (
     CHECKS,
@@ -19,7 +29,7 @@ from circulant4.scan import (
     run_scan,
 )
 
-from helpers import near_singular_manifold, nonflat_parallel_manifold, run_cli
+from helpers import grid_points, near_singular_manifold, nonflat_parallel_manifold, run_cli
 
 P0 = (1.0, 0.1, 2.0, 0.2)
 
@@ -70,7 +80,7 @@ def test_grid_points_are_row_major():
     config = ScanConfig(
         (AxisSpec(0, 1, 2), AxisSpec(5, 5, 1), AxisSpec(7, 7, 1), AxisSpec(0, 1, 2))
     )
-    points = [tuple(p) for p in config.points()]
+    points = [tuple(record["point"]) for record in run_scan(example_manifold(), config).points]
     assert points == [
         (0, 5, 7, 0),
         (0, 5, 7, 1),
@@ -113,6 +123,12 @@ def test_evaluate_point_reports_errors():
     outcome = record["checks"]["parallel"]
     assert outcome["passed"] is False
     assert "degenerate" in outcome["error"]
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_evaluate_point_rejects_unusable_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        evaluate_point(example_manifold(), P0, tolerance=tol)
 
 
 def test_run_check_single_point():
@@ -161,7 +177,7 @@ def test_scan_without_validity_ignores_invalid_points():
 def test_scan_records_match_run_check():
     config = ScanConfig(GOOD_AXES)
     report = run_scan(example_manifold(), config)
-    for point, record in zip(config.points(), report.points):
+    for point, record in zip(grid_points(config.axes), report.points):
         single = run_check(example_manifold(), point)
         assert single.points[0] == record
 
@@ -351,7 +367,7 @@ def test_records_do_not_depend_on_chunking(manifold, count):
     report = run_scan(manifold, config)
     assert len(report.points) == count
     assert report.summary["valid_points"] >= (count + 1) // 2
-    for point, record in zip(config.points(), report.points):
+    for point, record in zip(grid_points(config.axes), report.points):
         assert json.dumps(record) == json.dumps(evaluate_point(manifold, point))
 
 
@@ -374,7 +390,7 @@ def test_degenerate_point_stays_local_to_its_chunk():
         assert degenerate[check]["passed"] is False
         assert "degenerate" in degenerate[check]["error"]
         assert "error" not in fine[check]
-    for point, record in zip(config.points(), records):
+    for point, record in zip(grid_points(config.axes), records):
         assert record == evaluate_point(manifold, point)
 
 
@@ -422,6 +438,14 @@ def test_cli_rejects_non_finite_tolerance(capsys, command, tol):
     assert captured.err.startswith("error: --tol must be positive and finite")
 
 
+@pytest.mark.parametrize("point", ["nan,0,0,0", "inf,1,2,3", "1e400,0,0,0"])
+def test_cli_rejects_non_finite_point(capsys, point):
+    assert main(["check", "--manifold", "example", "--point", point]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: point coordinates must be finite\n"
+
+
 def test_report_version_is_the_package_version():
     assert run_check(example_manifold(), P0).meta["version"] == __version__
 
@@ -454,8 +478,11 @@ def test_entry_points_share_one_rule_for_check_names(entry):
 STEEP_A = "x1^300 - x2^300 + 10"
 
 
-def _steep_manifold():
-    return ManifoldSpec("steep", parse_field(STEEP_A), parse_field("1"), parse_field("3"))
+def _field_manifold(field):
+    """A = field, B = 1, C = 3; the example manifold for None."""
+    if field is None:
+        return example_manifold()
+    return ManifoldSpec("field", parse_field(field), parse_field("1"), parse_field("3"))
 
 
 def _main_strictly(argv, capsys):
@@ -468,18 +495,25 @@ def _main_strictly(argv, capsys):
     return code, _strict_json(captured.out)
 
 
-@pytest.mark.parametrize(
-    "field, point, expected",
-    [
-        # finite and valid, but d = inf - inf is NaN
-        (None, "1e100,1e99,2e100,2e99", ["degenerate"] * 3),
-        (STEEP_A, "10.6,10.6,0,0", ["gradient of A is not finite"] * 3),
-        (STEEP_A, "10.5,10.5,0,0", [None] + ["Hessian of A is not finite"] * 2),
-        # finite jets, but Gamma Gamma overflows in R, or Gamma itself does
-        ("1e200*x1 + 10", "0,0,0,0", [None] + ["curvature is not finite"] * 2),
-        ("1.5e308*x1 + 10", "0,0,0,0", ["parallel residuals"] + ["curvature"] * 2),
-    ],
-)
+# valid points where a check has an error instead of residuals: the field A
+# (None for the example manifold), the point and the error of each geometry
+# check, None where it has residuals
+NON_FINITE_CASES = [
+    # finite and valid, but d = inf - inf is NaN
+    (None, "1e100,1e99,2e100,2e99", ["degenerate"] * 3),
+    (STEEP_A, "10.6,10.6,0,0", ["gradient of A is not finite"] * 3),
+    (STEEP_A, "10.5,10.5,0,0", [None] + ["Hessian of A is not finite"] * 2),
+    # finite jets, but Gamma Gamma overflows in R, or Gamma itself does
+    ("1e200*x1 + 10", "0,0,0,0", [None] + ["curvature is not finite"] * 2),
+    ("1.5e308*x1 + 10", "0,0,0,0", ["parallel residuals"] + ["curvature"] * 2),
+    # the triple is about (3.9e307, 1, 3), positive definite, but d overflows
+    (STEEP_A, "10.6,1,0,0", ["overflowing closed-form inverse (d = inf)"] * 3),
+    # the coefficients of the derivatives overflow when the field is compiled
+    ("1e308*x1^3 + 10", "1e-70,0,0,0", ["gradient of A is not finite"] * 3),
+]
+
+
+@pytest.mark.parametrize("field, point, expected", NON_FINITE_CASES)
 def test_cli_check_non_finite_values_are_errors(tmp_path, capsys, field, point, expected):
     manifold = "example"
     if field is not None:
@@ -502,20 +536,47 @@ def test_cli_check_non_finite_values_are_errors(tmp_path, capsys, field, point, 
 def test_non_finite_derivatives_stay_local_to_their_chunk():
     # in row-major order: an ordinary valid point, an invalid one, one whose
     # triple is so large that d overflows, and one whose gradient overflows
-    manifold = _steep_manifold()
+    manifold = _field_manifold(STEEP_A)
     config = ScanConfig(
         (AxisSpec(1.0, 10.6, 2), AxisSpec(1.0, 10.6, 2), AxisSpec(0, 0, 1), AxisSpec(0, 0, 1))
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = run_scan(manifold, config)
-        singles = [evaluate_point(manifold, point) for point in config.points()]
+        singles = [evaluate_point(manifold, point) for point in grid_points(config.axes)]
     ordinary, invalid, huge, steep = report.points
     assert list(report.points) == singles
     assert invalid["valid"] is False
     assert ordinary["valid"] is True
     for check in CHECKS[1:]:
         assert "error" not in ordinary["checks"][check]
-        assert "degenerate" in huge["checks"][check]["error"]
+        assert "overflowing closed-form inverse (d = inf)" in huge["checks"][check]["error"]
         assert steep["checks"][check]["error"] == "gradient of A is not finite"
     _strict_json(render_report(report))
+
+
+@pytest.mark.parametrize(
+    "field, point",
+    # where the pass itself has no result; the curvature rows overflow later,
+    # in the residuals, which only the records check
+    [(field, point) for field, point, errors in NON_FINITE_CASES if "curvature" not in errors[2]],
+)
+def test_per_point_functions_raise_the_error_of_the_record(field, point):
+    manifold = _field_manifold(field)
+    p = [float(x) for x in point.split(",")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        record = evaluate_point(manifold, p)
+        for function, check in (
+            (christoffel, "parallel"),
+            (parallelism_verdict, "parallel"),
+            (riemann, "curvature31"),
+        ):
+            error = record["checks"][check].get("error")
+            if error is None:
+                function(manifold, p)
+                continue
+            with pytest.raises(ValueError) as raised:
+                function(manifold, p)
+            assert str(raised.value) == error
+            assert isinstance(raised.value, SingularMetricError) == ("metric" in error)
