@@ -71,7 +71,7 @@ def _resolve_manifold(ref: str) -> ManifoldSpec:
             return load_manifold(path)
         except ConfigError as exc:
             raise CliError(f"config {path}: {exc}") from exc
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read {path}: {exc}") from exc
     raise CliError(f"unknown manifold {ref!r} (not a built-in name or existing file)")
 

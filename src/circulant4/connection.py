@@ -15,8 +15,12 @@ algebraic criteria to agree.
 Every quantity is computed for N points at once by `Connection`, each
 stage once, on first use. The per-point functions (`christoffel`,
 `nabla_q`, ...) are its N = 1 views; they raise the reason that
-`Connection.failures` gives for a point with no result, which scan records
-report. `check_tolerance` is the one rule for a usable tolerance.
+`Connection.failures` gives for a point with no result, and
+PARALLEL_NOT_FINITE where a residual overflows, as scan records report.
+The views that read only the gradients (`metric_partials` and the two
+residual reports) need no inverse, so a degenerate metric or an excluded
+locus does not stop them; a field value or gradient that is not finite
+does. `check_tolerance` is the one rule for a usable tolerance.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .fields import as_point
 from .manifolds import ManifoldSpec
 
 __all__ = [
+    "PARALLEL_NOT_FINITE",
     "DomainError",
     "ResidualReport",
     "Connection",
@@ -57,6 +62,10 @@ __all__ = [
 
 class DomainError(ValueError):
     """The point lies on an excluded locus of the manifold."""
+
+
+# what a report record says where the parallel check's residuals overflow
+PARALLEL_NOT_FINITE = "parallel residuals are not finite"
 
 
 def check_tolerance(tol: float, name: str = "tolerance") -> None:
@@ -215,17 +224,27 @@ class Connection:
         (order 2), is not all finite.
         """
         failures = [None] * len(self.values)
+        _name_non_finite(failures, self.values, "")
         # a field value that is not finite makes d so too, and the point degenerate
         for n in np.flatnonzero(self.degenerate).tolist():
-            values = self.values[n].tolist()
-            bad = [name for name, value in zip("ABC", values) if not math.isfinite(value)]
-            error = degeneracy_error(*values, float(self.d[n]))
-            failures[n] = f"{bad[0]} is not finite" if bad else str(error)
+            failures[n] = failures[n] or str(
+                degeneracy_error(*self.values[n].tolist(), float(self.d[n]))
+            )
         for name, jet in (("gradient", self.gradients), ("Hessian", self.hessians))[:order]:
-            finite = np.isfinite(jet.reshape(len(jet), 3, -1)).all(axis=2)
-            for n, f in zip(*np.nonzero(~finite)):
-                failures[n] = failures[n] or f"{name} of {'ABC'[f]} is not finite"
+            _name_non_finite(failures, jet, f"{name} of ")
         return failures
+
+    def finite_row(self, stage: str, error: str) -> np.ndarray:
+        """The first point's row of a stage, for the per-point functions.
+
+        It is computed without numpy warnings, and ValueError(error), the
+        text a report record gives, is raised where it is not all finite.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = getattr(self, stage)[0]
+        if not np.isfinite(row).all():
+            raise ValueError(error)
+        return row
 
     @cached_property
     def metric(self) -> np.ndarray:
@@ -275,29 +294,53 @@ def _check_domain(m: ManifoldSpec, p):
             )
 
 
-def _gradients_at(m: ManifoldSpec, p) -> np.ndarray:
-    _, gradients, _ = m.jets(as_point(p)[None], order=1)
-    return gradients
+def _name_non_finite(failures: list, jet, prefix: str) -> None:
+    """Where failures[n] is None, name the first field whose jet at point n is not finite."""
+    finite = np.isfinite(jet.reshape(len(jet), 3, -1)).all(axis=2)
+    for n, f in zip(*np.nonzero(~finite)):
+        failures[n] = failures[n] or f"{prefix}{'ABC'[f]} is not finite"
+
+
+def _gradient_row(m: ManifoldSpec, p, residuals) -> np.ndarray:
+    """residuals(gradients)[0] at p, for the views that read only the gradients.
+
+    Degenerate metrics and excluded loci still have residuals, as these
+    formulas need no inverse. ValueError names the field whose value or
+    gradient is not finite, as `Connection.failures` does, and says
+    PARALLEL_NOT_FINITE where a residual overflows.
+    """
+    values, gradients, _ = m.jets(as_point(p)[None], order=1)
+    failures = [None]
+    _name_non_finite(failures, values, "")
+    _name_non_finite(failures, gradients, "gradient of ")
+    if failures[0] is not None:
+        raise ValueError(failures[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = residuals(gradients)[0]
+    if not np.isfinite(row).all():
+        raise ValueError(PARALLEL_NOT_FINITE)
+    return row
 
 
 def metric_partials(m: ManifoldSpec, p) -> np.ndarray:
     """dg[i, a, j] = d_i g_aj at p."""
-    return metric_partials_batch(_gradients_at(m, p))[0]
+    return _gradient_row(m, p, metric_partials_batch)
 
 
 def christoffel(m: ManifoldSpec, p) -> np.ndarray:
     """Gamma[s, i, j] = Gamma^s_ij at p, symmetric in (i, j).
 
     Raises DomainError on an excluded locus, SingularMetricError when the
-    metric is numerically degenerate there and ValueError naming the field
-    whose value or gradient is not finite.
+    metric is numerically degenerate there, ValueError naming the field
+    whose value or gradient is not finite and ValueError(PARALLEL_NOT_FINITE)
+    where Gamma overflows.
     """
-    return Connection.at(m, p).christoffel[0]
+    return Connection.at(m, p).finite_row("christoffel", PARALLEL_NOT_FINITE)
 
 
 def nabla_q(m: ManifoldSpec, p) -> np.ndarray:
     """nq[i, s, j] = nabla_i q^s_j; identically zero iff q is parallel at p."""
-    return Connection.at(m, p).nabla_q[0]
+    return Connection.at(m, p).finite_row("nabla_q", PARALLEL_NOT_FINITE)
 
 
 def gradient_condition_residuals(m: ManifoldSpec, p) -> ResidualReport:
@@ -305,7 +348,7 @@ def gradient_condition_residuals(m: ManifoldSpec, p) -> ResidualReport:
 
     All eight vanish exactly when nabla q vanishes at p.
     """
-    residuals = gradient_condition_batch(_gradients_at(m, p))[0]
+    residuals = _gradient_row(m, p, gradient_condition_batch)
     return ResidualReport(tuple(zip(REDUCED_LABELS, residuals.tolist())))
 
 
@@ -316,7 +359,7 @@ def full_system_residuals(m: ManifoldSpec, p) -> ResidualReport:
     coefficient sums at most 8, so its residual is bounded by 8 times the
     largest reduced residual.
     """
-    residuals = full_system_batch(_gradients_at(m, p))[0]
+    residuals = _gradient_row(m, p, full_system_batch)
     return ResidualReport(tuple(zip(FULL_LABELS, residuals.tolist())))
 
 
@@ -330,8 +373,8 @@ def parallelism_verdict(m: ManifoldSpec, p, tol: float = 1e-8):
     """
     check_tolerance(tol)
     connection = Connection.at(m, p)
-    nq_max = float(connection.nabla_q_max[0])
-    conditions = connection.gradient_conditions[0].tolist()
+    nq_max = float(connection.finite_row("nabla_q_max", PARALLEL_NOT_FINITE))
+    conditions = connection.finite_row("gradient_conditions", PARALLEL_NOT_FINITE).tolist()
     verdict = nq_max <= tol and max(conditions) <= tol
     report = ResidualReport(
         tuple(zip(REDUCED_LABELS, conditions)) + (("max |nabla q|", nq_max),)

@@ -16,7 +16,9 @@ as an independent oracle.
 
 `Geometry` extends the batched `Connection` pass with d Gamma, R and the
 lowered R, each computed once for N points; `christoffel_partials`,
-`riemann` and `riemann_lowered` are its N = 1 views.
+`riemann` and `riemann_lowered` are its N = 1 views. Like the report
+records, they and the residual functions below raise
+ValueError(CURVATURE_NOT_FINITE) where a value overflows.
 
 On manifolds where q is parallel the curvature satisfies two structure
 identities: the (0,4) tensor absorbs q from the last slot into the third as
@@ -28,6 +30,7 @@ amount by which the identity fails, zero up to roundoff when it holds.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -45,6 +48,7 @@ from .fields import as_point
 from .manifolds import ManifoldSpec
 
 __all__ = [
+    "CURVATURE_NOT_FINITE",
     "Geometry",
     "christoffel_partials",
     "christoffel_partials_fd",
@@ -62,6 +66,10 @@ __all__ = [
     "curvature_q_commutation_residual",
     "q_commutation_gaps",
 ]
+
+
+# what a report record says where a curvature check's tensor or residual overflows
+CURVATURE_NOT_FINITE = "curvature is not finite"
 
 
 def riemann_batch(gamma, dgamma) -> np.ndarray:
@@ -120,8 +128,12 @@ class Geometry(Connection):
 
 
 def christoffel_partials(m: ManifoldSpec, p) -> np.ndarray:
-    """dgamma[m, s, i, j] = d_m Gamma^s_ij, fully analytic."""
-    return Geometry.at(m, p).christoffel_partials[0]
+    """dgamma[m, s, i, j] = d_m Gamma^s_ij, fully analytic.
+
+    Like `riemann` and `riemann_lowered`, this raises the errors of
+    `Geometry.at`, and ValueError(CURVATURE_NOT_FINITE) where it overflows.
+    """
+    return Geometry.at(m, p).finite_row("christoffel_partials", CURVATURE_NOT_FINITE)
 
 
 def christoffel_partials_fd(m: ManifoldSpec, p, h: float = 1e-4) -> np.ndarray:
@@ -139,7 +151,7 @@ def christoffel_partials_fd(m: ManifoldSpec, p, h: float = 1e-4) -> np.ndarray:
 
 def riemann(m: ManifoldSpec, p) -> np.ndarray:
     """The (1,3) curvature r[l, k, j, i], antisymmetric in (j, i)."""
-    return Geometry.at(m, p).riemann[0]
+    return Geometry.at(m, p).finite_row("riemann", CURVATURE_NOT_FINITE)
 
 
 def riemann_fd(m: ManifoldSpec, p, h: float = 1e-4) -> np.ndarray:
@@ -160,7 +172,7 @@ def raise_index(t, r4: np.ndarray) -> np.ndarray:
 
 def riemann_lowered(m: ManifoldSpec, p) -> np.ndarray:
     """The (0,4) curvature with the classical pair symmetries."""
-    return Geometry.at(m, p).riemann_lowered[0]
+    return Geometry.at(m, p).finite_row("riemann_lowered", CURVATURE_NOT_FINITE)
 
 
 def contract_lowered(r4: np.ndarray, x, y, z, u) -> float:
@@ -176,11 +188,19 @@ def curvature_q_invariance_residual(m: ManifoldSpec, p, x, y, z, u) -> float:
     return abs(lhs - rhs)
 
 
+def _finite_gap(gaps, tensor) -> float:
+    with np.errstate(over="ignore"):
+        gap = float(gaps(tensor[None])[0])
+    if not math.isfinite(gap):
+        raise ValueError(CURVATURE_NOT_FINITE)
+    return gap
+
+
 def max_curvature_q_invariance_residual(m: ManifoldSpec, p) -> float:
     """The slot-transfer residual maximized over all basis 4-tuples."""
-    return float(q_invariance_gaps(Geometry.at(m, p).riemann_lowered)[0])
+    return _finite_gap(q_invariance_gaps, riemann_lowered(m, p))
 
 
 def curvature_q_commutation_residual(m: ManifoldSpec, p) -> float:
     """Largest entry of the commutator of q with the endomorphisms R(e_j, e_i)."""
-    return float(q_commutation_gaps(Geometry.at(m, p).riemann)[0])
+    return _finite_gap(q_commutation_gaps, riemann(m, p))

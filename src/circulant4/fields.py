@@ -22,7 +22,8 @@ operators) or parsed from a small expression grammar:
     power    := atom ('^' exponent)?
     atom     := literal | coordinate | '(' expr ')'
     literal  := decimal | integer '/' integer
-    exponent := non-negative integer
+    exponent := non-negative integer, at most MAX_EXPONENT / (the base's
+                largest exponent of one coordinate)
 
 Coordinates are named x1..x4, whitespace is insignificant and there is no
 implicit multiplication. Decimal literals may carry an exponent suffix
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import add
 
 import numpy as np
 
@@ -40,6 +42,7 @@ __all__ = [
     "ScalarField",
     "CompiledField",
     "ParseError",
+    "MAX_EXPONENT",
     "parse_field",
     "fd_gradient",
     "as_point",
@@ -49,6 +52,11 @@ __all__ = [
 
 _NVARS = 4
 _ZERO = (0, 0, 0, 0)
+
+# the highest degree in one coordinate that `^` may produce: the parser
+# rejects a larger exponent (of a larger base degree) before expanding it,
+# and the jets tabulate every power of a coordinate up to its degree
+MAX_EXPONENT = 1000
 
 # jet slots of a compiled field: 0 is the value, 1 + i the partial d_i and
 # 5 + k the second partial d_i d_j, i <= j, of the k-th pair below
@@ -110,8 +118,47 @@ def scalar_pow(values, e: int) -> np.ndarray:
     return np.array(out, dtype=float).reshape(values.shape)
 
 
-def _graded_lex_key(exps):
-    return (-sum(exps), tuple(-e for e in exps))
+def _graded_key(item):
+    """Sort key of a (exponents, coefficient) pair: total degree, then exponents, descending."""
+    exps = item[0]
+    return (-sum(exps), [-e for e in exps])
+
+
+# Polynomial arithmetic on term maps (exponent tuple -> float coefficient).
+# `ScalarField` and the parser share it; a canonical map has no zero
+# coefficients and lists its terms in graded-lexicographic order.
+
+
+def _canonical(terms: dict) -> dict:
+    return dict(sorted((item for item in terms.items() if item[1] != 0.0), key=_graded_key))
+
+
+def _accumulate(total: dict, terms: dict) -> None:
+    """Add terms into total in place, coefficient by coefficient."""
+    for exps, coeff in terms.items():
+        total[exps] = total.get(exps, 0.0) + coeff
+
+
+def _negated(terms: dict) -> dict:
+    return {exps: -coeff for exps, coeff in terms.items()}
+
+
+def _product(left: dict, right: dict) -> dict:
+    """The product of two canonical maps, summed pair by pair in their term order."""
+    out = {}
+    for ea, ca in left.items():
+        for eb, cb in right.items():
+            key = tuple(map(add, ea, eb))
+            out[key] = out.get(key, 0.0) + ca * cb
+    return out
+
+
+def _power(base: dict, n: int) -> dict:
+    """base**n of a canonical map, as n products from the constant 1."""
+    result = {_ZERO: 1.0}
+    for _ in range(n):
+        result = _product(_canonical(result), base)
+    return result
 
 
 class ScalarField:
@@ -139,14 +186,8 @@ class ScalarField:
                 not isinstance(e, (int, np.integer)) or e < 0 for e in exps
             ):
                 raise ValueError(f"bad exponent tuple {exps!r}")
-            coeff = float(coeff)
-            if coeff != 0.0:
-                clean[exps] = coeff
-        object.__setattr__(
-            self,
-            "_terms",
-            dict(sorted(clean.items(), key=lambda kv: _graded_lex_key(kv[0]))),
-        )
+            clean[exps] = float(coeff)
+        object.__setattr__(self, "_terms", _canonical(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
@@ -245,14 +286,13 @@ class ScalarField:
         if other is None:
             return NotImplemented
         merged = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            merged[exps] = merged.get(exps, 0.0) + coeff
+        _accumulate(merged, other._terms)
         return ScalarField(merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarField({e: -c for e, c in self._terms.items()})
+        return ScalarField(_negated(self._terms))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -270,22 +310,14 @@ class ScalarField:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                key = tuple(a + b for a, b in zip(ea, eb))
-                out[key] = out.get(key, 0.0) + ca * cb
-        return ScalarField(out)
+        return ScalarField(_product(self._terms, other._terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = ScalarField.constant(1.0)
-        for _ in range(int(n)):
-            result = result * self
-        return result
+        return ScalarField(_power(self._terms, int(n)))
 
     def __eq__(self, other):
         if not isinstance(other, ScalarField):
@@ -518,40 +550,45 @@ class _Parser:
     def end_position(self):
         return len(self.text)
 
-    def expression(self):
-        node = self.term()
+    # each rule returns a term map; operands are made canonical before each
+    # product and power, so the arithmetic, and with it every coefficient
+    # and the term order, is that of the ScalarField operators
+
+    def expression(self) -> dict:
+        total = self.term()
         while self.at_op("+", "-"):
             op = self.advance()
             rhs = self.term()
-            node = node + rhs if op.text == "+" else node - rhs
-        return node
+            _accumulate(total, rhs if op.text == "+" else _negated(rhs))
+        return total
 
-    def term(self):
-        node = self.unary()
+    def term(self) -> dict:
+        terms = self.unary()
         while self.at_op("*"):
             self.advance()
-            node = node * self.unary()
+            terms = _product(_canonical(terms), _canonical(self.unary()))
         if self.at_op("/"):
             tok = self.peek()
             raise ParseError(
                 "'/' is only valid inside an integer rational literal", tok.pos
             )
-        return node
+        return terms
 
-    def unary(self):
+    def unary(self) -> dict:
         if self.at_op("-"):
             self.advance()
-            return -self.unary()
+            return _negated(self.unary())
         return self.power()
 
-    def power(self):
+    def power(self) -> dict:
         base = self.atom()
         if self.at_op("^"):
             self.advance()
-            return base ** self.exponent()
+            base = _canonical(base)
+            return _power(base, self.exponent(base))
         return base
 
-    def exponent(self) -> int:
+    def exponent(self, base: dict) -> int:
         minus = None
         if self.at_op("-"):
             minus = self.advance()
@@ -564,9 +601,20 @@ class _Parser:
             raise ParseError("non-integer exponent", tok.pos)
         if minus is not None:
             raise ParseError("negative exponent", minus.pos)
-        return int(tok.text)
+        degree = max((max(exps) for exps in base), default=0)
+        try:
+            n = int(tok.text)
+        except ValueError:  # thousands of digits
+            n = None
+        if n is None or n * max(degree, 1) > MAX_EXPONENT:
+            raise ParseError(
+                f"exponent too large (a power may not exceed degree {MAX_EXPONENT} "
+                "in any coordinate)",
+                tok.pos,
+            )
+        return n
 
-    def atom(self):
+    def atom(self) -> dict:
         tok = self.peek()
         if tok is None:
             raise ParseError("unexpected end of expression", self.end_position())
@@ -585,23 +633,32 @@ class _Parser:
                         "rational literal requires an integer denominator", pos
                     )
                 self.advance()
-                if int(denom.text) == 0:
+                try:
+                    numerator, denominator = int(tok.text), int(denom.text)
+                except ValueError as exc:  # thousands of digits
+                    raise ParseError("rational literal out of range", tok.pos) from exc
+                if denominator == 0:
                     raise ParseError("zero denominator in rational literal", denom.pos)
-                return ScalarField.constant(int(tok.text) / int(denom.text))
-            return ScalarField.constant(float(tok.text))
+                try:
+                    return {_ZERO: numerator / denominator}
+                except OverflowError as exc:
+                    raise ParseError("rational literal out of range", tok.pos) from exc
+            return {_ZERO: float(tok.text)}
         if tok.kind == "ident":
             self.advance()
             if tok.text in ("x1", "x2", "x3", "x4"):
-                return ScalarField.coordinate(int(tok.text[1]))
+                exps = [0] * _NVARS
+                exps[int(tok.text[1]) - 1] = 1
+                return {tuple(exps): 1.0}
             raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
-            node = self.expression()
+            terms = self.expression()
             if not self.at_op(")"):
                 pos = self.peek().pos if self.peek() is not None else self.end_position()
                 raise ParseError("expected ')'", pos)
             self.advance()
-            return node
+            return terms
         raise ParseError(f"unexpected {tok.text!r}", tok.pos)
 
     def expect_end(self):
@@ -617,6 +674,6 @@ def parse_field(text: str) -> ScalarField:
     unknown identifiers and invalid exponents.
     """
     parser = _Parser(_tokenize(text), text)
-    field = parser.expression()
+    terms = parser.expression()
     parser.expect_end()
-    return field
+    return ScalarField(terms)

@@ -22,21 +22,24 @@ a single point.
 Reports are plain mappings rendered to JSON or CSV. Rendering is
 deterministic: fixed key order, records in row-major grid order, floats in
 shortest round-trip form, so identical inputs give byte-identical output.
+JSON reports come from a dedicated writer (`_write_json`) that gives the
+same bytes as `json.dumps(report, indent=2)`, whose indenting encoder runs
+in pure Python, through a chain of generators, and takes longer.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from csv import writer as csv_writer
 from dataclasses import dataclass, field
 from io import StringIO
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
 from . import __version__
-from .connection import check_tolerance
-from .curvature import Geometry, q_commutation_gaps, q_invariance_gaps
+from .connection import PARALLEL_NOT_FINITE, check_tolerance
+from .curvature import CURVATURE_NOT_FINITE, Geometry, q_commutation_gaps, q_invariance_gaps
 from .fields import as_point
 from .manifolds import ManifoldSpec
 
@@ -114,7 +117,7 @@ def _parallel_outcomes(geometry: Geometry, tol: float) -> list[dict]:
     return [
         {"passed": nq <= tol and gm <= tol, "nabla_q_max": nq, "gradient_condition_max": gm}
         if math.isfinite(nq) and math.isfinite(gm)
-        else {"passed": False, "error": "parallel residuals are not finite"}
+        else {"passed": False, "error": PARALLEL_NOT_FINITE}
         for nq, gm in zip(nq_max, gradient_max)
     ]
 
@@ -124,7 +127,7 @@ def _curvature_outcomes(tensor: np.ndarray, gaps, tol: float) -> list[dict]:
     return [
         {"passed": residual <= tol * scale, "residual": residual, "scale": scale}
         if math.isfinite(residual) and math.isfinite(scale)
-        else {"passed": False, "error": "curvature is not finite"}
+        else {"passed": False, "error": CURVATURE_NOT_FINITE}
         for residual, scale in zip(gaps(tensor).tolist(), scales)
     ]
 
@@ -331,10 +334,73 @@ def _csv_cells(record: dict) -> list[str]:
     return cells
 
 
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _write_json(value, newline: str, out: list) -> None:
+    """Append the text json.dumps(value, indent=2) gives for value to out.
+
+    newline is a line break followed by the indentation of value's line.
+    Scalars are written as json writes them: strings through json's C
+    escaper, floats (subclasses too) by float.__repr__ with NaN, Infinity
+    and -Infinity, ints by int.__repr__. Dicts keep their insertion order
+    and need string keys; lists and tuples are arrays. Anything else
+    raises TypeError.
+    """
+    if isinstance(value, str):
+        out.append(_json_str(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(separator + _json_str(key) + ": ")
+            _write_json(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_report(report: Report, fmt: str = "json") -> str:
     """Serialize a report; json round-trips exactly, csv is one row per point."""
     if fmt == "json":
-        return json.dumps(report.to_mapping(), indent=2) + "\n"
+        out = []
+        _write_json(report.to_mapping(), "\n", out)
+        out.append("\n")
+        return "".join(out)
     if fmt == "csv":
         buffer = StringIO()
         table = csv_writer(buffer, lineterminator="\n")

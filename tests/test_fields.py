@@ -1,11 +1,14 @@
 """Polynomial fields: exact derivatives, canonical printing, parsing."""
 
+import functools
+import operator
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from circulant4 import (
     ParseError,
@@ -16,7 +19,7 @@ from circulant4 import (
     load_manifold,
     parse_field,
 )
-from circulant4.fields import jets
+from circulant4.fields import MAX_EXPONENT, jets
 
 from helpers import PARSER_CORPUS, REPO_ROOT, random_polynomial
 
@@ -179,6 +182,37 @@ def test_parse_errors(text, position, fragment):
     assert f"position {position}" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text, position, fragment",
+    [
+        ("x1^100000000", 3, "exponent too large"),
+        (f"x1^{MAX_EXPONENT + 1}", 3, "exponent too large"),
+        # the degree of a power, not only its exponent, is bounded
+        (f"(x1^2)^{MAX_EXPONENT // 2 + 1}", 7, "exponent too large"),
+        ("2^" + "9" * 5000, 2, "exponent too large"),
+        ("1" + "0" * 400 + "/3", 0, "rational literal out of range"),
+        ("x1 + 1/" + "9" * 5000, 5, "rational literal out of range"),
+    ],
+)
+def test_parse_refuses_oversized_literals_at_once(text, position, fragment):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_field(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.position == position
+    assert fragment in str(err.value)
+    assert peak < 1_000_000
+
+
+def test_exponent_bound_admits_the_largest_power():
+    assert MAX_EXPONENT >= 300
+    assert parse_field(f"x1^{MAX_EXPONENT}").terms() == {(MAX_EXPONENT, 0, 0, 0): 1.0}
+    assert parse_field(f"(x2^2)^{MAX_EXPONENT // 2}") == x2**MAX_EXPONENT
+
+
 def test_as_point():
     p = as_point([1, 2, 3, 4])
     assert p.dtype == float and p.shape == (4,)
@@ -312,3 +346,61 @@ def test_compiled_jets_match_reference_on_random_fields(f, p):
     assert _bits(values[0, 0]) == _bits(f(p))
     assert np.array_equal(_bits(gradients[0, 0]), _bits(f.gradient(p)))
     assert np.array_equal(_bits(hessians[0, 0]), _bits(f.hessian(p)))
+
+
+# Expressions of the parser's grammar, each paired with the field the
+# ScalarField operators build from the same syntax tree: the oracle the
+# parser must match term for term and bit for bit.
+_constant = ScalarField.constant
+
+
+_literals = st.one_of(
+    st.floats(0, 1e308).map(lambda c: (repr(c), _constant(c))),
+    st.tuples(st.integers(0, 10**6), st.integers(1, 10**6)).map(
+        lambda r: (f"{r[0]}/{r[1]}", _constant(r[0] / r[1]))
+    ),
+    st.sampled_from(["1e300", "0", "0.5", "3"]).map(lambda t: (t, _constant(float(t)))),
+)
+_coordinates = st.integers(1, 4).map(lambda i: (f"x{i}", ScalarField.coordinate(i)))
+
+
+def _expressions(inner):
+    atoms = st.one_of(_literals, _coordinates, inner.map(lambda e: (f"({e[0]})", e[1])))
+    powers = st.one_of(
+        atoms,
+        st.tuples(atoms, st.integers(0, 3)).map(lambda a: (f"{a[0][0]}^{a[1]}", a[0][1] ** a[1])),
+    )
+    unaries = st.tuples(st.integers(0, 2), powers).map(
+        lambda u: ("-" * u[0] + u[1][0], functools.reduce(lambda f, _: -f, range(u[0]), u[1][1]))
+    )
+    terms = st.lists(unaries, min_size=1, max_size=3).map(
+        lambda us: ("*".join(t for t, _ in us), functools.reduce(operator.mul, [f for _, f in us]))
+    )
+
+    def chain(first, rest):
+        text, field = first
+        for op, (t, f) in rest:
+            text, field = f"{text} {op} {t}", (field + f if op == "+" else field - f)
+        return text, field
+
+    return st.tuples(terms, st.lists(st.tuples(st.sampled_from("+-"), terms), max_size=4)).map(
+        lambda e: chain(*e)
+    )
+
+
+def _hex_terms(field):
+    return [(exps, coeff.hex()) for exps, coeff in field.terms().items()]
+
+
+@settings(max_examples=300)
+@given(st.recursive(st.one_of(_literals, _coordinates), _expressions, max_leaves=10))
+@example(("x1 - x1", x1 - x1))
+@example(("x1 - x1 + x2*0 - 0*x3", x1 - x1 + x2 * _constant(0) - _constant(0) * x3))
+@example(("(x1 + x2 - 1/3)^3 - x1^3", (x1 + x2 - _constant(1 / 3)) ** 3 - x1**3))
+@example(("((x1 - 0.1)*(x2 + 1/7))^2", ((x1 - _constant(0.1)) * (x2 + _constant(1 / 7))) ** 2))
+@example(("1e300*1e300*x1", _constant(1e300) * _constant(1e300) * x1))
+@example(("1e300*1e300*x1 - 1e300*1e300*x1 + x2", _constant(1e300) * _constant(1e300) * x1
+          - _constant(1e300) * _constant(1e300) * x1 + x2))
+def test_parser_matches_the_operator_oracle(case):
+    text, field = case
+    assert _hex_terms(parse_field(text)) == _hex_terms(field)

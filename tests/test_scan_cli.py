@@ -12,12 +12,21 @@ from circulant4 import (
     SingularMetricError,
     __version__,
     christoffel,
+    christoffel_partials,
+    curvature_q_commutation_residual,
     example_manifold,
+    full_system_residuals,
+    gradient_condition_residuals,
+    max_curvature_q_invariance_residual,
+    metric_partials,
+    nabla_q,
     parallelism_verdict,
     parse_field,
     riemann,
+    riemann_lowered,
 )
 from circulant4.cli import main
+from circulant4.fields import MAX_EXPONENT
 from circulant4.scan import (
     CHECKS,
     CHUNK_SIZE,
@@ -555,23 +564,27 @@ def test_non_finite_derivatives_stay_local_to_their_chunk():
     _strict_json(render_report(report))
 
 
-@pytest.mark.parametrize(
-    "field, point",
-    # where the pass itself has no result; the curvature rows overflow later,
-    # in the residuals, which only the records check
-    [(field, point) for field, point, errors in NON_FINITE_CASES if "curvature" not in errors[2]],
+# each per-point function and the check whose record error it raises
+PER_POINT_VIEWS = (
+    (christoffel, "parallel"),
+    (nabla_q, "parallel"),
+    (parallelism_verdict, "parallel"),
+    (christoffel_partials, "curvature31"),
+    (riemann, "curvature31"),
+    (riemann_lowered, "curvature31"),
+    (max_curvature_q_invariance_residual, "curvature31"),
+    (curvature_q_commutation_residual, "curvature32"),
 )
-def test_per_point_functions_raise_the_error_of_the_record(field, point):
+
+
+@pytest.mark.parametrize("field, point", [(field, point) for field, point, _ in NON_FINITE_CASES])
+def test_per_point_functions_raise_the_error_of_the_record(field, point, capfd):
     manifold = _field_manifold(field)
     p = [float(x) for x in point.split(",")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         record = evaluate_point(manifold, p)
-        for function, check in (
-            (christoffel, "parallel"),
-            (parallelism_verdict, "parallel"),
-            (riemann, "curvature31"),
-        ):
+        for function, check in PER_POINT_VIEWS:
             error = record["checks"][check].get("error")
             if error is None:
                 function(manifold, p)
@@ -580,3 +593,53 @@ def test_per_point_functions_raise_the_error_of_the_record(field, point):
                 function(manifold, p)
             assert str(raised.value) == error
             assert isinstance(raised.value, SingularMetricError) == ("metric" in error)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "field, point, error",
+    [
+        (STEEP_A, "10.6,10.6,0,0", "gradient of A is not finite"),
+        (STEEP_A, "11,0,0,0", "A is not finite"),
+        ("1e308*x1^3 + 10", "1e-70,0,0,0", "gradient of A is not finite"),
+        # the record names the overflowing inverse, which these views do not need
+        (STEEP_A, "10.6,1,0,0", "gradient of A is not finite"),
+        # a degenerate metric at finite gradients still has residuals
+        (None, "1e100,1e99,2e100,2e99", None),
+    ],
+)
+def test_gradient_views_raise_where_a_gradient_is_not_finite(field, point, error):
+    manifold = _field_manifold(field)
+    p = [float(x) for x in point.split(",")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for function in (metric_partials, gradient_condition_residuals, full_system_residuals):
+            if error is None:
+                result = function(manifold, p)
+                values = result if isinstance(result, np.ndarray) else list(result.as_dict().values())
+                assert np.isfinite(values).all()
+                continue
+            with pytest.raises(ValueError) as raised:
+                function(manifold, p)
+            assert str(raised.value) == error
+
+
+@pytest.mark.parametrize(
+    "content, fragment",
+    [
+        # not UTF-8
+        (b"\xff\xfeA = x1\n", "cannot read"),
+        # refused while parsing, before anything is expanded
+        (b"A = x1^100000000\nB = 1\nC = 3\n", "exponent too large"),
+        (f"A = x1^{MAX_EXPONENT + 1}\nB = 1\nC = 3\n".encode(), "exponent too large"),
+    ],
+)
+def test_cli_unusable_config_exits_2(tmp_path, capsys, content, fragment):
+    config = tmp_path / "bin.cfg"
+    config.write_bytes(content)
+    assert main(["check", "--manifold", str(config), "--point", "1,0,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert fragment in captured.err
+    assert str(config) in captured.err
