@@ -8,7 +8,8 @@ exact, not numerical.
 
 import numpy as np
 
-from circulant4 import ParseError, ScalarField, fd_gradient, parse_field
+from circulant4 import ParseError, ScalarField, parse_field
+from circulant4._oracles import fd_gradient
 
 # build a field from the coordinate generators
 x1 = ScalarField.coordinate(1)

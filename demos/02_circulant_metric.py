@@ -18,10 +18,10 @@ from circulant4 import (
     inner,
     inverse_metric,
     is_positive_definite_ordered,
-    leading_principal_minors,
     metric_components,
     metric_determinant,
 )
+from circulant4._oracles import leading_principal_minors
 
 print("affinor component matrix (rows i, columns j):")
 print(AFFINOR)

@@ -17,10 +17,10 @@ from circulant4 import (
     max_curvature_q_invariance_residual,
     nabla_q,
     riemann,
-    riemann_fd,
     riemann_lowered,
     example_manifold,
 )
+from circulant4._oracles import riemann_fd
 
 rng = np.random.default_rng(4)
 

@@ -22,7 +22,6 @@ from .circulant import (
     inner,
     inverse_metric,
     is_positive_definite_ordered,
-    leading_principal_minors,
     metric_components,
     metric_determinant,
 )
@@ -39,18 +38,14 @@ from .connection import (
 from .curvature import (
     Geometry,
     christoffel_partials,
-    christoffel_partials_fd,
     contract_lowered,
     curvature_q_commutation_residual,
-    curvature_q_invariance_residual,
     lower_index,
     max_curvature_q_invariance_residual,
-    raise_index,
     riemann,
-    riemann_fd,
     riemann_lowered,
 )
-from .fields import ParseError, ScalarField, as_point, fd_gradient, parse_field
+from .fields import ParseError, ScalarField, as_point, parse_field
 from .manifolds import (
     ConfigError,
     DomainStatus,
@@ -94,21 +89,17 @@ __all__ = [
     "as_point",
     "christoffel",
     "christoffel_partials",
-    "christoffel_partials_fd",
     "constant_manifold",
     "contract_lowered",
     "curvature_q_commutation_residual",
-    "curvature_q_invariance_residual",
     "degeneracy_threshold",
     "evaluate_point",
     "example_manifold",
-    "fd_gradient",
     "full_system_residuals",
     "gradient_condition_residuals",
     "inner",
     "inverse_metric",
     "is_positive_definite_ordered",
-    "leading_principal_minors",
     "load_manifold",
     "lower_index",
     "manifold_from_config",
@@ -119,10 +110,8 @@ __all__ = [
     "nabla_q",
     "parallelism_verdict",
     "parse_field",
-    "raise_index",
     "render_report",
     "riemann",
-    "riemann_fd",
     "riemann_lowered",
     "run_check",
     "run_scan",

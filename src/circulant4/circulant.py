@@ -35,7 +35,6 @@ __all__ = [
     "inverse_metrics",
     "degeneracy_error",
     "is_positive_definite_ordered",
-    "leading_principal_minors",
     "inner",
 ]
 
@@ -171,18 +170,6 @@ def inverse_metric(t: CirculantTriple) -> np.ndarray:
 def is_positive_definite_ordered(t: CirculantTriple) -> bool:
     """Sufficient ordering test a > c > b > 0 for positive definiteness."""
     return t.a > t.c > t.b > 0.0
-
-
-def leading_principal_minors(matrix) -> np.ndarray:
-    """Determinants of the four leading principal submatrices.
-
-    All strictly positive iff the matrix is positive definite; kept separate
-    from the ordering test so the two can corroborate each other.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {matrix.shape}")
-    return np.array([np.linalg.det(matrix[:k, :k]) for k in range(1, 5)])
 
 
 def inner(t: CirculantTriple, u, v) -> float:

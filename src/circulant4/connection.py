@@ -94,7 +94,9 @@ class ResidualReport:
         return dict(self.entries)
 
 
-# Subscripts denote partials: A1 is dA/dx1 and so on.
+# Each relation is a signed sum of gradient components, written once here;
+# subscripts denote partials: A1 is dA/dx1 and so on. The residuals are
+# computed from these labels, term by term in the order written.
 REDUCED_LABELS = (
     "A1 - C3",
     "A2 - C4",
@@ -113,6 +115,8 @@ FULL_LABELS = (
     "A3 - B2 + B4 - C1",
     "A2 - B1 + B3 - C4",
     "A2 + B1 - B3 - C4",
+    # -3*B3 here: the +3*B3 variant equals 3*(C2 + C4) under the reduced
+    # relations, so it is not implied by them
     "A4 - B1 - 3*B3 + C2 + 2*C4",
     "A2 + 2*A4 - 3*B1 - B3 + C4",
     "A2 + 2*A4 - B1 - 3*B3 + C4",
@@ -125,6 +129,54 @@ FULL_LABELS = (
 )
 
 
+def _relation_table(labels) -> tuple[np.ndarray, np.ndarray]:
+    """(coefficients, columns), each (terms, relations), from the labels.
+
+    Row t holds the t-th term of every relation, in label order. A column
+    indexes the gradients flattened to (N, 12), A1..A4, B1..B4, C1..C4;
+    relations with fewer terms are padded with 1 times column 12, a zero.
+    """
+    width = max((len(label.split()) + 1) // 2 for label in labels)
+    coefficients = np.ones((width, len(labels)))
+    columns = np.full((width, len(labels)), 12)
+    for r, label in enumerate(labels):
+        sign, t = 1.0, 0
+        for word in label.split():
+            if word in ("+", "-"):
+                sign = 1.0 if word == "+" else -1.0
+                continue
+            factor, _, name = word.rpartition("*")
+            coefficients[t, r] = sign * float(factor or 1)
+            columns[t, r] = 4 * "ABC".index(name[0]) + int(name[1]) - 1
+            t += 1
+    coefficients.setflags(write=False)
+    columns.setflags(write=False)
+    return coefficients, columns
+
+
+# the coefficient tables of the two systems, computed once
+REDUCED_TERMS = _relation_table(REDUCED_LABELS)
+FULL_TERMS = _relation_table(FULL_LABELS)
+
+
+def _relation_residuals(table, gradients) -> np.ndarray:
+    """|relation| for every relation of a table at N points, (N, relations).
+
+    Each relation is summed term by term in label order. Adding c * y for
+    c = -1 is subtracting y in IEEE arithmetic, and adding the zero padding
+    changes at most the sign of a zero, so after the absolute value the
+    residuals are those of the relations written out by hand, bit for bit.
+    """
+    coefficients, columns = table
+    flat = np.concatenate(
+        [gradients.reshape(len(gradients), 12), np.zeros((len(gradients), 1))], axis=1
+    )
+    total = coefficients[0] * flat[:, columns[0]]
+    for c, k in zip(coefficients[1:], columns[1:]):
+        total = total + c * flat[:, k]
+    return np.abs(total)
+
+
 def metric_partials_batch(gradients) -> np.ndarray:
     """dg[n, i, a, j] = d_i g_aj, from the field gradients (N, 3, 4)."""
     return np.moveaxis(gradients[:, SLOT_FIELD], 3, 1)
@@ -132,52 +184,12 @@ def metric_partials_batch(gradients) -> np.ndarray:
 
 def gradient_condition_batch(gradients) -> np.ndarray:
     """The eight reduced residuals (in `REDUCED_LABELS` order) at N points, (N, 8)."""
-    (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4) = np.moveaxis(gradients, 0, 2)
-    return np.abs(
-        np.stack(
-            [
-                a1 - c3,
-                a2 - c4,
-                a3 - c1,
-                a4 - c2,
-                b1 - b3,
-                b2 - b4,
-                2.0 * b1 - c4 - c2,
-                2.0 * b2 - c1 - c3,
-            ],
-            axis=1,
-        )
-    )
+    return _relation_residuals(REDUCED_TERMS, gradients)
 
 
 def full_system_batch(gradients) -> np.ndarray:
     """The sixteen expanded residuals (in `FULL_LABELS` order) at N points, (N, 16)."""
-    (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4) = np.moveaxis(gradients, 0, 2)
-    return np.abs(
-        np.stack(
-            [
-                a4 - b1 + b3 - c2,
-                a4 + b1 - b3 - c2,
-                2.0 * a2 + a4 - 3.0 * b1 - b3 + c2,
-                a3 + b2 - b4 - c1,
-                a3 - b2 + b4 - c1,
-                a2 - b1 + b3 - c4,
-                a2 + b1 - b3 - c4,
-                # -3*B3 here: the +3*B3 variant equals 3*(C2 + C4) under the
-                # reduced relations, so it is not implied by them.
-                a4 - b1 - 3.0 * b3 + c2 + 2.0 * c4,
-                a2 + 2.0 * a4 - 3.0 * b1 - b3 + c4,
-                a2 + 2.0 * a4 - b1 - 3.0 * b3 + c4,
-                a1 + 2.0 * a3 - 3.0 * b2 - b4 + c3,
-                a1 - b2 + b4 - c3,
-                a3 - b2 - 3.0 * b4 + c1 + 2.0 * c3,
-                a1 - b2 - 3.0 * b4 + 2.0 * c1 + c3,
-                2.0 * a1 + a3 - b2 - 3.0 * b4 + c1,
-                a2 - b1 - 3.0 * b3 + 2.0 * c2 + c4,
-            ],
-            axis=1,
-        )
-    )
+    return _relation_residuals(FULL_TERMS, gradients)
 
 
 class Connection:
@@ -192,6 +204,8 @@ class Connection:
     """
 
     jet_order = 1
+    # what `finite_row` raises, the error text of the checks this pass serves
+    not_finite = PARALLEL_NOT_FINITE
 
     def __init__(self, values, gradients, hessians=None):
         self.values = values
@@ -234,16 +248,16 @@ class Connection:
             _name_non_finite(failures, jet, f"{name} of ")
         return failures
 
-    def finite_row(self, stage: str, error: str) -> np.ndarray:
+    def finite_row(self, stage: str) -> np.ndarray:
         """The first point's row of a stage, for the per-point functions.
 
-        It is computed without numpy warnings, and ValueError(error), the
-        text a report record gives, is raised where it is not all finite.
+        It is computed without numpy warnings, and ValueError(not_finite),
+        the text a report record gives, is raised where it is not all finite.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             row = getattr(self, stage)[0]
         if not np.isfinite(row).all():
-            raise ValueError(error)
+            raise ValueError(self.not_finite)
         return row
 
     @cached_property
@@ -335,12 +349,12 @@ def christoffel(m: ManifoldSpec, p) -> np.ndarray:
     whose value or gradient is not finite and ValueError(PARALLEL_NOT_FINITE)
     where Gamma overflows.
     """
-    return Connection.at(m, p).finite_row("christoffel", PARALLEL_NOT_FINITE)
+    return Connection.at(m, p).finite_row("christoffel")
 
 
 def nabla_q(m: ManifoldSpec, p) -> np.ndarray:
     """nq[i, s, j] = nabla_i q^s_j; identically zero iff q is parallel at p."""
-    return Connection.at(m, p).finite_row("nabla_q", PARALLEL_NOT_FINITE)
+    return Connection.at(m, p).finite_row("nabla_q")
 
 
 def gradient_condition_residuals(m: ManifoldSpec, p) -> ResidualReport:
@@ -373,8 +387,8 @@ def parallelism_verdict(m: ManifoldSpec, p, tol: float = 1e-8):
     """
     check_tolerance(tol)
     connection = Connection.at(m, p)
-    nq_max = float(connection.finite_row("nabla_q_max", PARALLEL_NOT_FINITE))
-    conditions = connection.finite_row("gradient_conditions", PARALLEL_NOT_FINITE).tolist()
+    nq_max = float(connection.finite_row("nabla_q_max"))
+    conditions = connection.finite_row("gradient_conditions").tolist()
     verdict = nq_max <= tol and max(conditions) <= tol
     report = ResidualReport(
         tuple(zip(REDUCED_LABELS, conditions)) + (("max |nabla q|", nq_max),)

@@ -10,61 +10,46 @@ r4[h, k, j, i] = g_lh r[l, k, j, i], so that R(x, y, z, u) contracts x into
 axis j, y into i, z into k and u into h.
 
 The Christoffel partials entering d Gamma are assembled analytically from
-the field Hessians together with d g^{-1} = -g^{-1} (d g) g^{-1}; a
-central-difference route (`christoffel_partials_fd`, `riemann_fd`) is kept
-as an independent oracle.
-
-`Geometry` extends the batched `Connection` pass with d Gamma, R and the
-lowered R, each computed once for N points; `christoffel_partials`,
-`riemann` and `riemann_lowered` are its N = 1 views. Like the report
-records, they and the residual functions below raise
-ValueError(CURVATURE_NOT_FINITE) where a value overflows.
+the field Hessians together with d g^{-1} = -g^{-1} (d g) g^{-1}. The
+central-difference route that the tests compare them with lives in the
+private `circulant4._oracles`.
 
 On manifolds where q is parallel the curvature satisfies two structure
 identities: the (0,4) tensor absorbs q from the last slot into the third as
-q^3 (`curvature_q_invariance_residual`), equivalently R(x, y, q z, q u)
-= R(x, y, z, u), and each endomorphism R(x, y) commutes with q
-(`curvature_q_commutation_residual`). The residual functions return the
-amount by which the identity fails, zero up to roundoff when it holds.
+q^3, R(x, y, z, q u) = R(x, y, q^3 z, u), equivalently R(x, y, q z, q u)
+= R(x, y, z, u), and each endomorphism R(x, y) commutes with q. The gaps
+by which they fail are zero up to roundoff when they hold.
+
+`Geometry` extends the batched `Connection` pass with d Gamma, R, the
+lowered R and both gaps, each computed once for N points. The scan checks
+read the gaps from it; `christoffel_partials`, `riemann`, `riemann_lowered`,
+`max_curvature_q_invariance_residual` and `curvature_q_commutation_residual`
+are its N = 1 views. Like the report records, they raise
+ValueError(CURVATURE_NOT_FINITE) where a value overflows.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 import numpy as np
 
-from .circulant import (
-    AFFINOR_NEXT,
-    AFFINOR_PREVIOUS,
-    SLOT_FIELD,
-    apply_affinor,
-    inverse_metric,
-    metric_components,
-)
-from .connection import Connection, christoffel
-from .fields import as_point
+from .circulant import AFFINOR_NEXT, AFFINOR_PREVIOUS, SLOT_FIELD, metric_components
+from .connection import Connection
 from .manifolds import ManifoldSpec
 
 __all__ = [
     "CURVATURE_NOT_FINITE",
     "Geometry",
     "christoffel_partials",
-    "christoffel_partials_fd",
     "riemann",
     "riemann_batch",
-    "riemann_fd",
     "riemann_lowered",
     "lower_index",
     "lower_index_batch",
-    "raise_index",
     "contract_lowered",
-    "curvature_q_invariance_residual",
     "max_curvature_q_invariance_residual",
-    "q_invariance_gaps",
     "curvature_q_commutation_residual",
-    "q_commutation_gaps",
 ]
 
 
@@ -87,24 +72,16 @@ def lower_index_batch(g, r13) -> np.ndarray:
     return np.einsum("nlh,nlkji->nhkji", g, r13)
 
 
-def q_invariance_gaps(r4) -> np.ndarray:
-    """max over basis 4-tuples of |R(x, y, z, qu) - R(x, y, q^3 z, u)|, per point."""
-    return np.abs(r4[:, AFFINOR_NEXT] - r4[:, :, AFFINOR_PREVIOUS]).max(axis=(1, 2, 3, 4))
-
-
-def q_commutation_gaps(r13) -> np.ndarray:
-    """Largest entry of the commutators of q with the R(e_j, e_i), per point."""
-    return np.abs(r13[:, :, AFFINOR_NEXT] - r13[:, AFFINOR_PREVIOUS]).max(axis=(1, 2, 3, 4))
-
-
 class Geometry(Connection):
     """The connection pass of `Connection` plus curvature, for N points.
 
-    Adds d Gamma, R and the lowered R, each computed once, on first use;
-    both curvature checks read the same R. Needs the Hessians.
+    Adds d Gamma, R, the lowered R and the two curvature gaps, each
+    computed once, on first use; both curvature checks read the same R.
+    Needs the Hessians.
     """
 
     jet_order = 2
+    not_finite = CURVATURE_NOT_FINITE
 
     @cached_property
     def christoffel_partials(self) -> np.ndarray:
@@ -126,6 +103,18 @@ class Geometry(Connection):
     def riemann_lowered(self) -> np.ndarray:
         return lower_index_batch(self.metric, self.riemann)
 
+    @cached_property
+    def q_invariance_gap(self) -> np.ndarray:
+        """max over basis 4-tuples of |R(x, y, z, qu) - R(x, y, q^3 z, u)|, (N,)."""
+        r4 = self.riemann_lowered
+        return np.abs(r4[:, AFFINOR_NEXT] - r4[:, :, AFFINOR_PREVIOUS]).max(axis=(1, 2, 3, 4))
+
+    @cached_property
+    def q_commutation_gap(self) -> np.ndarray:
+        """Largest entry of the commutators of q with the R(e_j, e_i), (N,)."""
+        r13 = self.riemann
+        return np.abs(r13[:, :, AFFINOR_NEXT] - r13[:, AFFINOR_PREVIOUS]).max(axis=(1, 2, 3, 4))
+
 
 def christoffel_partials(m: ManifoldSpec, p) -> np.ndarray:
     """dgamma[m, s, i, j] = d_m Gamma^s_ij, fully analytic.
@@ -133,31 +122,12 @@ def christoffel_partials(m: ManifoldSpec, p) -> np.ndarray:
     Like `riemann` and `riemann_lowered`, this raises the errors of
     `Geometry.at`, and ValueError(CURVATURE_NOT_FINITE) where it overflows.
     """
-    return Geometry.at(m, p).finite_row("christoffel_partials", CURVATURE_NOT_FINITE)
-
-
-def christoffel_partials_fd(m: ManifoldSpec, p, h: float = 1e-4) -> np.ndarray:
-    """Central differences of christoffel, the independent route to d Gamma."""
-    p = as_point(p)
-    if not h > 0:
-        raise ValueError("step h must be positive")
-    out = np.empty((4, 4, 4, 4))
-    for k in range(4):
-        offset = np.zeros(4)
-        offset[k] = h
-        out[k] = (christoffel(m, p + offset) - christoffel(m, p - offset)) / (2.0 * h)
-    return out
+    return Geometry.at(m, p).finite_row("christoffel_partials")
 
 
 def riemann(m: ManifoldSpec, p) -> np.ndarray:
     """The (1,3) curvature r[l, k, j, i], antisymmetric in (j, i)."""
-    return Geometry.at(m, p).finite_row("riemann", CURVATURE_NOT_FINITE)
-
-
-def riemann_fd(m: ManifoldSpec, p, h: float = 1e-4) -> np.ndarray:
-    """Same assembly with finite-difference Christoffel partials."""
-    dgamma = christoffel_partials_fd(m, p, h)
-    return riemann_batch(christoffel(m, p)[None], dgamma[None])[0]
+    return Geometry.at(m, p).finite_row("riemann")
 
 
 def lower_index(t, r13: np.ndarray) -> np.ndarray:
@@ -165,14 +135,9 @@ def lower_index(t, r13: np.ndarray) -> np.ndarray:
     return lower_index_batch(metric_components(t)[None], np.asarray(r13)[None])[0]
 
 
-def raise_index(t, r4: np.ndarray) -> np.ndarray:
-    """Inverse of lower_index, contracting with the inverse metric."""
-    return np.einsum("hl,hkji->lkji", inverse_metric(t), r4)
-
-
 def riemann_lowered(m: ManifoldSpec, p) -> np.ndarray:
     """The (0,4) curvature with the classical pair symmetries."""
-    return Geometry.at(m, p).finite_row("riemann_lowered", CURVATURE_NOT_FINITE)
+    return Geometry.at(m, p).finite_row("riemann_lowered")
 
 
 def contract_lowered(r4: np.ndarray, x, y, z, u) -> float:
@@ -180,27 +145,11 @@ def contract_lowered(r4: np.ndarray, x, y, z, u) -> float:
     return float(np.einsum("hkji,j,i,k,h->", r4, x, y, z, u))
 
 
-def curvature_q_invariance_residual(m: ManifoldSpec, p, x, y, z, u) -> float:
-    """|R(x, y, z, qu) - R(x, y, q^3 z, u)| at p."""
-    r4 = riemann_lowered(m, p)
-    lhs = contract_lowered(r4, x, y, z, apply_affinor(1, u))
-    rhs = contract_lowered(r4, x, y, apply_affinor(3, z), u)
-    return abs(lhs - rhs)
-
-
-def _finite_gap(gaps, tensor) -> float:
-    with np.errstate(over="ignore"):
-        gap = float(gaps(tensor[None])[0])
-    if not math.isfinite(gap):
-        raise ValueError(CURVATURE_NOT_FINITE)
-    return gap
-
-
 def max_curvature_q_invariance_residual(m: ManifoldSpec, p) -> float:
     """The slot-transfer residual maximized over all basis 4-tuples."""
-    return _finite_gap(q_invariance_gaps, riemann_lowered(m, p))
+    return float(Geometry.at(m, p).finite_row("q_invariance_gap"))
 
 
 def curvature_q_commutation_residual(m: ManifoldSpec, p) -> float:
     """Largest entry of the commutator of q with the endomorphisms R(e_j, e_i)."""
-    return _finite_gap(q_commutation_gaps, riemann(m, p))
+    return float(Geometry.at(m, p).finite_row("q_commutation_gap"))

@@ -4,8 +4,9 @@ The metric coefficients handled by this package are smooth functions of a
 point p = (x1, x2, x3, x4). Restricting them to polynomials keeps every
 derivative exact: gradients and Hessians are themselves polynomials obtained
 by coefficient arithmetic, so the connection and curvature routines never
-depend on numerical differentiation. A central-difference routine is still
-provided (`fd_gradient`) as an independent check on the analytic path.
+depend on numerical differentiation. The central-difference gradient that
+the tests check the analytic path against lives in the private
+`circulant4._oracles`.
 
 The geometry pipeline evaluates fields through their compiled form
 (`ScalarField.compile`): flat exponent and coefficient arrays for the field
@@ -27,7 +28,9 @@ operators) or parsed from a small expression grammar:
 
 Coordinates are named x1..x4, whitespace is insignificant and there is no
 implicit multiplication. Decimal literals may carry an exponent suffix
-(1e-3) so that printed fields always re-parse.
+(1e-3) so that printed fields always re-parse; a literal beyond the float
+range (1e400) is refused. No product, and so no power, may form more than
+MAX_TERMS pairs of terms.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ __all__ = [
     "CompiledField",
     "ParseError",
     "MAX_EXPONENT",
+    "MAX_TERMS",
     "parse_field",
-    "fd_gradient",
     "as_point",
     "jets",
     "scalar_pow",
@@ -57,6 +60,11 @@ _ZERO = (0, 0, 0, 0)
 # rejects a larger exponent (of a larger base degree) before expanding it,
 # and the jets tabulate every power of a coordinate up to its degree
 MAX_EXPONENT = 1000
+
+# the most pairs of terms one product may multiply, len(left) * len(right);
+# it is checked before the product is formed, so it bounds the time of
+# every product and the size of every term map that `*` and `^` expand to
+MAX_TERMS = 10_000
 
 # jet slots of a compiled field: 0 is the value, 1 + i the partial d_i and
 # 5 + k the second partial d_i d_j, i <= j, of the k-th pair below
@@ -144,7 +152,16 @@ def _negated(terms: dict) -> dict:
 
 
 def _product(left: dict, right: dict) -> dict:
-    """The product of two canonical maps, summed pair by pair in their term order."""
+    """The product of two canonical maps, summed pair by pair in their term order.
+
+    Raises ValueError, before any work, where it would multiply more than
+    MAX_TERMS pairs of terms.
+    """
+    if len(left) * len(right) > MAX_TERMS:
+        raise ValueError(
+            f"expansion too large ({len(left)} by {len(right)} terms; a product "
+            f"may multiply at most {MAX_TERMS} pairs of terms)"
+        )
     out = {}
     for ea, ca in left.items():
         for eb, cb in right.items():
@@ -461,24 +478,6 @@ def jets(fields, points, order: int = 2):
     return values, gradients, hessians
 
 
-def fd_gradient(field, p, h: float | None = None) -> np.ndarray:
-    """Central-difference gradient, an independent check on the exact one.
-
-    With ``h`` omitted the step adapts per axis to 1e-5 * max(1, |x_i|).
-    An explicit non-positive step is rejected.
-    """
-    p = as_point(p)
-    if h is not None and not h > 0:
-        raise ValueError("step h must be positive")
-    out = np.empty(_NVARS)
-    for k in range(_NVARS):
-        step = h if h is not None else 1e-5 * max(1.0, abs(p[k]))
-        offset = np.zeros(_NVARS)
-        offset[k] = step
-        out[k] = (field(p + offset) - field(p - offset)) / (2.0 * step)
-    return out
-
-
 # expression parsing
 
 class ParseError(ValueError):
@@ -527,6 +526,14 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _expand(op: _Token, expansion, *operands) -> dict:
+    """expansion(*operands), with a refused expansion as a ParseError at op."""
+    try:
+        return expansion(*operands)
+    except ValueError as exc:
+        raise ParseError(str(exc), op.pos) from exc
+
+
 class _Parser:
     def __init__(self, tokens, text):
         self.tokens = tokens
@@ -565,8 +572,8 @@ class _Parser:
     def term(self) -> dict:
         terms = self.unary()
         while self.at_op("*"):
-            self.advance()
-            terms = _product(_canonical(terms), _canonical(self.unary()))
+            op = self.advance()
+            terms = _expand(op, _product, _canonical(terms), _canonical(self.unary()))
         if self.at_op("/"):
             tok = self.peek()
             raise ParseError(
@@ -583,9 +590,9 @@ class _Parser:
     def power(self) -> dict:
         base = self.atom()
         if self.at_op("^"):
-            self.advance()
+            op = self.advance()
             base = _canonical(base)
-            return _power(base, self.exponent(base))
+            return _expand(op, _power, base, self.exponent(base))
         return base
 
     def exponent(self, base: dict) -> int:
@@ -643,7 +650,10 @@ class _Parser:
                     return {_ZERO: numerator / denominator}
                 except OverflowError as exc:
                     raise ParseError("rational literal out of range", tok.pos) from exc
-            return {_ZERO: float(tok.text)}
+            value = float(tok.text)
+            if math.isinf(value):
+                raise ParseError("literal out of range", tok.pos)
+            return {_ZERO: value}
         if tok.kind == "ident":
             self.advance()
             if tok.text in ("x1", "x2", "x3", "x4"):
@@ -671,7 +681,8 @@ def parse_field(text: str) -> ScalarField:
     """Parse an expression in x1..x4 into a ScalarField.
 
     Raises ParseError (with a 0-based character offset) on syntax errors,
-    unknown identifiers and invalid exponents.
+    unknown identifiers, literals out of range, invalid exponents and
+    products or powers past MAX_TERMS.
     """
     parser = _Parser(_tokenize(text), text)
     terms = parser.expression()

@@ -29,6 +29,7 @@ Keys are name, A, B, C; the three field expressions are required.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -90,7 +91,15 @@ class ManifoldSpec:
         return jets((self.A, self.B, self.C), points, order)
 
     def triple_at(self, p) -> CirculantTriple:
+        """The field values at p.
+
+        Raises ValueError with the reason `domain_reasons` gives where one
+        is not finite (`A is not finite`).
+        """
         values, _, _ = self.jets(as_point(p)[None], order=0)
+        for name, value in zip("ABC", values[0].tolist()):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} is not finite")
         return CirculantTriple(*values[0].tolist())
 
     def metric_at(self, p):

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import __version__
 from .connection import PARALLEL_NOT_FINITE, check_tolerance
-from .curvature import CURVATURE_NOT_FINITE, Geometry, q_commutation_gaps, q_invariance_gaps
+from .curvature import CURVATURE_NOT_FINITE, Geometry
 from .fields import as_point
 from .manifolds import ManifoldSpec
 
@@ -122,13 +122,13 @@ def _parallel_outcomes(geometry: Geometry, tol: float) -> list[dict]:
     ]
 
 
-def _curvature_outcomes(tensor: np.ndarray, gaps, tol: float) -> list[dict]:
+def _curvature_outcomes(tensor: np.ndarray, gaps: np.ndarray, tol: float) -> list[dict]:
     scales = (1.0 + np.abs(tensor).max(axis=(1, 2, 3, 4))).tolist()
     return [
         {"passed": residual <= tol * scale, "residual": residual, "scale": scale}
         if math.isfinite(residual) and math.isfinite(scale)
         else {"passed": False, "error": CURVATURE_NOT_FINITE}
-        for residual, scale in zip(gaps(tensor).tolist(), scales)
+        for residual, scale in zip(gaps.tolist(), scales)
     ]
 
 
@@ -136,8 +136,8 @@ def _curvature_outcomes(tensor: np.ndarray, gaps, tol: float) -> list[dict]:
 # its outcomes at the points of a Geometry g, for the tolerance t
 _GEOMETRY_CHECKS = {
     "parallel": (1, _parallel_outcomes),
-    "curvature31": (2, lambda g, t: _curvature_outcomes(g.riemann_lowered, q_invariance_gaps, t)),
-    "curvature32": (2, lambda g, t: _curvature_outcomes(g.riemann, q_commutation_gaps, t)),
+    "curvature31": (2, lambda g, t: _curvature_outcomes(g.riemann_lowered, g.q_invariance_gap, t)),
+    "curvature32": (2, lambda g, t: _curvature_outcomes(g.riemann, g.q_commutation_gap, t)),
 }
 
 

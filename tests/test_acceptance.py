@@ -16,11 +16,9 @@ from circulant4 import (
     affinor_power,
     apply_affinor,
     christoffel_partials,
-    christoffel_partials_fd,
     constant_manifold,
     contract_lowered,
     curvature_q_commutation_residual,
-    curvature_q_invariance_residual,
     example_manifold,
     full_system_residuals,
     gradient_condition_residuals,
@@ -35,6 +33,7 @@ from circulant4 import (
     riemann,
     riemann_lowered,
 )
+from circulant4._oracles import christoffel_partials_fd, curvature_q_invariance_residual
 from circulant4.cli import main
 from circulant4.scan import AxisSpec, ScanConfig, run_check, run_scan
 

@@ -17,10 +17,10 @@ from circulant4 import (
     inner,
     inverse_metric,
     is_positive_definite_ordered,
-    leading_principal_minors,
     metric_components,
     metric_determinant,
 )
+from circulant4._oracles import leading_principal_minors
 from circulant4.circulant import inverse_metrics
 
 T312 = CirculantTriple(3.0, 1.0, 2.0)

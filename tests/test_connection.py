@@ -18,6 +18,12 @@ from circulant4 import (
     nabla_q,
     parallelism_verdict,
 )
+from circulant4.connection import (
+    FULL_TERMS,
+    REDUCED_TERMS,
+    full_system_batch,
+    gradient_condition_batch,
+)
 
 from helpers import (
     perturbed_example,
@@ -248,3 +254,91 @@ def test_residual_report_api():
     with pytest.raises(KeyError):
         report["missing"]
     assert ResidualReport(()).max_residual == 0.0
+
+
+# The two relation systems as they were written out by hand before they were
+# computed from their labels: the reference for the table, bit for bit.
+def _reduced_by_hand(gradients):
+    (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4) = np.moveaxis(gradients, 0, 2)
+    return np.abs(
+        np.stack(
+            [
+                a1 - c3,
+                a2 - c4,
+                a3 - c1,
+                a4 - c2,
+                b1 - b3,
+                b2 - b4,
+                2.0 * b1 - c4 - c2,
+                2.0 * b2 - c1 - c3,
+            ],
+            axis=1,
+        )
+    )
+
+
+def _full_by_hand(gradients):
+    (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4) = np.moveaxis(gradients, 0, 2)
+    return np.abs(
+        np.stack(
+            [
+                a4 - b1 + b3 - c2,
+                a4 + b1 - b3 - c2,
+                2.0 * a2 + a4 - 3.0 * b1 - b3 + c2,
+                a3 + b2 - b4 - c1,
+                a3 - b2 + b4 - c1,
+                a2 - b1 + b3 - c4,
+                a2 + b1 - b3 - c4,
+                a4 - b1 - 3.0 * b3 + c2 + 2.0 * c4,
+                a2 + 2.0 * a4 - 3.0 * b1 - b3 + c4,
+                a2 + 2.0 * a4 - b1 - 3.0 * b3 + c4,
+                a1 + 2.0 * a3 - 3.0 * b2 - b4 + c3,
+                a1 - b2 + b4 - c3,
+                a3 - b2 - 3.0 * b4 + c1 + 2.0 * c3,
+                a1 - b2 - 3.0 * b4 + 2.0 * c1 + c3,
+                2.0 * a1 + a3 - b2 - 3.0 * b4 + c1,
+                a2 - b1 - 3.0 * b3 + 2.0 * c2 + c4,
+            ],
+            axis=1,
+        )
+    )
+
+
+def _relation_gradients():
+    """(N, 3, 4) gradients: wide random magnitudes, small integers, special values."""
+    rng = np.random.default_rng(20261018)
+    wide = rng.choice((-1.0, 1.0), (4000, 3, 4)) * 10.0 ** rng.uniform(-300, 300, (4000, 3, 4))
+    small = rng.integers(-3, 4, (4000, 3, 4)).astype(float)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324])
+    return np.concatenate([wide, small, rng.choice(special, (4000, 3, 4))])
+
+
+@pytest.mark.parametrize(
+    "computed, by_hand",
+    [(gradient_condition_batch, _reduced_by_hand), (full_system_batch, _full_by_hand)],
+)
+def test_relation_tables_match_the_written_out_relations_bitwise(computed, by_hand):
+    gradients = _relation_gradients()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, expected = computed(gradients), by_hand(gradients)
+    assert got.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), expected[~nan].view(np.int64))
+
+
+def _relation_matrix(table):
+    """The relations of a table as the rows of a matrix on A1..A4, B1..B4, C1..C4."""
+    coefficients, columns = table
+    rows = coefficients.shape[1]
+    matrix = np.zeros((rows, 13))
+    np.add.at(matrix, (np.arange(rows), columns), coefficients)
+    return matrix[:, :12]
+
+
+def test_sixteen_relations_are_equivalent_to_the_eight():
+    r8, r16 = _relation_matrix(REDUCED_TERMS), _relation_matrix(FULL_TERMS)
+    assert r8[6].tolist() == [0, 0, 0, 0, 2, 0, 0, 0, 0, -1, 0, -1]  # 2*B1 - C4 - C2
+    # the same row space: each system holds exactly where the other does
+    ranks = [np.linalg.matrix_rank(m) for m in (r8, r16, np.vstack([r8, r16]))]
+    assert ranks == [8, 8, 8]

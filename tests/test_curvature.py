@@ -10,19 +10,21 @@ from circulant4 import (
     Geometry,
     apply_affinor,
     christoffel_partials,
-    christoffel_partials_fd,
     constant_manifold,
     contract_lowered,
     curvature_q_commutation_residual,
-    curvature_q_invariance_residual,
     example_manifold,
     lower_index,
     max_curvature_q_invariance_residual,
     nabla_q,
-    raise_index,
     riemann,
-    riemann_fd,
     riemann_lowered,
+)
+from circulant4._oracles import (
+    christoffel_partials_fd,
+    curvature_q_invariance_residual,
+    raise_index,
+    riemann_fd,
 )
 
 from helpers import (

@@ -1,6 +1,7 @@
 """Polynomial fields: exact derivatives, canonical printing, parsing."""
 
 import functools
+import math
 import operator
 import os
 import pickle
@@ -15,11 +16,11 @@ from circulant4 import (
     ScalarField,
     as_point,
     example_manifold,
-    fd_gradient,
     load_manifold,
     parse_field,
 )
-from circulant4.fields import MAX_EXPONENT, jets
+from circulant4._oracles import fd_gradient
+from circulant4.fields import MAX_EXPONENT, MAX_TERMS, jets
 
 from helpers import PARSER_CORPUS, REPO_ROOT, random_polynomial
 
@@ -192,6 +193,12 @@ def test_parse_errors(text, position, fragment):
         ("2^" + "9" * 5000, 2, "exponent too large"),
         ("1" + "0" * 400 + "/3", 0, "rational literal out of range"),
         ("x1 + 1/" + "9" * 5000, 5, "rational literal out of range"),
+        # decimals past the float range would be inf, and their difference NaN
+        ("1e400", 0, "literal out of range"),
+        ("x1 + 1e400 - 1e400", 5, "literal out of range"),
+        ("1" + "0" * 400, 0, "literal out of range"),
+        # 165 by 165 terms, refused at the '*'
+        ("(x1+x2+x3+x4)^8*(x1+x2+x3+x4)^8", 15, "expansion too large"),
     ],
 )
 def test_parse_refuses_oversized_literals_at_once(text, position, fragment):
@@ -205,6 +212,35 @@ def test_parse_refuses_oversized_literals_at_once(text, position, fragment):
     assert err.value.position == position
     assert fragment in str(err.value)
     assert peak < 1_000_000
+
+
+def test_parse_refuses_a_power_past_the_term_bound_early():
+    # expanded in full, this would have about 4.6 million terms; the bound
+    # stops the power at degree 23, before 2 600 terms times the base's 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_field("(x1 + x2 + x3 + x4)^300")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.position == 19
+    assert "expansion too large" in str(err.value)
+    assert peak < 2_000_000
+
+
+def test_term_bound_admits_a_product_at_the_bound():
+    big = ScalarField({(e, 0, 0, 0): 1.0 for e in range(MAX_TERMS)})
+    assert len((big * x2).terms()) == MAX_TERMS
+    with pytest.raises(ValueError, match="expansion too large"):
+        big * (x2 + x3)
+    with pytest.raises(ValueError, match="expansion too large"):
+        (x1 + x2 + x3 + x4) ** 300
+
+
+def test_products_that_overflow_are_still_fields():
+    assert parse_field("1e300*1e300*x1").terms() == {(1, 0, 0, 0): math.inf}
+    assert parse_field("1e-400") == ScalarField()
 
 
 def test_exponent_bound_admits_the_largest_power():

@@ -135,6 +135,23 @@ def test_config_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "fields, point, reason",
+    [
+        (("x1^300", "1", "3"), (20.0, 0.0, 0.0, 0.0), "A is not finite"),
+        (("x1^300 - x2^300", "1", "3"), (20.0, 20.0, 0.0, 0.0), "A is not finite"),
+        (("5", "x2^300", "3"), (0.0, 20.0, 0.0, 0.0), "B is not finite"),
+    ],
+)
+def test_triple_at_raises_the_reason_of_the_record(fields, point, reason):
+    m = manifold_from_config("\n".join(f"{k} = {v}" for k, v in zip("ABC", fields)))
+    assert m.domain_valid(point).reason == reason
+    for view in (m.triple_at, m.metric_at):
+        with pytest.raises(ValueError) as err:
+            view(point)
+        assert str(err.value) == reason
+
+
 def test_load_manifold_names_after_file(tmp_path):
     path = tmp_path / "disc.cfg"
     path.write_text("A = x1^2 + 2\nB = 1/2\nC = x1\n", encoding="utf-8")

@@ -632,6 +632,8 @@ def test_gradient_views_raise_where_a_gradient_is_not_finite(field, point, error
         # refused while parsing, before anything is expanded
         (b"A = x1^100000000\nB = 1\nC = 3\n", "exponent too large"),
         (f"A = x1^{MAX_EXPONENT + 1}\nB = 1\nC = 3\n".encode(), "exponent too large"),
+        (b"A = (x1 + x2 + x3 + x4)^300\nB = 1\nC = 3\n", "expansion too large"),
+        (b"A = 1e400 - 1e400\nB = 1\nC = 3\n", "literal out of range"),
     ],
 )
 def test_cli_unusable_config_exits_2(tmp_path, capsys, content, fragment):
