@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .connection import check_tolerance
@@ -60,6 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma separated subset of {{{','.join(CHECKS)}}}",
     )
     return parser
+
+
+# built on the first call of main, not at import, and kept: parse_args does
+# not change the parser
+_parser = cache(build_parser)
 
 
 def _resolve_manifold(ref: str) -> ManifoldSpec:
@@ -120,7 +126,7 @@ def _execute(args) -> Report:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         report = _execute(args)
         text = render_report(report, args.format)
@@ -135,7 +141,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if report.all_passed else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

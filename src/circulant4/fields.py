@@ -56,8 +56,8 @@ __all__ = [
 _NVARS = 4
 _ZERO = (0, 0, 0, 0)
 
-# the highest degree in one coordinate that `^` may produce: the parser
-# rejects a larger exponent (of a larger base degree) before expanding it,
+# the highest degree in one coordinate that a power may produce: the parser
+# and `**` reject a larger exponent (of a larger base degree) before expanding it,
 # and the jets tabulate every power of a coordinate up to its degree
 MAX_EXPONENT = 1000
 
@@ -168,6 +168,16 @@ def _product(left: dict, right: dict) -> dict:
             key = tuple(map(add, ea, eb))
             out[key] = out.get(key, 0.0) + ca * cb
     return out
+
+
+def _check_exponent(base: dict, n: int) -> None:
+    """ValueError where base**n would take a coordinate above degree MAX_EXPONENT."""
+    degree = max((max(exps) for exps in base), default=0)
+    if n * max(degree, 1) > MAX_EXPONENT:
+        raise ValueError(
+            f"exponent too large (a power may not exceed degree {MAX_EXPONENT} "
+            "in any coordinate)"
+        )
 
 
 def _power(base: dict, n: int) -> dict:
@@ -334,7 +344,9 @@ class ScalarField:
     def __pow__(self, n):
         if not isinstance(n, (int, np.integer)) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        return ScalarField(_power(self._terms, int(n)))
+        n = int(n)
+        _check_exponent(self._terms, n)
+        return ScalarField(_power(self._terms, n))
 
     def __eq__(self, other):
         if not isinstance(other, ScalarField):
@@ -527,7 +539,7 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _expand(op: _Token, expansion, *operands) -> dict:
-    """expansion(*operands), with a refused expansion as a ParseError at op."""
+    """expansion(*operands), with its ValueError (a refusal) as a ParseError at op."""
     try:
         return expansion(*operands)
     except ValueError as exc:
@@ -608,17 +620,11 @@ class _Parser:
             raise ParseError("non-integer exponent", tok.pos)
         if minus is not None:
             raise ParseError("negative exponent", minus.pos)
-        degree = max((max(exps) for exps in base), default=0)
         try:
             n = int(tok.text)
         except ValueError:  # thousands of digits
-            n = None
-        if n is None or n * max(degree, 1) > MAX_EXPONENT:
-            raise ParseError(
-                f"exponent too large (a power may not exceed degree {MAX_EXPONENT} "
-                "in any coordinate)",
-                tok.pos,
-            )
+            n = MAX_EXPONENT + 1
+        _expand(tok, _check_exponent, base, n)
         return n
 
     def atom(self) -> dict:

@@ -14,10 +14,15 @@ finite are reported as null. A check fails with an error instead of
 residuals where `Connection.failures` says why the point has no result
 or where its residual is not finite, so reports hold no NaN or infinity.
 
+`_GEOMETRY_CHECKS` describes each check past validity once: the pass class
+it needs (`Connection` or `Geometry`, whose `jet_order` and `not_finite`
+are its jet order and overflow error), its outcome builder and the
+residual of an outcome with results. Records, summary and CSV read it.
+
 Points are evaluated serially, in chunks of CHUNK_SIZE, by one batched
 pass: the field jets, validity and one `Geometry` (Gamma, nabla q,
 d Gamma, R) that every check reads. `evaluate_point` is the same pass at
-a single point.
+a single point. A grid may hold at most MAX_POINTS points.
 
 Reports are plain mappings rendered to JSON or CSV. Rendering is
 deterministic: fixed key order, records in row-major grid order, floats in
@@ -34,12 +39,14 @@ from csv import writer as csv_writer
 from dataclasses import dataclass, field
 from io import StringIO
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .connection import PARALLEL_NOT_FINITE, check_tolerance
-from .curvature import CURVATURE_NOT_FINITE, Geometry
+from .connection import Connection, check_tolerance
+from .curvature import Geometry
 from .fields import as_point
 from .manifolds import ManifoldSpec
 
@@ -49,6 +56,7 @@ __all__ = [
     "ScanConfig",
     "Report",
     "CHUNK_SIZE",
+    "MAX_POINTS",
     "evaluate_point",
     "run_check",
     "run_scan",
@@ -62,6 +70,10 @@ _VERSION = __version__
 # grid points per batched pass; larger chunks amortize more numpy calls per
 # point but hold proportionally larger curvature temporaries
 CHUNK_SIZE = 64
+
+# grid points per scan; every record stays in memory (about 6 KB each), so
+# this bounds a report to a few GB
+MAX_POINTS = 1_000_000
 
 
 def _canonical_checks(checks) -> tuple[str, ...]:
@@ -88,6 +100,8 @@ class AxisSpec:
             raise ValueError("axis bounds must be finite")
         if self.start > self.stop:
             raise ValueError(f"axis start {self.start} exceeds stop {self.stop}")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError(f"axis span {self.start}:{self.stop} is not finite")
         if not isinstance(self.count, int) or self.count < 1:
             raise ValueError(f"axis count must be a positive integer, got {self.count!r}")
 
@@ -109,80 +123,92 @@ class ScanConfig:
         # canonical order, so equivalent configs report identically
         object.__setattr__(self, "checks", _canonical_checks(self.checks))
         check_tolerance(self.tolerance)
+        points = math.prod(axis.count for axis in self.axes)
+        if points > MAX_POINTS:
+            raise ValueError(f"grid has {points} points, more than MAX_POINTS = {MAX_POINTS}")
 
 
-def _parallel_outcomes(geometry: Geometry, tol: float) -> list[dict]:
+def _parallel_outcomes(geometry: Geometry, tol: float) -> list:
     nq_max = geometry.nabla_q_max.tolist()
     gradient_max = np.max(geometry.gradient_conditions, axis=1).tolist()
     return [
         {"passed": nq <= tol and gm <= tol, "nabla_q_max": nq, "gradient_condition_max": gm}
         if math.isfinite(nq) and math.isfinite(gm)
-        else {"passed": False, "error": PARALLEL_NOT_FINITE}
+        else None
         for nq, gm in zip(nq_max, gradient_max)
     ]
 
 
-def _curvature_outcomes(tensor: np.ndarray, gaps: np.ndarray, tol: float) -> list[dict]:
+def _curvature_outcomes(tensor: np.ndarray, gaps: np.ndarray, tol: float) -> list:
     scales = (1.0 + np.abs(tensor).max(axis=(1, 2, 3, 4))).tolist()
     return [
         {"passed": residual <= tol * scale, "residual": residual, "scale": scale}
         if math.isfinite(residual) and math.isfinite(scale)
-        else {"passed": False, "error": CURVATURE_NOT_FINITE}
+        else None
         for residual, scale in zip(gaps.tolist(), scales)
     ]
 
 
-# each check past validity: the highest derivative of A, B, C it needs and
-# its outcomes at the points of a Geometry g, for the tolerance t
+class _GeometryCheck(NamedTuple):
+    stage: type[Connection]  # the pass class: jet_order and not_finite
+    outcomes: Callable[[Geometry, float], list]  # per point, None where it overflows
+    residual: Callable[[dict], float]  # of an outcome with results
+
+
 _GEOMETRY_CHECKS = {
-    "parallel": (1, _parallel_outcomes),
-    "curvature31": (2, lambda g, t: _curvature_outcomes(g.riemann_lowered, g.q_invariance_gap, t)),
-    "curvature32": (2, lambda g, t: _curvature_outcomes(g.riemann, g.q_commutation_gap, t)),
+    "parallel": _GeometryCheck(
+        Connection,
+        _parallel_outcomes,
+        lambda o: max(o["nabla_q_max"], o["gradient_condition_max"]),
+    ),
+    "curvature31": _GeometryCheck(
+        Geometry,
+        lambda g, t: _curvature_outcomes(g.riemann_lowered, g.q_invariance_gap, t),
+        itemgetter("residual"),
+    ),
+    "curvature32": _GeometryCheck(
+        Geometry,
+        lambda g, t: _curvature_outcomes(g.riemann, g.q_commutation_gap, t),
+        itemgetter("residual"),
+    ),
 }
-
-
-def _finite_or_none(x: float):
-    return x if math.isfinite(x) else None
 
 
 def _evaluate_chunk(manifold: ManifoldSpec, points, checks, tolerance: float) -> list[dict]:
     """The records of an (N, 4) array of points, from one batched pass."""
-    outcomes = {check: [None] * len(points) for check in checks if check != "validity"}
-    order = max((_GEOMETRY_CHECKS[check][0] for check in outcomes), default=0)
+    geometric = {check: _GEOMETRY_CHECKS[check] for check in checks if check != "validity"}
+    order = max((check.stage.jet_order for check in geometric.values()), default=0)
     values, gradients, hessians = manifold.jets(points, order)
     reasons = manifold.domain_reasons(points, values)
+    records = []
+    for point, triple, reason in zip(points.tolist(), values.tolist(), reasons):
+        outcomes = dict.fromkeys(checks)
+        if "validity" in outcomes:
+            outcomes["validity"] = {"passed": reason is None}
+        records.append({
+            "point": point,
+            "triple": {k: x if math.isfinite(x) else None for k, x in zip("ABC", triple)},
+            "valid": reason is None,
+            "reason": reason,
+            "checks": outcomes,
+        })
     rows = [n for n, reason in enumerate(reasons) if reason is None]
-    if outcomes and rows:
+    if geometric and rows:
         geometry = Geometry(
             values[rows], gradients[rows], None if hessians is None else hessians[rows]
         )
         failures = {
-            jet_order: geometry.failures(jet_order)
-            for jet_order in {_GEOMETRY_CHECKS[check][0] for check in outcomes}
+            stage: geometry.failures(stage.jet_order)
+            for stage in {check.stage for check in geometric.values()}
         }
         # rows that get an error outcome may hold inf and NaN, without warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for check, column in outcomes.items():
-                jet_order, evaluate = _GEOMETRY_CHECKS[check]
-                results = evaluate(geometry, tolerance)
-                for n, failure, outcome in zip(rows, failures[jet_order], results):
-                    column[n] = outcome if failure is None else {"passed": False, "error": failure}
-    records = []
-    for n, (point, triple, reason) in enumerate(zip(points.tolist(), values.tolist(), reasons)):
-        valid = reason is None
-        record = {
-            "point": point,
-            "triple": dict(zip("ABC", map(_finite_or_none, triple))),
-            "valid": valid,
-            "reason": reason,
-            "checks": {},
-        }
-        for check in checks:
-            if check == "validity":
-                record["checks"]["validity"] = {"passed": valid}
-            else:
-                record["checks"][check] = outcomes[check][n]
-        records.append(record)
+            for name, check in geometric.items():
+                results = check.outcomes(geometry, tolerance)
+                for n, failure, outcome in zip(rows, failures[check.stage], results):
+                    if failure is not None or outcome is None:
+                        outcome = {"passed": False, "error": failure or check.stage.not_finite}
+                    records[n]["checks"][name] = outcome
     return records
 
 
@@ -195,54 +221,24 @@ def evaluate_point(
     return _evaluate_chunk(manifold, as_point(point)[None], checks, tolerance)[0]
 
 
-def _record_residual(check: str, outcome: dict) -> float | None:
-    if outcome is None or "error" in outcome:
-        return None
-    if check == "parallel":
-        return max(outcome["nabla_q_max"], outcome["gradient_condition_max"])
-    if check in ("curvature31", "curvature32"):
-        return outcome["residual"]
-    return None
-
-
 def _summarize(records: list[dict], checks) -> dict:
-    total = len(records)
-    valid = sum(1 for r in records if r["valid"])
     per_check = {}
-    all_passed = True
     for check in checks:
-        if check == "validity":
-            per_check["validity"] = {"passed": valid, "failed": total - valid}
-            if valid != total:
-                all_passed = False
-            continue
-        passed = failed = skipped = 0
-        max_residual = None
-        for record in records:
-            outcome = record["checks"][check]
-            if outcome is None:
-                skipped += 1
-                continue
-            if outcome["passed"]:
-                passed += 1
-            else:
-                failed += 1
-            residual = _record_residual(check, outcome)
-            if residual is not None and (max_residual is None or residual > max_residual):
-                max_residual = residual
-        per_check[check] = {
-            "passed": passed,
-            "failed": failed,
-            "skipped": skipped,
-            "max_residual": max_residual,
-        }
-        if failed:
-            all_passed = False
+        outcomes = [record["checks"][check] for record in records]
+        ran = [outcome for outcome in outcomes if outcome is not None]
+        passed = sum(outcome["passed"] for outcome in ran)
+        per_check[check] = {"passed": passed, "failed": len(ran) - passed}
+        if check in _GEOMETRY_CHECKS:
+            residual = _GEOMETRY_CHECKS[check].residual
+            per_check[check]["skipped"] = len(outcomes) - len(ran)
+            per_check[check]["max_residual"] = max(
+                (residual(outcome) for outcome in ran if "error" not in outcome), default=None
+            )
     return {
-        "points": total,
-        "valid_points": valid,
+        "points": len(records),
+        "valid_points": sum(record["valid"] for record in records),
         "checks": per_check,
-        "all_passed": all_passed,
+        "all_passed": not any(counts["failed"] for counts in per_check.values()),
     }
 
 
@@ -275,20 +271,20 @@ def run_check(
     manifold: ManifoldSpec, point, checks=CHECKS, tolerance: float = 1e-8
 ) -> Report:
     """Evaluate the checks at a single point and wrap them as a report."""
-    checks = _canonical_checks(checks)
     record = evaluate_point(manifold, point, checks, tolerance)
+    checks = tuple(record["checks"])
     meta = _meta(manifold, "check", checks, tolerance)
     meta["point"] = record["point"]
     return Report(meta, (record,), _summarize([record], checks))
 
 
-def _grid_chunks(axes, size: int):
-    """The grid points in row-major order (last axis fastest), in (n, 4) arrays of n <= size."""
+def _grid_chunks(axes):
+    """The grid points in row-major order (last axis fastest), in chunks of CHUNK_SIZE."""
     values = [axis.values() for axis in axes]
     shape = tuple(axis.count for axis in axes)
     total = math.prod(shape)
-    for start in range(0, total, size):
-        index = np.unravel_index(np.arange(start, min(start + size, total)), shape)
+    for start in range(0, total, CHUNK_SIZE):
+        index = np.unravel_index(np.arange(start, min(start + CHUNK_SIZE, total)), shape)
         yield np.stack([v[i] for v, i in zip(values, index)], axis=1)
 
 
@@ -296,7 +292,7 @@ def run_scan(manifold: ManifoldSpec, config: ScanConfig) -> Report:
     """Evaluate the configured checks over the whole grid, CHUNK_SIZE points at a time."""
     records = [
         record
-        for chunk in _grid_chunks(config.axes, CHUNK_SIZE)
+        for chunk in _grid_chunks(config.axes)
         for record in _evaluate_chunk(manifold, chunk, config.checks, config.tolerance)
     ]
     meta = _meta(manifold, "scan", config.checks, config.tolerance)
@@ -323,25 +319,18 @@ def _csv_cells(record: dict) -> list[str]:
     cells += ["" if record["triple"][k] is None else repr(record["triple"][k]) for k in "ABC"]
     cells.append(_csv_bool(record["valid"]))
     cells.append(record["reason"] or "")
-    for check in ("parallel", "curvature31", "curvature32"):
+    for check, spec in _GEOMETRY_CHECKS.items():
         outcome = record["checks"].get(check)
         if outcome is None:
             cells += ["", ""]
             continue
         cells.append(_csv_bool(outcome["passed"]))
-        residual = _record_residual(check, outcome)
-        cells.append("" if residual is None else repr(residual))
+        cells.append("" if "error" in outcome else repr(spec.residual(outcome)))
     return cells
 
 
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+# the float spellings json.dumps changes
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _write_json(value, newline: str, out: list) -> None:
@@ -354,7 +343,10 @@ def _write_json(value, newline: str, out: list) -> None:
     and need string keys; lists and tuples are arrays. Anything else
     raises TypeError.
     """
-    if isinstance(value, str):
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(_JSON_FLOATS.get(text, text))
+    elif isinstance(value, str):
         out.append(_json_str(value))
     elif value is None:
         out.append("null")
@@ -364,8 +356,6 @@ def _write_json(value, newline: str, out: list) -> None:
         out.append("false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_json_float(value))
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")

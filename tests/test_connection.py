@@ -17,6 +17,7 @@ from circulant4 import (
     metric_partials,
     nabla_q,
     parallelism_verdict,
+    parse_field,
 )
 from circulant4.connection import (
     FULL_TERMS,
@@ -126,6 +127,20 @@ def test_christoffel_domain_errors():
     with pytest.raises(ValueError, match="^A is not finite$") as err:
         christoffel(m, (1e200, 0.1, 2.0, 0.2))
     assert not isinstance(err.value, SingularMetricError)
+
+
+def test_gradient_views_raise_where_a_relation_overflows():
+    # finite values and gradients, but A1 - C3 = 1e308 - (-1e308) overflows
+    m = ManifoldSpec(
+        "overflow",
+        parse_field("1e308*x1 + 10"),
+        parse_field("1"),
+        parse_field("-1e308*x3 + 3"),
+    )
+    assert np.isfinite(metric_partials(m, (0, 0, 0, 0))).all()
+    for view in (gradient_condition_residuals, full_system_residuals):
+        with pytest.raises(ValueError, match="^parallel residuals are not finite$"):
+            view(m, (0, 0, 0, 0))
 
 
 def test_metric_compatibility():

@@ -48,6 +48,11 @@ def test_arithmetic():
     assert 1 - x1 == -(x1 - 1)
     assert x1 * 0 == ScalarField()
     assert x1**0 == ScalarField.constant(1.0)
+    for operation in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            operation(x1, "x")
+        with pytest.raises(TypeError):
+            operation("x", x1)
 
 
 def test_pow_rejects_bad_exponents():
@@ -247,6 +252,14 @@ def test_exponent_bound_admits_the_largest_power():
     assert MAX_EXPONENT >= 300
     assert parse_field(f"x1^{MAX_EXPONENT}").terms() == {(MAX_EXPONENT, 0, 0, 0): 1.0}
     assert parse_field(f"(x2^2)^{MAX_EXPONENT // 2}") == x2**MAX_EXPONENT
+    # `**` keeps the parser's bound, refused before anything is expanded
+    assert x1**MAX_EXPONENT == parse_field(f"x1^{MAX_EXPONENT}")
+    with pytest.raises(ValueError, match="exponent too large"):
+        x1 ** (MAX_EXPONENT + 1)
+    with pytest.raises(ValueError, match="exponent too large"):
+        (x1**2) ** (MAX_EXPONENT // 2 + 1)
+    with pytest.raises(ValueError, match="exponent too large"):
+        x1 ** 10**9
 
 
 def test_as_point():

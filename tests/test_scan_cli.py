@@ -30,6 +30,7 @@ from circulant4.fields import MAX_EXPONENT
 from circulant4.scan import (
     CHECKS,
     CHUNK_SIZE,
+    MAX_POINTS,
     AxisSpec,
     ScanConfig,
     evaluate_point,
@@ -70,6 +71,14 @@ def test_axis_spec():
         AxisSpec(0.0, 1.0, 0)
     with pytest.raises(ValueError):
         AxisSpec(float("nan"), 1.0, 2)
+    # the span overflows, so linspace would give inf and NaN
+    with pytest.raises(ValueError, match="span"):
+        AxisSpec(-1e308, 1e308, 3)
+    # the grid size is checked before anything is allocated
+    ScanConfig(tuple(AxisSpec(0.0, 1.0, count) for count in (MAX_POINTS, 1, 1, 1)))
+    for counts in ((MAX_POINTS + 1, 1, 1, 1), (10**20, 1, 1, 1), (1000, 1000, 1000, 1000)):
+        with pytest.raises(ValueError, match="MAX_POINTS"):
+            ScanConfig(tuple(AxisSpec(0.0, 1.0, count) for count in counts))
 
 
 def test_scan_config_normalizes_checks():
@@ -245,6 +254,11 @@ def test_cli_usage_errors(capsys):
         ["check", "--manifold", "example", "--point", "1,0.1,2,0.2", "--tol", "-1"],
         ["scan", "--manifold", "example", "--box", "0:1:2"],
         ["scan", "--manifold", "example", "--box", GOOD_BOX, "--checks", "spin"],
+        ["scan", "--manifold", "example", "--box=-1e308:1e308:3,0:1:1,0:1:1,0:1:1"],
+        ["scan", "--manifold", "example", "--box", "0:1:100000000000000000000,0:1:1,0:1:1,0:1:1"],
+        ["scan", "--manifold", "example", "--box", "0:1:1000,0:1:1000,0:1:1000,0:1:1000"],
+        ["scan", "--manifold", "example", "--box", "0:1,0:1:1,0:1:1,0:1:1"],
+        ["scan", "--manifold", "example", "--box", "0:1:2.5,0:1:1,0:1:1,0:1:1"],
     ]
     for argv in cases:
         assert main(argv) == 2
