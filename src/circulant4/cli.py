@@ -18,7 +18,9 @@ from .scan import CHECKS, AxisSpec, Report, ScanConfig, render_report, run_check
 
 __all__ = ["main", "build_parser"]
 
-_BUILTIN_MANIFOLDS = {"example": example_manifold}
+# built once per process: a ManifoldSpec and its fields are immutable, so
+# every call may share them, and the example is parsed and compiled once
+_BUILTIN_MANIFOLDS = {"example": example_manifold()}
 
 
 class CliError(Exception):
@@ -70,7 +72,7 @@ _parser = cache(build_parser)
 
 def _resolve_manifold(ref: str) -> ManifoldSpec:
     if ref in _BUILTIN_MANIFOLDS:
-        return _BUILTIN_MANIFOLDS[ref]()
+        return _BUILTIN_MANIFOLDS[ref]
     path = Path(ref)
     if path.exists():
         try:
@@ -134,10 +136,7 @@ def main(argv=None) -> int:
             Path(args.out).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0 if report.all_passed else 1

@@ -12,15 +12,16 @@ first-order system on the coefficient gradients; both the expanded
 residual reports, and `parallelism_verdict` requires the differential and
 algebraic criteria to agree.
 
-Every quantity is computed for N points at once by `Connection`, each
-stage once, on first use. The per-point functions (`christoffel`,
-`nabla_q`, ...) are its N = 1 views; they raise the reason that
-`Connection.failures` gives for a point with no result, and
-PARALLEL_NOT_FINITE where a residual overflows, as scan records report.
-The views that read only the gradients (`metric_partials` and the two
-residual reports) need no inverse, so a degenerate metric or an excluded
-locus does not stop them; a field value or gradient that is not finite
-does. `check_tolerance` is the one rule for a usable tolerance.
+Every quantity is computed for N points at once by `Connection`, the only
+batch API, each stage once, on first use. Every per-point function
+(`christoffel`, `nabla_q`, `metric_partials`, the residual reports) is an
+N = 1 view that reads the pass through `Connection.finite_row`; it raises
+the reason that `Connection.failures` gives for a point with no result,
+and PARALLEL_NOT_FINITE where a residual overflows, as scan records
+report. The views that read only the gradients (`metric_partials` and the
+two residual reports) need no inverse, so a degenerate metric or an
+excluded locus does not stop them; a field value or gradient that is not
+finite does. `check_tolerance` is the one rule for a usable tolerance.
 """
 
 from __future__ import annotations
@@ -49,13 +50,10 @@ __all__ = [
     "Connection",
     "check_tolerance",
     "metric_partials",
-    "metric_partials_batch",
     "christoffel",
     "nabla_q",
     "gradient_condition_residuals",
-    "gradient_condition_batch",
     "full_system_residuals",
-    "full_system_batch",
     "parallelism_verdict",
 ]
 
@@ -177,21 +175,6 @@ def _relation_residuals(table, gradients) -> np.ndarray:
     return np.abs(total)
 
 
-def metric_partials_batch(gradients) -> np.ndarray:
-    """dg[n, i, a, j] = d_i g_aj, from the field gradients (N, 3, 4)."""
-    return np.moveaxis(gradients[:, SLOT_FIELD], 3, 1)
-
-
-def gradient_condition_batch(gradients) -> np.ndarray:
-    """The eight reduced residuals (in `REDUCED_LABELS` order) at N points, (N, 8)."""
-    return _relation_residuals(REDUCED_TERMS, gradients)
-
-
-def full_system_batch(gradients) -> np.ndarray:
-    """The sixteen expanded residuals (in `FULL_LABELS` order) at N points, (N, 16)."""
-    return _relation_residuals(FULL_TERMS, gradients)
-
-
 class Connection:
     """The connection of a manifold at N points, from the jets of A, B, C there.
 
@@ -222,7 +205,12 @@ class Connection:
         field where a value or a derivative the pass needs is not finite.
         """
         p = as_point(p)
-        _check_domain(manifold, p)
+        for locus in manifold.excluded_loci:
+            if locus.contains(p):
+                raise DomainError(
+                    f"point {tuple(float(x) for x in p)} lies on excluded locus "
+                    f"{locus.label}"
+                )
         result = cls(*manifold.jets(p[None], cls.jet_order))
         failure = result.failures(cls.jet_order)[0]
         if failure is not None:
@@ -267,7 +255,8 @@ class Connection:
 
     @cached_property
     def metric_partials(self) -> np.ndarray:
-        return metric_partials_batch(self.gradients)
+        """dg[n, i, a, j] = d_i g_aj, (N, 4, 4, 4)."""
+        return np.moveaxis(self.gradients[:, SLOT_FIELD], 3, 1)
 
     @cached_property
     def first_kind(self) -> np.ndarray:
@@ -296,16 +285,13 @@ class Connection:
 
     @cached_property
     def gradient_conditions(self) -> np.ndarray:
-        return gradient_condition_batch(self.gradients)
+        """The eight reduced residuals, in `REDUCED_LABELS` order, (N, 8)."""
+        return _relation_residuals(REDUCED_TERMS, self.gradients)
 
-
-def _check_domain(m: ManifoldSpec, p):
-    for locus in m.excluded_loci:
-        if locus.contains(p):
-            raise DomainError(
-                f"point {tuple(float(x) for x in p)} lies on excluded locus "
-                f"{locus.label}"
-            )
+    @cached_property
+    def full_system(self) -> np.ndarray:
+        """The sixteen expanded residuals, in `FULL_LABELS` order, (N, 16)."""
+        return _relation_residuals(FULL_TERMS, self.gradients)
 
 
 def _name_non_finite(failures: list, jet, prefix: str) -> None:
@@ -315,30 +301,25 @@ def _name_non_finite(failures: list, jet, prefix: str) -> None:
         failures[n] = failures[n] or f"{prefix}{'ABC'[f]} is not finite"
 
 
-def _gradient_row(m: ManifoldSpec, p, residuals) -> np.ndarray:
-    """residuals(gradients)[0] at p, for the views that read only the gradients.
+def _gradient_row(m: ManifoldSpec, p, stage: str) -> np.ndarray:
+    """The row of a stage at p, for the views that read only the gradients.
 
     Degenerate metrics and excluded loci still have residuals, as these
-    formulas need no inverse. ValueError names the field whose value or
-    gradient is not finite, as `Connection.failures` does, and says
-    PARALLEL_NOT_FINITE where a residual overflows.
+    stages need no inverse. ValueError names the field whose value or
+    gradient is not finite, as `Connection.failures` does.
     """
-    values, gradients, _ = m.jets(as_point(p)[None], order=1)
+    connection = Connection(*m.jets(as_point(p)[None], 1))
     failures = [None]
-    _name_non_finite(failures, values, "")
-    _name_non_finite(failures, gradients, "gradient of ")
+    _name_non_finite(failures, connection.values, "")
+    _name_non_finite(failures, connection.gradients, "gradient of ")
     if failures[0] is not None:
         raise ValueError(failures[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        row = residuals(gradients)[0]
-    if not np.isfinite(row).all():
-        raise ValueError(PARALLEL_NOT_FINITE)
-    return row
+    return connection.finite_row(stage)
 
 
 def metric_partials(m: ManifoldSpec, p) -> np.ndarray:
     """dg[i, a, j] = d_i g_aj at p."""
-    return _gradient_row(m, p, metric_partials_batch)
+    return _gradient_row(m, p, "metric_partials")
 
 
 def christoffel(m: ManifoldSpec, p) -> np.ndarray:
@@ -362,7 +343,7 @@ def gradient_condition_residuals(m: ManifoldSpec, p) -> ResidualReport:
 
     All eight vanish exactly when nabla q vanishes at p.
     """
-    residuals = _gradient_row(m, p, gradient_condition_batch)
+    residuals = _gradient_row(m, p, "gradient_conditions")
     return ResidualReport(tuple(zip(REDUCED_LABELS, residuals.tolist())))
 
 
@@ -373,7 +354,7 @@ def full_system_residuals(m: ManifoldSpec, p) -> ResidualReport:
     coefficient sums at most 8, so its residual is bounded by 8 times the
     largest reduced residual.
     """
-    residuals = _gradient_row(m, p, full_system_batch)
+    residuals = _gradient_row(m, p, "full_system")
     return ResidualReport(tuple(zip(FULL_LABELS, residuals.tolist())))
 
 

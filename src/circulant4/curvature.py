@@ -43,10 +43,8 @@ __all__ = [
     "Geometry",
     "christoffel_partials",
     "riemann",
-    "riemann_batch",
     "riemann_lowered",
     "lower_index",
-    "lower_index_batch",
     "contract_lowered",
     "max_curvature_q_invariance_residual",
     "curvature_q_commutation_residual",
@@ -57,7 +55,7 @@ __all__ = [
 CURVATURE_NOT_FINITE = "curvature is not finite"
 
 
-def riemann_batch(gamma, dgamma) -> np.ndarray:
+def _riemann(gamma, dgamma) -> np.ndarray:
     """r[n, l, k, j, i], the (1,3) curvature from Gamma and d Gamma."""
     return (
         np.einsum("njlik->nlkji", dgamma)
@@ -67,7 +65,7 @@ def riemann_batch(gamma, dgamma) -> np.ndarray:
     )
 
 
-def lower_index_batch(g, r13) -> np.ndarray:
+def _lower_index(g, r13) -> np.ndarray:
     """r4[n, h, k, j, i] = g_lh r13[n, l, k, j, i]."""
     return np.einsum("nlh,nlkji->nhkji", g, r13)
 
@@ -97,11 +95,11 @@ class Geometry(Connection):
 
     @cached_property
     def riemann(self) -> np.ndarray:
-        return riemann_batch(self.christoffel, self.christoffel_partials)
+        return _riemann(self.christoffel, self.christoffel_partials)
 
     @cached_property
     def riemann_lowered(self) -> np.ndarray:
-        return lower_index_batch(self.metric, self.riemann)
+        return _lower_index(self.metric, self.riemann)
 
     @cached_property
     def q_invariance_gap(self) -> np.ndarray:
@@ -132,7 +130,7 @@ def riemann(m: ManifoldSpec, p) -> np.ndarray:
 
 def lower_index(t, r13: np.ndarray) -> np.ndarray:
     """r4[h, k, j, i] = g_lh r13[l, k, j, i] for the metric value t."""
-    return lower_index_batch(metric_components(t)[None], np.asarray(r13)[None])[0]
+    return _lower_index(metric_components(t)[None], np.asarray(r13)[None])[0]
 
 
 def riemann_lowered(m: ManifoldSpec, p) -> np.ndarray:

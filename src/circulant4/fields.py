@@ -19,7 +19,7 @@ operators) or parsed from a small expression grammar:
 
     expr     := term (('+' | '-') term)*
     term     := unary ('*' unary)*
-    unary    := '-' unary | power
+    unary    := '-'* power
     power    := atom ('^' exponent)?
     atom     := literal | coordinate | '(' expr ')'
     literal  := decimal | integer '/' integer
@@ -30,7 +30,8 @@ Coordinates are named x1..x4, whitespace is insignificant and there is no
 implicit multiplication. Decimal literals may carry an exponent suffix
 (1e-3) so that printed fields always re-parse; a literal beyond the float
 range (1e400) is refused. No product, and so no power, may form more than
-MAX_TERMS pairs of terms.
+MAX_TERMS pairs of terms, and no parsed product may take a coordinate above
+degree MAX_EXPONENT. Parentheses nest at most MAX_DEPTH levels deep.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "ParseError",
     "MAX_EXPONENT",
     "MAX_TERMS",
+    "MAX_DEPTH",
     "parse_field",
     "as_point",
     "jets",
@@ -56,10 +58,15 @@ __all__ = [
 _NVARS = 4
 _ZERO = (0, 0, 0, 0)
 
-# the highest degree in one coordinate that a power may produce: the parser
-# and `**` reject a larger exponent (of a larger base degree) before expanding it,
-# and the jets tabulate every power of a coordinate up to its degree
+# the highest degree in one coordinate that a power or a parsed product may
+# produce: the parser and `**` reject a larger exponent (of a larger base
+# degree), and the parser a product of larger degree, before expanding it;
+# the jets tabulate every power of a coordinate up to its degree
 MAX_EXPONENT = 1000
+
+# the most levels of parentheses the parser accepts; each level costs a few
+# Python frames, so the bound keeps parsing far below the recursion limit
+MAX_DEPTH = 100
 
 # the most pairs of terms one product may multiply, len(left) * len(right);
 # it is checked before the product is formed, so it bounds the time of
@@ -170,14 +177,23 @@ def _product(left: dict, right: dict) -> dict:
     return out
 
 
-def _check_exponent(base: dict, n: int) -> None:
-    """ValueError where base**n would take a coordinate above degree MAX_EXPONENT."""
-    degree = max((max(exps) for exps in base), default=0)
-    if n * max(degree, 1) > MAX_EXPONENT:
+def _degrees(terms: dict) -> tuple[int, ...]:
+    """The largest exponent of each coordinate in a term map, 0 where it has none."""
+    return tuple(map(max, zip(_ZERO, *terms)))
+
+
+def _check_degree(degree: int, what: str, operation: str) -> None:
+    """ValueError where a power or a product would reach a degree past MAX_EXPONENT."""
+    if degree > MAX_EXPONENT:
         raise ValueError(
-            f"exponent too large (a power may not exceed degree {MAX_EXPONENT} "
+            f"{what} too large (a {operation} may not exceed degree {MAX_EXPONENT} "
             "in any coordinate)"
         )
+
+
+def _check_exponent(base: dict, n: int) -> None:
+    """ValueError where base**n would take a coordinate above degree MAX_EXPONENT."""
+    _check_degree(n * max(max(_degrees(base)), 1), "exponent", "power")
 
 
 def _power(base: dict, n: int) -> dict:
@@ -551,6 +567,7 @@ class _Parser:
         self.tokens = tokens
         self.text = text
         self.index = 0
+        self.depth = 0  # open parentheses around the current token
 
     def peek(self):
         if self.index < len(self.tokens):
@@ -585,7 +602,10 @@ class _Parser:
         terms = self.unary()
         while self.at_op("*"):
             op = self.advance()
-            terms = _expand(op, _product, _canonical(terms), _canonical(self.unary()))
+            left, right = _canonical(terms), _canonical(self.unary())
+            degree = max(map(add, _degrees(left), _degrees(right)))
+            _expand(op, _check_degree, degree, "degree", "product")
+            terms = _expand(op, _product, left, right)
         if self.at_op("/"):
             tok = self.peek()
             raise ParseError(
@@ -594,10 +614,13 @@ class _Parser:
         return terms
 
     def unary(self) -> dict:
-        if self.at_op("-"):
+        # negating twice is exact, so an even count of signs negates nothing
+        negate = False
+        while self.at_op("-"):
             self.advance()
-            return _negated(self.unary())
-        return self.power()
+            negate = not negate
+        terms = self.power()
+        return _negated(terms) if negate else terms
 
     def power(self) -> dict:
         base = self.atom()
@@ -668,12 +691,20 @@ class _Parser:
                 return {tuple(exps): 1.0}
             raise ParseError(f"unknown identifier {tok.text!r}", tok.pos)
         if tok.kind == "op" and tok.text == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(
+                    f"expression nested too deeply (at most {MAX_DEPTH} levels of "
+                    "parentheses)",
+                    tok.pos,
+                )
             self.advance()
+            self.depth += 1
             terms = self.expression()
             if not self.at_op(")"):
                 pos = self.peek().pos if self.peek() is not None else self.end_position()
                 raise ParseError("expected ')'", pos)
             self.advance()
+            self.depth -= 1
             return terms
         raise ParseError(f"unexpected {tok.text!r}", tok.pos)
 
@@ -687,8 +718,9 @@ def parse_field(text: str) -> ScalarField:
     """Parse an expression in x1..x4 into a ScalarField.
 
     Raises ParseError (with a 0-based character offset) on syntax errors,
-    unknown identifiers, literals out of range, invalid exponents and
-    products or powers past MAX_TERMS.
+    unknown identifiers, literals out of range, invalid exponents, products
+    or powers past MAX_TERMS or MAX_EXPONENT and parentheses nested more
+    than MAX_DEPTH levels deep.
     """
     parser = _Parser(_tokenize(text), text)
     terms = parser.expression()

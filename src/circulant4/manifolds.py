@@ -43,6 +43,7 @@ __all__ = [
     "DomainStatus",
     "ManifoldSpec",
     "ConfigError",
+    "MAX_CONFIG_BYTES",
     "example_manifold",
     "constant_manifold",
     "manifold_from_config",
@@ -165,6 +166,10 @@ def constant_manifold(a: float, b: float, c: float, name: str = "constant") -> M
     )
 
 
+# the largest config file `load_manifold` reads, in bytes
+MAX_CONFIG_BYTES = 1 << 20
+
+
 class ConfigError(ValueError):
     """Malformed manifold config: bad line, unknown or missing key, bad field."""
 
@@ -214,5 +219,14 @@ def manifold_from_config(text: str, name: str | None = None) -> ManifoldSpec:
 
 
 def load_manifold(path) -> ManifoldSpec:
+    """The manifold of a UTF-8 config file of at most MAX_CONFIG_BYTES bytes.
+
+    A longer file is refused with ConfigError after reading one byte past
+    the bound, so a device or a huge file is never read to its end.
+    """
     path = Path(path)
-    return manifold_from_config(path.read_text(encoding="utf-8"), name=path.stem)
+    with path.open("rb") as file:
+        data = file.read(MAX_CONFIG_BYTES + 1)
+    if len(data) > MAX_CONFIG_BYTES:
+        raise ConfigError(f"larger than {MAX_CONFIG_BYTES} bytes")
+    return manifold_from_config(data.decode("utf-8"), name=path.stem)

@@ -20,7 +20,7 @@ from circulant4 import (
     parse_field,
 )
 from circulant4._oracles import fd_gradient
-from circulant4.fields import MAX_EXPONENT, MAX_TERMS, jets
+from circulant4.fields import MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, jets
 
 from helpers import PARSER_CORPUS, REPO_ROOT, random_polynomial
 
@@ -204,6 +204,9 @@ def test_parse_errors(text, position, fragment):
         ("1" + "0" * 400, 0, "literal out of range"),
         # 165 by 165 terms, refused at the '*'
         ("(x1+x2+x3+x4)^8*(x1+x2+x3+x4)^8", 15, "expansion too large"),
+        # the degree of a product is bounded as a power's is, at the '*'
+        ("*".join(["x1"] * 1001), 2999, "degree too large"),
+        ("x1^600*x1^401", 6, "degree too large"),
     ],
 )
 def test_parse_refuses_oversized_literals_at_once(text, position, fragment):
@@ -246,6 +249,30 @@ def test_term_bound_admits_a_product_at_the_bound():
 def test_products_that_overflow_are_still_fields():
     assert parse_field("1e300*1e300*x1").terms() == {(1, 0, 0, 0): math.inf}
     assert parse_field("1e-400") == ScalarField()
+
+
+def test_degree_bound_admits_a_product_at_the_bound():
+    assert parse_field("x1^1000*x2^1000").terms() == {(1000, 1000, 0, 0): 1.0}
+    assert parse_field("*".join(["x1"] * MAX_EXPONENT)) == x1**MAX_EXPONENT
+    # the bound is the parser's: `*` on fields multiplies at any degree
+    assert (x1**MAX_EXPONENT * x1).terms() == {(MAX_EXPONENT + 1, 0, 0, 0): 1.0}
+
+
+def test_parentheses_nest_at_most_max_depth_levels():
+    assert MAX_DEPTH == 100
+    nested = "(" * MAX_DEPTH + "x1 + 10" + ")" * MAX_DEPTH
+    assert parse_field(nested) == x1 + 10
+    with pytest.raises(ParseError) as err:
+        parse_field("x2 * " + "(" * (MAX_DEPTH + 1) + "x1" + ")" * (MAX_DEPTH + 1))
+    # at the '(' that opens level 101
+    assert err.value.position == 5 + MAX_DEPTH
+    assert "nested too deeply" in str(err.value)
+
+
+def test_a_run_of_minus_signs_negates_once_per_odd_count():
+    assert parse_field("-" * 5000 + "x1") == x1
+    assert parse_field("-" * 5001 + "x1") == -x1
+    assert parse_field("- -(x1 - 2)") == x1 - 2
 
 
 def test_exponent_bound_admits_the_largest_power():

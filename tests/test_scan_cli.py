@@ -27,6 +27,7 @@ from circulant4 import (
 )
 from circulant4.cli import main
 from circulant4.fields import MAX_EXPONENT
+from circulant4.manifolds import MAX_CONFIG_BYTES
 from circulant4.scan import (
     CHECKS,
     CHUNK_SIZE,
@@ -648,6 +649,9 @@ def test_gradient_views_raise_where_a_gradient_is_not_finite(field, point, error
         (f"A = x1^{MAX_EXPONENT + 1}\nB = 1\nC = 3\n".encode(), "exponent too large"),
         (b"A = (x1 + x2 + x3 + x4)^300\nB = 1\nC = 3\n", "expansion too large"),
         (b"A = 1e400 - 1e400\nB = 1\nC = 3\n", "literal out of range"),
+        # deep nesting and long products are refused, not a RecursionError or a slow scan
+        (b"A = " + b"(" * 200 + b"x1+10" + b")" * 200 + b"\nB = 1\nC = 3\n", "nested too deeply"),
+        (b"A = " + b"*".join([b"x1"] * 1001) + b"\nB = 1\nC = 3\n", "degree too large"),
     ],
 )
 def test_cli_unusable_config_exits_2(tmp_path, capsys, content, fragment):
@@ -659,3 +663,16 @@ def test_cli_unusable_config_exits_2(tmp_path, capsys, content, fragment):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert fragment in captured.err
     assert str(config) in captured.err
+
+
+def test_cli_refuses_a_config_past_the_size_bound(tmp_path, capsys):
+    body = b"A = 6\nB = 1\nC = 3\n#"
+    config = tmp_path / "padded.cfg"
+    config.write_bytes(body + b"#" * (MAX_CONFIG_BYTES - len(body)))
+    assert main(["check", "--manifold", str(config), "--point", "1,0,0,0"]) == 0
+    capsys.readouterr()
+    config.write_bytes(body + b"#" * (MAX_CONFIG_BYTES + 1 - len(body)))
+    assert main(["check", "--manifold", str(config), "--point", "1,0,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config {config}: larger than {MAX_CONFIG_BYTES} bytes\n"
