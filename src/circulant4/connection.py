@@ -179,10 +179,11 @@ class Connection:
     """The connection of a manifold at N points, from the jets of A, B, C there.
 
     Built from values (N, 3), gradients (N, 3, 4) and, for curvature,
-    Hessians (N, 3, 4, 4), as `ManifoldSpec.jets` returns them. The inverse
-    metric is computed at once, every later stage once, for all N points,
-    on first use. Points where the metric is numerically degenerate are
-    flagged in `degenerate`; their rows of every derived array are NaN.
+    Hessians (N, 3, 4, 4), as `ManifoldSpec.jets` returns them. Every
+    stage, the inverse metric too, is computed once for all N points, on
+    first use, so the stages that read only the gradients never invert g.
+    Points where the metric is numerically degenerate are flagged in
+    `degenerate`; their rows of every derived array are NaN.
     `failures` says which points have no result, and why.
     """
 
@@ -194,7 +195,6 @@ class Connection:
         self.values = values
         self.gradients = gradients
         self.hessians = hessians
-        self.inverse, self.d, self.degenerate = inverse_metrics(values)
 
     @classmethod
     def at(cls, manifold: ManifoldSpec, p):
@@ -247,6 +247,25 @@ class Connection:
         if not np.isfinite(row).all():
             raise ValueError(self.not_finite)
         return row
+
+    @cached_property
+    def _inverse_metrics(self) -> tuple:
+        return inverse_metrics(self.values)
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """g^{ab} per point, (N, 4, 4); NaN where the metric is degenerate."""
+        return self._inverse_metrics[0]
+
+    @property
+    def d(self) -> np.ndarray:
+        """The determinant factor (a - c)((a + c)^2 - 4 b^2) per point, (N,)."""
+        return self._inverse_metrics[1]
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        """Where the metric is numerically degenerate, (N,) bool."""
+        return self._inverse_metrics[2]
 
     @cached_property
     def metric(self) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -142,3 +145,49 @@ def run_python(*args):
 def run_cli(args):
     """Run the CLI in a subprocess with src/ importable."""
     return run_python("-m", "circulant4", *args)
+
+
+# the report writers as they were when every record was a dict: json.dumps
+# for JSON, and for CSV the cells of each record through the csv module
+ORACLE_CSV_COLUMNS = (
+    "x1", "x2", "x3", "x4", "A", "B", "C", "valid", "reason",
+    "parallel_passed", "parallel_max_residual",
+    "curvature31_passed", "curvature31_residual",
+    "curvature32_passed", "curvature32_residual",
+)
+ORACLE_RESIDUALS = {
+    "parallel": lambda o: max(o["nabla_q_max"], o["gradient_condition_max"]),
+    "curvature31": lambda o: o["residual"],
+    "curvature32": lambda o: o["residual"],
+}
+
+
+def _oracle_csv_bool(value):
+    return "true" if value else "false"
+
+
+def _oracle_csv_cells(record):
+    cells = [repr(x) for x in record["point"]]
+    cells += ["" if record["triple"][k] is None else repr(record["triple"][k]) for k in "ABC"]
+    cells.append(_oracle_csv_bool(record["valid"]))
+    cells.append(record["reason"] or "")
+    for check, residual in ORACLE_RESIDUALS.items():
+        outcome = record["checks"].get(check)
+        if outcome is None:
+            cells += ["", ""]
+            continue
+        cells.append(_oracle_csv_bool(outcome["passed"]))
+        cells.append("" if "error" in outcome else repr(residual(outcome)))
+    return cells
+
+
+def oracle_render(report, fmt):
+    """The text of a report, written from its record dicts."""
+    if fmt == "json":
+        return json.dumps(report.to_mapping(), indent=2) + "\n"
+    buffer = io.StringIO()
+    table = csv.writer(buffer, lineterminator="\n")
+    table.writerow(ORACLE_CSV_COLUMNS)
+    for record in report.points:
+        table.writerow(_oracle_csv_cells(record))
+    return buffer.getvalue()

@@ -19,7 +19,9 @@ from circulant4 import (
     parallelism_verdict,
     parse_field,
 )
+from circulant4 import connection
 from circulant4.connection import FULL_TERMS, REDUCED_TERMS, Connection
+from circulant4.curvature import Geometry
 
 from helpers import (
     perturbed_example,
@@ -364,3 +366,22 @@ def test_sixteen_relations_are_equivalent_to_the_eight():
     # the same row space: each system holds exactly where the other does
     ranks = [np.linalg.matrix_rank(m) for m in (r8, r16, np.vstack([r8, r16]))]
     assert ranks == [8, 8, 8]
+
+
+def test_inverse_metric_is_computed_once_and_only_where_read(monkeypatch):
+    calls = []
+
+    def counted(values):
+        calls.append(len(values))
+        return inverse(values)
+
+    inverse = connection.inverse_metrics
+    monkeypatch.setattr(connection, "inverse_metrics", counted)
+    example = example_manifold()
+    gradient_condition_residuals(example, P0)
+    full_system_residuals(example, P0)
+    metric_partials(example, P0)
+    assert calls == []
+    # Gamma and d Gamma both read the inverse, and the pass computes it once
+    Geometry(*example.jets(np.array([P0]), 2)).riemann
+    assert calls == [1]

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from circulant4 import example_manifold, load_manifold
 from circulant4.cli import main
-from circulant4.scan import _write_json
+from circulant4.scan import AxisSpec, Report, ScanConfig, _write_json, render_report, run_check, run_scan
 
-from helpers import REPO_ROOT
+from helpers import REPO_ROOT, oracle_render
 
 GOLDEN_DIR = os.path.join(REPO_ROOT, "tests", "data", "golden")
 CUBIC = os.path.join(REPO_ROOT, "perfbench", "manifolds", "cubic.cfg")
@@ -23,10 +24,18 @@ EXAMPLE_BOX = "--box=-1:1:3,-1:1:3,-1:2:4,-1:1:3"
 # golden file: (argv, exit code). The files hold the stdout of `main` as
 # rendered by json.dumps(indent=2) and the csv module, before the JSON
 # writer replaced json.dumps; any change to their bytes is a report change.
+# example-validity-scan.csv was written by the record-dict writers, before
+# scans became columnar and validity-only scans went to chunks of 1024: a
+# 6^4 grid (1296 points, two chunks) through both excluded lines of example.
 GOLDEN = {
     "cubic-scan.json": (["scan", "--manifold", CUBIC, "--box=-1:1:3,-1:1:3,-1:1:3,-1:1:3"], 1),
     "example-scan.json": (["scan", "--manifold", "example", EXAMPLE_BOX], 1),
     "example-scan.csv": (["scan", "--manifold", "example", EXAMPLE_BOX, "--format", "csv"], 1),
+    "example-validity-scan.csv": (
+        ["scan", "--manifold", "example", "--box=-1:1.5:6,-1:1.5:6,-1:1.5:6,-1:1.5:6",
+         "--checks", "validity", "--format", "csv"],
+        1,
+    ),
     "example-check.json": (["check", "--manifold", "example", "--point", "1,0.1,2,0.2"], 0),
     "perturbed-check.json": (["check", "--manifold", PERTURBED, "--point", "1,0.1,2,0.2"], 1),
     # an ordinary point, an invalid one, an overflowing inverse and an
@@ -95,3 +104,79 @@ def test_writer_needs_string_keys():
     # json.dumps would turn the key into "1"; reports only have string keys
     with pytest.raises(TypeError):
         _written({1: 2})
+
+
+def _scan(manifold, box, checks):
+    axes = tuple(AxisSpec(float(a), float(b), int(n)) for a, b, n in (g.split(":") for g in box.split(",")))
+    return run_scan(manifold, ScanConfig(axes, checks))
+
+
+_ALL = ("validity", "parallel", "curvature31", "curvature32")
+# report name -> a function building it; together they hold every record
+# shape: valid with results, invalid, a null triple component, an error
+# outcome of each geometry check, and check subsets
+_SHAPES = {
+    "check-valid": lambda: run_check(example_manifold(), (1.0, 0.1, 2.0, 0.2)),
+    "check-invalid": lambda: run_check(example_manifold(), (1.0, 1.0, 1.0, 1.0)),
+    "check-steep-errors": lambda: run_check(load_manifold(STEEP), (10.5, 10.5, 0.0, 0.0)),
+    "cubic-all": lambda: _scan(load_manifold(CUBIC), "-1:1:3,-1:1:3,-1:1:2,-1:1:2", _ALL),
+    "example-invalid": lambda: _scan(example_manifold(), EXAMPLE_BOX[6:], _ALL),
+    "example-null-triple": lambda: _scan(example_manifold(), "-1e200:1:3,0:1:3,0:1:2,0:1:2", _ALL),
+    "example-null-triple-validity": lambda: _scan(
+        example_manifold(), "-1e200:1:3,0:1:3,0:1:2,0:1:2", ("validity",)
+    ),
+    "steep-errors": lambda: _scan(load_manifold(STEEP), "1:10.6:2,1:10.6:2,0:0:1,0:0:1", _ALL),
+    "steep-parallel": lambda: _scan(load_manifold(STEEP), "1:10.6:3,1:10.6:3,0:1:2,0:0:1", ("parallel",)),
+    "steep-curvature32": lambda: _scan(
+        load_manifold(STEEP), "1:10.6:3,1:10.6:3,0:1:2,0:0:1", ("curvature32",)
+    ),
+    "perturbed-curvature31": lambda: _scan(
+        load_manifold(PERTURBED), "0.5:2:3,0.5:2:3,0.5:2:3,0.5:2:3", ("curvature31",)
+    ),
+    "perturbed-validity-parallel": lambda: _scan(
+        load_manifold(PERTURBED), "0.5:2:3,0.5:2:3,0.5:2:3,0.5:2:3", ("validity", "parallel")
+    ),
+    # 256 points in one chunk, enough for the writers to share the text of
+    # repeated values; x1 holds both -0.0 and 0.0, which must stay apart
+    "example-signed-zeros": lambda: _scan(
+        example_manifold(), "-0.0:-0.0:2,-1:1:8,0.5:2:4,-1:1:4", ("validity",)
+    ),
+    "empty": Report,
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", sorted(_SHAPES))
+def test_writers_match_the_record_dict_oracle(name, fmt):
+    report = _SHAPES[name]()
+    assert render_report(report, fmt) == oracle_render(report, fmt)
+
+
+def test_oracle_reports_hold_every_record_shape():
+    # the reports above are not vacuous: every outcome shape occurs
+    shapes = set()
+    for name, build in _SHAPES.items():
+        for record in build().points:
+            shapes.add(("reason", record["reason"] is not None))
+            shapes.add(("null triple", None in record["triple"].values()))
+            for check, outcome in record["checks"].items():
+                if outcome is None:
+                    shapes.add((check, "skipped"))
+                elif "error" in outcome:
+                    shapes.add((check, "error"))
+                else:
+                    shapes.add((check, outcome["passed"]))
+    for check in _ALL[1:]:
+        assert {(check, "skipped"), (check, "error"), (check, True), (check, False)} <= shapes
+    assert {("validity", True), ("validity", False)} <= shapes
+    assert {("reason", True), ("null triple", True)} <= shapes
+
+
+def test_reports_compare_by_content_and_refuse_record_dicts():
+    point = (1.0, 0.1, 2.0, 0.2)
+    report = run_check(example_manifold(), point)
+    assert report == run_check(example_manifold(), point)
+    assert report != run_check(example_manifold(), (1.0, 1.0, 1.0, 1.0))
+    # a report holds the columns of the pass, not record dicts
+    with pytest.raises(TypeError):
+        Report(report.meta, report.points, report.summary)

@@ -1,6 +1,7 @@
 """Reports, grid scans, rendering determinism and the CLI contract."""
 
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from circulant4.scan import (
     CHECKS,
     CHUNK_SIZE,
     MAX_POINTS,
+    VALIDITY_CHUNK_SIZE,
     AxisSpec,
     ScanConfig,
     evaluate_point,
@@ -380,19 +382,48 @@ def _line_axes(start, stop, count, rest=(0.1, 2.0, 0.2)):
     return (AxisSpec(start, stop, count),) + tuple(AxisSpec(x, x, 1) for x in rest)
 
 
-@pytest.mark.parametrize("count", [1, CHUNK_SIZE - 1, CHUNK_SIZE + 1, 2 * CHUNK_SIZE + 1])
-@pytest.mark.parametrize(
-    "manifold", [example_manifold(), nonflat_parallel_manifold()], ids=["example", "cubic"]
-)
-def test_records_do_not_depend_on_chunking(manifold, count):
+# all checks in chunks of CHUNK_SIZE; validity alone in chunks of
+# VALIDITY_CHUNK_SIZE, so its counts straddle that boundary
+_CHUNKING_CASES = [
+    pytest.param(manifold, count, CHECKS, id=f"{name}-{count}")
+    for name, manifold in (("example", example_manifold()), ("cubic", nonflat_parallel_manifold()))
+    for count in (1, CHUNK_SIZE - 1, CHUNK_SIZE + 1, 2 * CHUNK_SIZE + 1)
+] + [
+    pytest.param(example_manifold(), count, ("validity",), id=f"example-validity-{count}")
+    for count in (VALIDITY_CHUNK_SIZE - 1, VALIDITY_CHUNK_SIZE + 1)
+]
+
+
+@pytest.mark.parametrize("manifold, count, checks", _CHUNKING_CASES)
+def test_records_do_not_depend_on_chunking(manifold, count, checks):
     # every record, whether alone, first, inside or last in its chunk, is
     # byte for byte the record of that point evaluated on its own
-    config = ScanConfig(_line_axes(0.3, 2.1, count, rest=(0.2, 1.8, 0.3)))
+    config = ScanConfig(_line_axes(0.3, 2.1, count, rest=(0.2, 1.8, 0.3)), checks)
     report = run_scan(manifold, config)
     assert len(report.points) == count
     assert report.summary["valid_points"] >= (count + 1) // 2
     for point, record in zip(grid_points(config.axes), report.points):
-        assert json.dumps(record) == json.dumps(evaluate_point(manifold, point))
+        assert json.dumps(record) == json.dumps(evaluate_point(manifold, point, checks))
+
+
+# tracemalloc peak bytes per point of run_scan plus render_report for a
+# validity-only CSV scan of example when every record was a dict (Python
+# 3.11, numpy 2.4); the columns must keep below half of it
+_RECORD_DICT_PEAK_PER_POINT = {6: 1263, 9: 1221}
+
+
+@pytest.mark.parametrize("count, start, stop", [(6, -1.0, 1.5), (9, 0.5, 2.0)])
+def test_validity_scan_peak_memory_per_point(count, start, stop):
+    manifold = example_manifold()
+    config = ScanConfig(tuple(AxisSpec(start, stop, count) for _ in range(4)), ("validity",))
+    render_report(run_scan(manifold, config), "csv")  # compiles the fields
+    tracemalloc.start()
+    try:
+        render_report(run_scan(manifold, config), "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / count**4 < _RECORD_DICT_PEAK_PER_POINT[count] / 2
 
 
 def test_degenerate_point_stays_local_to_its_chunk():
