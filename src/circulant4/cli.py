@@ -19,7 +19,8 @@ from .scan import CHECKS, AxisSpec, Report, ScanConfig, render_report, run_check
 __all__ = ["main", "build_parser"]
 
 # built once per process: a ManifoldSpec and its fields are immutable, so
-# every call may share them, and the example is parsed and compiled once
+# every call may share them, and the example is parsed and compiled once;
+# config files get the same from `load_manifold`, once per distinct content
 _BUILTIN_MANIFOLDS = {"example": example_manifold()}
 
 

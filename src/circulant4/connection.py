@@ -195,6 +195,7 @@ class Connection:
         self.values = values
         self.gradients = gradients
         self.hessians = hessians
+        self._failures = {}  # order -> `failures(order)`
 
     @classmethod
     def at(cls, manifold: ManifoldSpec, p):
@@ -223,18 +224,24 @@ class Connection:
 
         The first that applies: a field value is not finite, the metric is
         degenerate, a field's gradient (order >= 1), then its Hessian
-        (order 2), is not all finite.
+        (order 2), is not all finite. Each order is worked out once, from
+        the order below, so every jet is looked at once per pass.
         """
-        failures = [None] * len(self.values)
-        _name_non_finite(failures, self.values, "")
-        # a field value that is not finite makes d so too, and the point degenerate
-        for n in np.flatnonzero(self.degenerate).tolist():
-            failures[n] = failures[n] or str(
-                degeneracy_error(*self.values[n].tolist(), float(self.d[n]))
-            )
-        for name, jet in (("gradient", self.gradients), ("Hessian", self.hessians))[:order]:
-            _name_non_finite(failures, jet, f"{name} of ")
-        return failures
+        if order not in self._failures:
+            if order == 0:
+                failures = [None] * len(self.values)
+                _name_non_finite(failures, self.values, "")
+                # a field value that is not finite makes d so too, and the point degenerate
+                for n in np.flatnonzero(self.degenerate).tolist():
+                    failures[n] = failures[n] or str(
+                        degeneracy_error(*self.values[n].tolist(), float(self.d[n]))
+                    )
+            else:
+                failures = self.failures(order - 1)  # a copy, extended here
+                name, jet = (("gradient", self.gradients), ("Hessian", self.hessians))[order - 1]
+                _name_non_finite(failures, jet, f"{name} of ")
+            self._failures[order] = failures
+        return list(self._failures[order])
 
     def finite_row(self, stage: str) -> np.ndarray:
         """The first point's row of a stage, for the per-point functions.

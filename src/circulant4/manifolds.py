@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -218,15 +219,34 @@ def manifold_from_config(text: str, name: str | None = None) -> ManifoldSpec:
     return ManifoldSpec(resolved, parsed["A"], parsed["B"], parsed["C"])
 
 
+# the distinct configs `load_manifold` keeps parsed, a fixed bound: one
+# entry of perfbench/manifolds/cubic.cfg (970 bytes), its fields compiled by
+# a check, retains about 26 KB (tracemalloc), its key included; a key may
+# hold up to MAX_CONFIG_BYTES
+_CONFIG_CACHE_SIZE = 4
+
+
+# ConfigError and UnicodeDecodeError propagate and are not cached
+@lru_cache(maxsize=_CONFIG_CACHE_SIZE)
+def _parsed_config(data: bytes, stem: str) -> ManifoldSpec:
+    return manifold_from_config(data.decode("utf-8"), name=stem)
+
+
 def load_manifold(path) -> ManifoldSpec:
     """The manifold of a UTF-8 config file of at most MAX_CONFIG_BYTES bytes.
 
     A longer file is refused with ConfigError after reading one byte past
     the bound, so a device or a huge file is never read to its end.
+
+    The file is read on every call, but parsed and compiled once per
+    distinct content in a process: the same bytes under the same file stem
+    (the default name) give the same ManifoldSpec, shared as it and its
+    fields are immutable, and an edited file is parsed again. The last
+    `_CONFIG_CACHE_SIZE` distinct configs are kept.
     """
     path = Path(path)
     with path.open("rb") as file:
         data = file.read(MAX_CONFIG_BYTES + 1)
     if len(data) > MAX_CONFIG_BYTES:
         raise ConfigError(f"larger than {MAX_CONFIG_BYTES} bytes")
-    return manifold_from_config(data.decode("utf-8"), name=path.stem)
+    return _parsed_config(data, path.stem)

@@ -8,6 +8,8 @@ _SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
+from circulant4 import manifolds  # noqa: E402
+
 try:
     from hypothesis import HealthCheck, settings
 except ImportError:
@@ -34,3 +36,9 @@ def report_line(pytestconfig):
             print(text)
 
     return write
+
+
+@pytest.fixture(autouse=True)
+def _cold_config_cache():
+    """Every test starts with no parsed config kept, whatever ran before it."""
+    manifolds._parsed_config.cache_clear()

@@ -22,6 +22,7 @@ from circulant4 import (
 from circulant4 import connection
 from circulant4.connection import FULL_TERMS, REDUCED_TERMS, Connection
 from circulant4.curvature import Geometry
+from circulant4.scan import CHECKS, _evaluate_chunk
 
 from helpers import (
     perturbed_example,
@@ -385,3 +386,17 @@ def test_inverse_metric_is_computed_once_and_only_where_read(monkeypatch):
     # Gamma and d Gamma both read the inverse, and the pass computes it once
     Geometry(*example.jets(np.array([P0]), 2)).riemann
     assert calls == [1]
+
+
+def test_an_all_check_chunk_names_each_non_finite_jet_once(monkeypatch):
+    calls = []
+
+    def counted(failures, jet, prefix):
+        calls.append(prefix)
+        name_non_finite(failures, jet, prefix)
+
+    name_non_finite = connection._name_non_finite
+    monkeypatch.setattr(connection, "_name_non_finite", counted)
+    columns = _evaluate_chunk(example_manifold(), np.array([P0, (1.0, 0.2, 2.0, 0.3)]), CHECKS, 1e-8)
+    assert sorted(calls) == ["", "Hessian of ", "gradient of "]
+    assert all(all(columns.outcomes[name].passed) for name in CHECKS[1:])

@@ -17,6 +17,7 @@ from circulant4 import (
     manifold_from_config,
     metric_components,
 )
+from circulant4 import manifolds
 
 P0 = (1.0, 0.1, 2.0, 0.2)
 
@@ -159,6 +160,71 @@ def test_load_manifold_names_after_file(tmp_path):
     assert m.name == "disc"
     t = m.triple_at((1, 0, 0, 0))
     assert (t.a, t.b, t.c) == (3.0, 0.5, 1.0)
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """The expressions `manifold_from_config` parses from now on."""
+    calls = []
+
+    def counted(text):
+        calls.append(text)
+        return parse_field(text)
+
+    parse_field = manifolds.parse_field
+    monkeypatch.setattr(manifolds, "parse_field", counted)
+    return calls
+
+
+def test_load_manifold_parses_unchanged_content_once(tmp_path, parse_calls):
+    path = tmp_path / "disc.cfg"
+    path.write_text("A = x1^2 + 2\nB = 1/2\nC = x1\n", encoding="utf-8")
+    first = load_manifold(path)
+    assert parse_calls == ["x1^2 + 2", "1/2", "x1"]
+    parse_calls.clear()
+    assert load_manifold(str(path)) is first
+    assert parse_calls == []
+
+
+def test_load_manifold_keeps_the_name_of_each_file_stem(tmp_path, parse_calls):
+    text = "A = x1^2 + 2\nB = 1/2\nC = x1\n"
+    for stem in ("left", "right"):
+        (tmp_path / f"{stem}.cfg").write_text(text, encoding="utf-8")
+    left, right = (load_manifold(tmp_path / f"{stem}.cfg") for stem in ("left", "right"))
+    assert (left.name, right.name) == ("left", "right")
+    assert (left.A, left.B, left.C) == (right.A, right.B, right.C)
+    assert load_manifold(tmp_path / "left.cfg") is left
+
+
+@pytest.mark.parametrize(
+    "broken, error",
+    [(b"A = x9\nB = 1\nC = 3\n", ConfigError), (b"A = \xff\nB = 1\nC = 3\n", UnicodeDecodeError)],
+)
+def test_load_manifold_caches_no_error(tmp_path, broken, error):
+    path = tmp_path / "fixed.cfg"
+    path.write_bytes(broken)
+    for _ in range(2):
+        with pytest.raises(error):
+            load_manifold(path)
+    path.write_bytes(b"A = 6\nB = 1\nC = 3\n")
+    t = load_manifold(path).triple_at(P0)
+    assert (t.a, t.b, t.c) == (6.0, 1.0, 3.0)
+
+
+def test_load_manifold_evicts_the_oldest_config_past_the_bound(tmp_path, parse_calls):
+    paths = []
+    for k in range(manifolds._CONFIG_CACHE_SIZE + 1):
+        paths.append(tmp_path / f"m{k}.cfg")
+        paths[-1].write_text(f"A = {k + 6}\nB = 1\nC = 3\n", encoding="utf-8")
+    loaded = [load_manifold(path) for path in paths]
+    assert len(parse_calls) == 3 * len(paths)
+    parse_calls.clear()
+    assert load_manifold(paths[-1]) is loaded[-1]
+    assert load_manifold(paths[1]) is loaded[1]
+    assert parse_calls == []
+    oldest = load_manifold(paths[0])
+    assert oldest is not loaded[0] and oldest == loaded[0]
+    assert parse_calls == ["6", "1", "3"]
 
 
 def test_manifold_is_frozen_and_picklable():

@@ -1,6 +1,7 @@
 """Reports, grid scans, rendering determinism and the CLI contract."""
 
 import json
+import os
 import tracemalloc
 import warnings
 
@@ -295,6 +296,21 @@ def test_cli_config_file_manifold(tmp_path, capsys):
     bad.write_text("A = x9\nB = 1\nC = 3\n", encoding="utf-8")
     assert main(["check", "--manifold", str(bad), "--point", "0,0,0,0"]) == 2
     assert "unknown identifier" in capsys.readouterr().err
+
+
+def test_cli_check_follows_an_edited_config(tmp_path, capsys):
+    config = tmp_path / "edited.cfg"
+    argv = ["check", "--manifold", str(config), "--point", "1,0,0,0"]
+    config.write_text("A = 7*x1 + 6\nB = 1\nC = 3\n", encoding="utf-8")
+    before = config.stat()
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["points"][0]["triple"]["A"] == 13.0
+    config.write_text("A = x1^2 + 6\nB = 1\nC = 3\n", encoding="utf-8")
+    # the same size and modification time: only the bytes differ
+    os.utime(config, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert config.stat().st_size == before.st_size
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().out)["points"][0]["triple"]["A"] == 7.0
 
 
 def test_cli_out_writes_file(tmp_path, capsys):
