@@ -457,7 +457,9 @@ class CompiledField:
         """Slots 0 .. (1, 5, 15)[order] - 1 at N points, shape (N, slots).
 
         powers[k] is the table of x_{k+1}**e, shape (N, e_max + 1), with
-        column e computed by `scalar_pow`.
+        column e computed by `scalar_pow`, as `jets` builds it: per column,
+        or for a long block with repeated coordinates once per distinct
+        value and gathered, which gives the same bits.
         """
         nterms, rows = self._prefix[order]
         exps = self.exponents[:nterms]
@@ -474,6 +476,32 @@ class CompiledField:
         return out
 
 
+def _distinct_bits(values: np.ndarray):
+    """The distinct values of a float array and where each value is among them.
+
+    Returns (distinct (D,), inverse of values' shape) with values equal to
+    distinct[inverse] bit for bit. Values are told apart by their bits, so
+    -0.0 is not 0.0.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+    # the shape of the inverse varies across numpy versions
+    return distinct.view(np.float64), inverse.reshape(values.shape)
+
+
+# From this many points on, the power tables of a block are built once per
+# distinct coordinate value, where that calls `scalar_pow` on fewer values.
+# Field values of example (order 0, its three quadratic fields) on blocks
+# of its 9^4 validity grid took, with a table per column and shared: 79 and
+# 78 us at 64 points, 145 and 102 us at 256, and 2.54 and 1.21 ms for the
+# whole grid in chunks of 1024. On blocks whose coordinates are all
+# distinct, which then keep a table per column, the np.unique that finds
+# that out costs 30 us at 256 points and 76 us at 1024 (2-vCPU Xeon,
+# Python 3.11, numpy 2.4). Shorter blocks, the 64-point chunks of the
+# geometry checks and one-point checks, keep a table per column.
+_SHARED_POWERS_FROM = 256
+
+
 def _power_table(column: np.ndarray, top: int) -> np.ndarray:
     table = np.empty((len(column), top + 1))
     table[:, 0] = 1.0
@@ -484,6 +512,26 @@ def _power_table(column: np.ndarray, top: int) -> np.ndarray:
     return table
 
 
+def _power_tables(points: np.ndarray, top: np.ndarray) -> list[np.ndarray]:
+    """The table of x_{k+1}**e, e = 0 .. top[k], of each coordinate of (N, 4) points.
+
+    Column e is `scalar_pow(x_{k+1}, e)` either way: a long block with
+    repeated values computes the powers of its distinct values only, up to
+    the largest top, and gathers each coordinate's rows from them.
+    """
+    if len(points) >= _SHARED_POWERS_FROM:
+        distinct, inverse = _distinct_bits(points)
+        largest = int(top.max())
+        # values scalar_pow raises: each distinct one to every power up to
+        # the largest, against each coordinate to its own top; where every
+        # value is distinct, sharing never raises fewer
+        shared = len(distinct) * max(largest - 1, 0)
+        if shared < len(points) * int(np.maximum(top - 1, 0).sum()):
+            table = _power_table(distinct, largest)
+            return [table[inverse[:, k], : top[k] + 1] for k in range(_NVARS)]
+    return [_power_table(points[:, k], int(top[k])) for k in range(_NVARS)]
+
+
 def jets(fields, points, order: int = 2):
     """Values, gradients and Hessians of several fields at N points at once.
 
@@ -491,13 +539,18 @@ def jets(fields, points, order: int = 2):
     F fields; with order 0 or 1 the higher derivatives are skipped and
     returned as None. Entry for entry, the results equal `__call__`,
     `gradient` and `hessian` of each field at each point.
+
+    The powers of the coordinates come from `scalar_pow`, the only power
+    used: from _SHARED_POWERS_FROM points on, where that raises fewer
+    values, once per distinct coordinate value (by bits) of the block;
+    otherwise once per point and coordinate.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     points = _as_points(points)
     compiled = [field.compile() for field in fields]
     top = np.max([c.max_exponents for c in compiled], axis=0)
-    powers = [_power_table(points[:, k], int(top[k])) for k in range(_NVARS)]
+    powers = _power_tables(points, top)
     with np.errstate(over="ignore", invalid="ignore"):
         slots = np.stack([c.evaluate(powers, order) for c in compiled], axis=1)
     values = slots[:, :, 0]

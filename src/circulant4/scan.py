@@ -39,10 +39,11 @@ deterministic: fixed key order, records in row-major grid order, floats in
 shortest round-trip form (`float.__repr__`), so identical inputs give
 byte-identical output, the same bytes as json.dumps(report, indent=2) and
 the csv module give for the mapping. Both writers read the columns, one
-chunk at a time: CSV fills one row template per chunk from columns of
-float texts, with each distinct reason quoted once by the csv module;
-JSON fills one record template per chunk with one `%`-template per
-outcome shape (null, validity, parallel or curvature results, error).
+chunk at a time, from columns of float texts, each distinct float of a
+long chunk written once (`_float_texts`): CSV joins each row's cells with
+commas, with each distinct reason quoted once by the csv module; JSON
+fills one record template per chunk with one `%`-template per outcome
+shape (null, validity, parallel or curvature results, error).
 `_write_json`, a pure writer with the bytes of json.dumps(indent=2),
 writes only `meta` and `summary`.
 """
@@ -54,6 +55,7 @@ from csv import writer as csv_writer
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from io import StringIO
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, NamedTuple
 
@@ -62,7 +64,7 @@ import numpy as np
 from . import __version__
 from .connection import Connection, check_tolerance
 from .curvature import Geometry
-from .fields import as_point
+from .fields import _distinct_bits, as_point
 from .manifolds import ManifoldSpec
 
 __all__ = [
@@ -424,30 +426,30 @@ def run_scan(manifold: ManifoldSpec, config: ScanConfig) -> Report:
     return Report(meta, chunks, _summarize(chunks, config.checks))
 
 
-# From this many values on, a column is written one text per distinct
-# value. On the 9^4 validity grid of example, where about 1% of the
-# coordinates and 12-29% of A, B and C are distinct, the texts of its seven
-# columns took 20 ms one by one and 6.5 ms shared in chunks of 1024 values
-# (sharing wins from 128 on); with no repeated values, sharing costs 1%
-# more at 1024 values and 13% more at 256.
+# From this many values per row on, a block is written one text per
+# distinct value. On the 9^4 validity grid of example, where a chunk of
+# 1024 points has 0.2-2% of its coordinates and 11-48% of its A, B and C
+# distinct, the texts of its seven rows took 15.1 ms one by one, 5.0 ms
+# shared within each row and 3.1 ms shared across the block; with no
+# repeated values, the np.unique that finds that out costs 7% more at 256
+# values per row and 4% more at 1024 (2-vCPU Xeon, Python 3.11, numpy 2.4).
 _SHARED_TEXTS_FROM = 256
 
 
-def _float_texts(columns: np.ndarray) -> list[list[str]]:
+def _float_texts(block: np.ndarray) -> list[list[str]]:
     """float.__repr__ of each value of each row of a (k, N) array, one list per row.
 
     float.__repr__ is the shortest text that reads back the same. In a
-    row of _SHARED_TEXTS_FROM values or more each distinct value is
-    written once; values are told apart by their bits, so -0.0 is not 0.0.
+    block of _SHARED_TEXTS_FROM values per row or more, with repeated
+    values, each distinct value is written once; values are told apart by
+    their bits, so -0.0 is not 0.0.
     """
-    if columns.shape[1] < _SHARED_TEXTS_FROM:
-        return [list(map(float.__repr__, column)) for column in columns.tolist()]
-    texts = []
-    for column in columns:
-        bits, inverse = np.unique(np.ascontiguousarray(column).view(np.int64), return_inverse=True)
-        distinct = list(map(float.__repr__, bits.view(np.float64).tolist()))
-        texts.append(list(map(distinct.__getitem__, inverse.tolist())))
-    return texts
+    if block.shape[1] >= _SHARED_TEXTS_FROM:
+        distinct, inverse = _distinct_bits(block)
+        if len(distinct) < block.size:
+            texts = np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)
+            return texts[inverse].tolist()
+    return [list(map(float.__repr__, row)) for row in block.tolist()]
 
 
 _CSV_COLUMNS = (
@@ -467,15 +469,17 @@ def _leading_cells(columns: _Columns, quoted: dict, quote, missing: str) -> list
     A triple component that is not finite is missing. quoted maps each
     reason to its text; quote writes the reasons it does not hold yet.
     """
-    for reason in set(columns.reasons) - quoted.keys():
+    reasons = set(columns.reasons)
+    for reason in reasons - quoted.keys():
         quoted[reason] = quote(reason)
-    cells = _float_texts(columns.points.T) + _float_texts(columns.values.T)
+    valid = {reason: _BOOL_TEXTS[reason is None] for reason in reasons}
+    cells = _float_texts(np.concatenate([columns.points.T, columns.values.T]))
     finite = np.isfinite(columns.values)
     if not finite.all():
         for n, k in zip(*np.nonzero(~finite)):
             cells[4 + k][n] = missing
-    cells.append([_BOOL_TEXTS[reason is None] for reason in columns.reasons])
-    cells.append([quoted[reason] for reason in columns.reasons])
+    cells.append(list(map(valid.__getitem__, columns.reasons)))
+    cells.append(list(map(quoted.__getitem__, columns.reasons)))
     return cells
 
 
@@ -489,18 +493,19 @@ def _csv_quoted(text: str) -> str:
 def _csv_chunk(columns: _Columns, quoted: dict) -> str:
     """The CSV rows of a chunk; quoted maps each reason to its cell and grows."""
     cells = _leading_cells(columns, quoted, _csv_quoted, "")
-    template = "%s,%s,%s,%s,%s,%s,%s,%s,%s"
     for name, check in _GEOMETRY_CHECKS.items():
+        # the two cells of a check as one, so absent or skipped it is ","
         if name not in columns.outcomes:
-            template += ",,"
+            cells.append(repeat(","))
             continue
-        template += ",%s"
         o = columns.outcomes[name]
         cells.append(_at_points(columns, [
             _BOOL_TEXTS[p] + "," + float.__repr__(check.residual(a, b)) if e is None else "false,"
             for p, a, b, e in zip(o.passed, *o.numbers.tolist(), o.errors)
         ], ","))
-    return "".join(map((template + "\n").__mod__, zip(*cells)))
+    rows = list(map(",".join, zip(*cells)))
+    rows.append("")  # the last line break, and none without rows
+    return "\n".join(rows)
 
 
 # one record of the points array of a JSON report, as json.dumps(indent=2)

@@ -20,7 +20,7 @@ from circulant4 import (
     parse_field,
 )
 from circulant4._oracles import fd_gradient
-from circulant4.fields import MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, jets
+from circulant4.fields import _SHARED_POWERS_FROM, MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, jets
 
 from helpers import PARSER_CORPUS, REPO_ROOT, random_polynomial
 
@@ -362,19 +362,40 @@ def _reference_points():
     return np.vstack([special, rng.uniform(-3.0, 3.0, size=(60, 4))])
 
 
+def _reference_jets(f, points):
+    """Values, gradients and Hessians of f by __call__, gradient and hessian, point by point."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (
+            np.array([f(p) for p in points]),
+            np.array([f.gradient(p) for p in points]),
+            np.array([f.hessian(p) for p in points]),
+        )
+
+
 @pytest.mark.parametrize("name", list(REFERENCE_FIELDS))
 def test_compiled_jets_match_reference_bitwise(name):
     f = REFERENCE_FIELDS[name]
     points = _reference_points()
-    values, gradients, hessians = jets([f], points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ref_values = [f(p) for p in points]
-        ref_gradients = [f.gradient(p) for p in points]
-        ref_hessians = [f.hessian(p) for p in points]
-    assert np.array_equal(_bits(values[:, 0]), _bits(ref_values))
-    assert np.array_equal(_bits(gradients[:, 0]), _bits(ref_gradients))
-    assert np.array_equal(_bits(hessians[:, 0]), _bits(ref_hessians))
+    reference = _reference_jets(f, points)
+    # from _SHARED_POWERS_FROM points on, powers are shared between equal
+    # coordinates: the reference points tiled (repeats, 0.0 beside -0.0,
+    # odd powers, overflow), and a block with every coordinate distinct
+    tiles = -(-_SHARED_POWERS_FROM // len(points))
+    distinct = np.random.default_rng(20261019).uniform(-3.0, 3.0, (_SHARED_POWERS_FROM, 4))
+    assert np.unique(_bits(distinct)).size == distinct.size
+    blocks = [
+        (points, reference),
+        (np.tile(points, (tiles, 1)), [np.tile(r, (tiles,) + (1,) * (r.ndim - 1))
+                                       for r in reference]),
+        (distinct, _reference_jets(f, distinct)),
+    ]
+    for block, expected in blocks:
+        values, gradients, hessians = jets([f], block)
+        assert np.array_equal(_bits(values[:, 0]), _bits(expected[0]))
+        assert np.array_equal(_bits(gradients[:, 0]), _bits(expected[1]))
+        assert np.array_equal(_bits(hessians[:, 0]), _bits(expected[2]))
     # one point at a time: no row depends on the others
+    values, gradients, hessians = jets([f], points)
     for k in (0, len(points) - 1):
         single = jets([f], points[k : k + 1])
         assert all(

@@ -1,6 +1,7 @@
 """Manifold specs, domain validity and the config file format."""
 
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from circulant4 import (
     metric_components,
 )
 from circulant4 import manifolds
+from circulant4.manifolds import MAX_CONFIG_BYTES
 
 P0 = (1.0, 0.1, 2.0, 0.2)
 
@@ -160,6 +162,34 @@ def test_load_manifold_names_after_file(tmp_path):
     assert m.name == "disc"
     t = m.triple_at((1, 0, 0, 0))
     assert (t.a, t.b, t.c) == (3.0, 0.5, 1.0)
+
+
+def test_load_manifold_reads_in_bounded_pieces(tmp_path, monkeypatch):
+    config = tmp_path / "huge.cfg"
+    config.write_bytes(b"#" * (3 * MAX_CONFIG_BYTES))
+    asked = []
+    open_path = Path.open
+
+    class Recorded:
+        def __init__(self, file):
+            self.file = file
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.file.close()
+
+        def read(self, size):
+            asked.append(size)
+            return self.file.read(size)
+
+    monkeypatch.setattr(Path, "open", lambda path, mode="r": Recorded(open_path(path, mode)))
+    with pytest.raises(ConfigError, match="larger than"):
+        load_manifold(config)
+    # no read asks for more than 64 KiB, and none past one byte beyond the bound
+    assert max(asked) <= 1 << 16
+    assert sum(asked) == MAX_CONFIG_BYTES + 1
 
 
 @pytest.fixture

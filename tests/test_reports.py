@@ -1,5 +1,6 @@
 """Report bytes: golden reports and the JSON writer against json.dumps."""
 
+import hashlib
 import json
 import os
 
@@ -53,6 +54,32 @@ def test_reports_match_golden_bytes(name, capsys):
     assert captured.err == ""
     with open(os.path.join(GOLDEN_DIR, name), "rb") as golden:
         assert captured.out.encode("utf-8") == golden.read()
+
+
+# the two scans of the benchmark (perfbench/run.py), argv as it builds
+# them, and the sha256 of their stdout: too large to keep as golden files,
+# the exact workloads stay byte-identical all the same
+BENCHMARK_SCANS = {
+    "scan-cubic": (
+        ["scan", "--manifold", CUBIC, "--box=" + ",".join(["-1.0:1.0:4"] * 4),
+         "--checks=validity,parallel,curvature31,curvature32", "--format", "json"],
+        "a3ba516e39e969d46c9ec9232a32de10f93b93c4aaa4f8f59a4a8b190cba63f4",
+    ),
+    "scan-validity": (
+        ["scan", "--manifold", "example", "--box=" + ",".join(["0.5:2.0:9"] * 4),
+         "--checks=validity", "--format", "csv"],
+        "009a4c64559c1978b56dda11aa77bc56d79709235792163288ea13428874d912",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SCANS))
+def test_benchmark_scans_match_pinned_digests(name, capsys):
+    argv, digest = BENCHMARK_SCANS[name]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
 
 
 def _written(value) -> str:
