@@ -16,7 +16,7 @@ import numpy as np
 
 from .circulant import apply_affinor, inverse_metric
 from .connection import christoffel
-from .curvature import _riemann, contract_lowered, riemann_lowered
+from .curvature import _assemble_riemann, contract_lowered, riemann_lowered
 from .fields import _NVARS, as_point
 from .manifolds import ManifoldSpec
 
@@ -67,7 +67,7 @@ def christoffel_partials_fd(m: ManifoldSpec, p, h: float = 1e-4) -> np.ndarray:
 def riemann_fd(m: ManifoldSpec, p, h: float = 1e-4) -> np.ndarray:
     """Same assembly with finite-difference Christoffel partials."""
     dgamma = christoffel_partials_fd(m, p, h)
-    return _riemann(christoffel(m, p)[None], dgamma[None])[0]
+    return _assemble_riemann(christoffel(m, p)[..., None], dgamma[..., None])[..., 0]
 
 
 def raise_index(t, r4: np.ndarray) -> np.ndarray:

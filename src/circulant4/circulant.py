@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import scalar_pow
+from .fields import _points_first, scalar_pow
 
 __all__ = [
     "CirculantTriple",
@@ -140,6 +140,8 @@ def inverse_metrics(triples):
     d = (a - c)((a + c)^2 - 4 b^2), falls at or below the degeneracy
     threshold or is not finite, and its ginv is NaN. The arithmetic is that
     of the scalar formula, so each row equals its N = 1 result bit for bit.
+    ginv is a view of a (4, 4, N) array, the points last, as the geometry
+    pass reads it: `fields._points_last` gives it back without a copy.
     """
     a, b, c = np.asarray(triples, dtype=float).T
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -152,11 +154,10 @@ def inverse_metrics(triples):
                 (a * (a + c) - 2.0 * b * b) / d,
                 (b * (c - a)) / d,
                 (2.0 * b * b - c * (a + c)) / d,
-            ],
-            axis=1,
+            ]
         )
-    bars[degenerate] = np.nan
-    return bars[:, SLOT_FIELD], d, degenerate
+    bars[:, degenerate] = np.nan
+    return _points_first(bars[SLOT_FIELD]), d, degenerate
 
 
 def inverse_metric(t: CirculantTriple) -> np.ndarray:

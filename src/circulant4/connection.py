@@ -22,6 +22,15 @@ report. The views that read only the gradients (`metric_partials` and the
 two residual reports) need no inverse, so a degenerate metric or an
 excluded locus does not stop them; a field value or gradient that is not
 finite does. `check_tolerance` is the one rule for a usable tolerance.
+
+The pass keeps the points on the last axis, contiguous, from the jets to
+the per-point maxima: each stage is an array (..., N) and its public
+attribute the (N, ...) view. numpy's loops are fast when their inner loop
+is long and contiguous, and here it runs over the N points instead of a
+tensor axis of length 4. The layout changes no bit: elementwise stages do
+the same operations, each einsum has the subscripts of its formula with
+n last and is never optimized, so it forms the same products and sums each
+entry over the same indices in the same order, and the maxima are exact.
 """
 
 from __future__ import annotations
@@ -40,7 +49,7 @@ from .circulant import (
     degeneracy_error,
     inverse_metrics,
 )
-from .fields import as_point
+from .fields import _points_first, _points_last, as_point
 from .manifolds import ManifoldSpec
 
 __all__ = [
@@ -158,21 +167,26 @@ FULL_TERMS = _relation_table(FULL_LABELS)
 
 
 def _relation_residuals(table, gradients) -> np.ndarray:
-    """|relation| for every relation of a table at N points, (N, relations).
+    """|relation| for every relation of a table at N points, (relations, N).
 
-    Each relation is summed term by term in label order. Adding c * y for
-    c = -1 is subtracting y in IEEE arithmetic, and adding the zero padding
-    changes at most the sign of a zero, so after the absolute value the
-    residuals are those of the relations written out by hand, bit for bit.
+    gradients is (3, 4, N), the points last. Each relation is summed term
+    by term in label order. Adding c * y for c = -1 is subtracting y in
+    IEEE arithmetic, and adding the zero padding changes at most the sign
+    of a zero, so after the absolute value the residuals are those of the
+    relations written out by hand, bit for bit.
     """
     coefficients, columns = table
-    flat = np.concatenate(
-        [gradients.reshape(len(gradients), 12), np.zeros((len(gradients), 1))], axis=1
-    )
-    total = coefficients[0] * flat[:, columns[0]]
+    points = gradients.shape[-1]
+    flat = np.concatenate([gradients.reshape(12, points), np.zeros((1, points))])
+    total = coefficients[0][:, None] * flat[columns[0]]
     for c, k in zip(coefficients[1:], columns[1:]):
-        total = total + c * flat[:, k]
+        total = total + c[:, None] * flat[k]
     return np.abs(total)
+
+
+def _stage_view(stage: str, doc: str) -> property:
+    """The (N, ...) view of a stage that the pass keeps with the points last."""
+    return property(lambda self: _points_first(getattr(self, stage)), doc=doc)
 
 
 class Connection:
@@ -185,6 +199,14 @@ class Connection:
     Points where the metric is numerically degenerate are flagged in
     `degenerate`; their rows of every derived array are NaN.
     `failures` says which points have no result, and why.
+
+    The pass keeps the points on the last axis, as the module docstring
+    says. Each stage is an array (..., N), named after its public attribute
+    with a leading underscore, and the public attribute is its (N, ...)
+    view. The jets of `ManifoldSpec.jets` and the inverse of
+    `inverse_metrics` are already views of points-last arrays, so reading
+    them that way copies nothing. The tests pin every stage, bit for bit,
+    against a points-first pass.
     """
 
     jet_order = 1
@@ -195,6 +217,10 @@ class Connection:
         self.values = values
         self.gradients = gradients
         self.hessians = hessians
+        # the jets with the points last; views of the block `jets` evaluates
+        self._values = _points_last(values)
+        self._gradients = _points_last(gradients)
+        self._hessians = None if hessians is None else _points_last(hessians)
         self._failures = {}  # order -> `failures(order)`
 
     @classmethod
@@ -230,7 +256,7 @@ class Connection:
         if order not in self._failures:
             if order == 0:
                 failures = [None] * len(self.values)
-                _name_non_finite(failures, self.values, "")
+                _name_non_finite(failures, self._values, "")
                 # a field value that is not finite makes d so too, and the point degenerate
                 for n in np.flatnonzero(self.degenerate).tolist():
                     failures[n] = failures[n] or str(
@@ -238,7 +264,7 @@ class Connection:
                     )
             else:
                 failures = self.failures(order - 1)  # a copy, extended here
-                name, jet = (("gradient", self.gradients), ("Hessian", self.hessians))[order - 1]
+                name, jet = (("gradient", self._gradients), ("Hessian", self._hessians))[order - 1]
                 _name_non_finite(failures, jet, f"{name} of ")
             self._failures[order] = failures
         return list(self._failures[order])
@@ -259,6 +285,10 @@ class Connection:
     def _inverse_metrics(self) -> tuple:
         return inverse_metrics(self.values)
 
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        return _points_last(self._inverse_metrics[0])
+
     @property
     def inverse(self) -> np.ndarray:
         """g^{ab} per point, (N, 4, 4); NaN where the metric is degenerate."""
@@ -275,55 +305,79 @@ class Connection:
         return self._inverse_metrics[2]
 
     @cached_property
-    def metric(self) -> np.ndarray:
-        """g[n, a, j], (N, 4, 4)."""
-        return self.values[:, SLOT_FIELD]
+    def _metric(self) -> np.ndarray:
+        return self._values[SLOT_FIELD]
+
+    metric = _stage_view("_metric", "g[n, a, j], (N, 4, 4).")
 
     @cached_property
-    def metric_partials(self) -> np.ndarray:
-        """dg[n, i, a, j] = d_i g_aj, (N, 4, 4, 4)."""
-        return np.moveaxis(self.gradients[:, SLOT_FIELD], 3, 1)
+    def _metric_partials(self) -> np.ndarray:
+        # gradients[f, i, n] placed at [a, j, i, n], read as [i, a, j, n]
+        return self._gradients[SLOT_FIELD].transpose(2, 0, 1, 3)
+
+    metric_partials = _stage_view("_metric_partials", "dg[n, i, a, j] = d_i g_aj, (N, 4, 4, 4).")
 
     @cached_property
-    def first_kind(self) -> np.ndarray:
-        """t[n, a, i, j] = d_i g_aj + d_j g_ai - d_a g_ij, twice the symbols of the first kind."""
-        dg = self.metric_partials
-        return np.einsum("niaj->naij", dg) + np.einsum("njai->naij", dg) - dg
+    def _first_kind(self) -> np.ndarray:
+        dg = self._metric_partials
+        # dg[i, a, j] + dg[j, a, i] - dg[a, i, j] at [a, i, j]
+        return dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
+
+    first_kind = _stage_view(
+        "_first_kind",
+        "t[n, a, i, j] = d_i g_aj + d_j g_ai - d_a g_ij, twice the symbols of the first kind.",
+    )
 
     @cached_property
-    def christoffel(self) -> np.ndarray:
-        """Gamma[n, s, i, j] = g^{as} t[n, a, i, j] / 2."""
-        return 0.5 * np.einsum("nas,naij->nsij", self.inverse, self.first_kind)
+    def _christoffel(self) -> np.ndarray:
+        return 0.5 * np.einsum("asn,aijn->sijn", self._inverse, self._first_kind)
+
+    christoffel = _stage_view("_christoffel", "Gamma[n, s, i, j] = g^{as} t[n, a, i, j] / 2.")
 
     @cached_property
-    def nabla_q(self) -> np.ndarray:
-        """nq[n, i, s, j] = Gamma^s_ik q^k_j - Gamma^k_ij q^s_k.
+    def _nabla_q(self) -> np.ndarray:
+        # q is a permutation, so both products only pick entries of Gamma
+        gamma = self._christoffel
+        return (gamma[:, :, AFFINOR_NEXT] - gamma[AFFINOR_PREVIOUS]).transpose(1, 0, 2, 3)
 
-        q is a permutation, so both products only pick entries of Gamma.
-        """
-        gamma = self.christoffel
-        return (gamma[..., AFFINOR_NEXT] - gamma[:, AFFINOR_PREVIOUS]).transpose(0, 2, 1, 3)
+    nabla_q = _stage_view(
+        "_nabla_q", "nq[n, i, s, j] = Gamma^s_ik q^k_j - Gamma^k_ij q^s_k, (N, 4, 4, 4)."
+    )
 
     @cached_property
     def nabla_q_max(self) -> np.ndarray:
         """max |nabla q| per point, (N,)."""
-        return np.abs(self.nabla_q).max(axis=(1, 2, 3))
+        return np.abs(self._nabla_q).max(axis=(0, 1, 2))
 
     @cached_property
-    def gradient_conditions(self) -> np.ndarray:
-        """The eight reduced residuals, in `REDUCED_LABELS` order, (N, 8)."""
-        return _relation_residuals(REDUCED_TERMS, self.gradients)
+    def _gradient_conditions(self) -> np.ndarray:
+        return _relation_residuals(REDUCED_TERMS, self._gradients)
+
+    gradient_conditions = _stage_view(
+        "_gradient_conditions", "The eight reduced residuals, in `REDUCED_LABELS` order, (N, 8)."
+    )
 
     @cached_property
-    def full_system(self) -> np.ndarray:
-        """The sixteen expanded residuals, in `FULL_LABELS` order, (N, 16)."""
-        return _relation_residuals(FULL_TERMS, self.gradients)
+    def gradient_condition_max(self) -> np.ndarray:
+        """The largest of the eight reduced residuals per point, (N,)."""
+        return self._gradient_conditions.max(axis=0)
+
+    @cached_property
+    def _full_system(self) -> np.ndarray:
+        return _relation_residuals(FULL_TERMS, self._gradients)
+
+    full_system = _stage_view(
+        "_full_system", "The sixteen expanded residuals, in `FULL_LABELS` order, (N, 16)."
+    )
 
 
 def _name_non_finite(failures: list, jet, prefix: str) -> None:
-    """Where failures[n] is None, name the first field whose jet at point n is not finite."""
-    finite = np.isfinite(jet.reshape(len(jet), 3, -1)).all(axis=2)
-    for n, f in zip(*np.nonzero(~finite)):
+    """Where failures[n] is None, name the first field whose jet at point n is not finite.
+
+    jet is (3, ..., N), the points last.
+    """
+    finite = np.isfinite(jet).all(axis=tuple(range(1, jet.ndim - 1)))
+    for f, n in zip(*np.nonzero(~finite)):
         failures[n] = failures[n] or f"{prefix}{'ABC'[f]} is not finite"
 
 
@@ -336,8 +390,8 @@ def _gradient_row(m: ManifoldSpec, p, stage: str) -> np.ndarray:
     """
     connection = Connection(*m.jets(as_point(p)[None], 1))
     failures = [None]
-    _name_non_finite(failures, connection.values, "")
-    _name_non_finite(failures, connection.gradients, "gradient of ")
+    _name_non_finite(failures, connection._values, "")
+    _name_non_finite(failures, connection._gradients, "gradient of ")
     if failures[0] is not None:
         raise ValueError(failures[0])
     return connection.finite_row(stage)

@@ -26,6 +26,14 @@ read the gaps from it; `christoffel_partials`, `riemann`, `riemann_lowered`,
 `max_curvature_q_invariance_residual` and `curvature_q_commutation_residual`
 are its N = 1 views. Like the report records, they raise
 ValueError(CURVATURE_NOT_FINITE) where a value overflows.
+
+Like `Connection`, `Geometry` keeps the points on the last axis (see the
+`connection` module): d Gamma and R are (4, 4, 4, 4, N), their einsums
+are those of the formulas above with n last, never optimized, and each
+gap, and the scale its check compares it with (1 + the largest entry of
+|R| or of the lowered |R|), is a maximum over the leading axes, (N,). The
+stage attributes are the (N, ...) views, bit for bit what a points-first
+pass computes.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .circulant import AFFINOR_NEXT, AFFINOR_PREVIOUS, SLOT_FIELD, metric_components
-from .connection import Connection
+from .connection import Connection, _stage_view
 from .manifolds import ManifoldSpec
 
 __all__ = [
@@ -55,26 +63,27 @@ __all__ = [
 CURVATURE_NOT_FINITE = "curvature is not finite"
 
 
-def _riemann(gamma, dgamma) -> np.ndarray:
-    """r[n, l, k, j, i], the (1,3) curvature from Gamma and d Gamma."""
+def _assemble_riemann(gamma, dgamma) -> np.ndarray:
+    """r[l, k, j, i, n], the (1,3) curvature from Gamma and d Gamma, the points last."""
     return (
-        np.einsum("njlik->nlkji", dgamma)
-        - np.einsum("niljk->nlkji", dgamma)
-        + np.einsum("nljs,nsik->nlkji", gamma, gamma)
-        - np.einsum("nlis,nsjk->nlkji", gamma, gamma)
+        dgamma.transpose(1, 3, 0, 2, 4)  # "jlikn->lkjin"
+        - dgamma.transpose(1, 3, 2, 0, 4)  # "iljkn->lkjin"
+        + np.einsum("ljsn,sikn->lkjin", gamma, gamma)
+        - np.einsum("lisn,sjkn->lkjin", gamma, gamma)
     )
 
 
 def _lower_index(g, r13) -> np.ndarray:
-    """r4[n, h, k, j, i] = g_lh r13[n, l, k, j, i]."""
-    return np.einsum("nlh,nlkji->nhkji", g, r13)
+    """r4[h, k, j, i, n] = g_lh r13[l, k, j, i, n], the points last."""
+    return np.einsum("lhn,lkjin->hkjin", g, r13)
 
 
 class Geometry(Connection):
     """The connection pass of `Connection` plus curvature, for N points.
 
-    Adds d Gamma, R, the lowered R and the two curvature gaps, each
-    computed once, on first use; both curvature checks read the same R.
+    Adds d Gamma, R, the lowered R, the two curvature gaps and the scales
+    they are compared against, each computed once, on first use, with the
+    points last as in `Connection`; both curvature checks read the same R.
     Needs the Hessians.
     """
 
@@ -82,36 +91,55 @@ class Geometry(Connection):
     not_finite = CURVATURE_NOT_FINITE
 
     @cached_property
-    def christoffel_partials(self) -> np.ndarray:
-        """dgamma[n, m, s, i, j] = d_m Gamma^s_ij, fully analytic."""
-        ginv = self.inverse
-        hg = np.einsum("najmi->nmiaj", self.hessians[:, SLOT_FIELD])  # d_m d_i g_aj
-        dt = np.einsum("nmiaj->nmaij", hg) + np.einsum("nmjai->nmaij", hg) - hg
-        dginv = -np.einsum("nab,nmbc,ncd->nmad", ginv, self.metric_partials, ginv)
+    def _christoffel_partials(self) -> np.ndarray:
+        ginv = self._inverse
+        # hessians[f, m, i, n] placed at [a, j, m, i, n], read as hg[m, i, a, j, n]
+        hg = self._hessians[SLOT_FIELD].transpose(2, 3, 0, 1, 4)  # d_m d_i g_aj
+        # "miajn->maijn" + "mjain->maijn" - hg
+        dt = hg.transpose(0, 2, 1, 3, 4) + hg.transpose(0, 2, 3, 1, 4) - hg
+        dginv = -np.einsum("abn,mbcn,cdn->madn", ginv, self._metric_partials, ginv)
         return 0.5 * (
-            np.einsum("nmas,naij->nmsij", dginv, self.first_kind)
-            + np.einsum("nas,nmaij->nmsij", ginv, dt)
+            np.einsum("masn,aijn->msijn", dginv, self._first_kind)
+            + np.einsum("asn,maijn->msijn", ginv, dt)
         )
 
-    @cached_property
-    def riemann(self) -> np.ndarray:
-        return _riemann(self.christoffel, self.christoffel_partials)
+    christoffel_partials = _stage_view(
+        "_christoffel_partials", "dgamma[n, m, s, i, j] = d_m Gamma^s_ij, fully analytic."
+    )
 
     @cached_property
-    def riemann_lowered(self) -> np.ndarray:
-        return _lower_index(self.metric, self.riemann)
+    def _riemann(self) -> np.ndarray:
+        return _assemble_riemann(self._christoffel, self._christoffel_partials)
+
+    riemann = _stage_view("_riemann", "r[n, l, k, j, i], the (1,3) curvature.")
+
+    @cached_property
+    def _riemann_lowered(self) -> np.ndarray:
+        return _lower_index(self._metric, self._riemann)
+
+    riemann_lowered = _stage_view("_riemann_lowered", "r4[n, h, k, j, i], the (0,4) curvature.")
 
     @cached_property
     def q_invariance_gap(self) -> np.ndarray:
         """max over basis 4-tuples of |R(x, y, z, qu) - R(x, y, q^3 z, u)|, (N,)."""
-        r4 = self.riemann_lowered
-        return np.abs(r4[:, AFFINOR_NEXT] - r4[:, :, AFFINOR_PREVIOUS]).max(axis=(1, 2, 3, 4))
+        r4 = self._riemann_lowered
+        return np.abs(r4[AFFINOR_NEXT] - r4[:, AFFINOR_PREVIOUS]).max(axis=(0, 1, 2, 3))
+
+    @cached_property
+    def q_invariance_scale(self) -> np.ndarray:
+        """1 + max |r4| per point, what the curvature31 check scales tol by, (N,)."""
+        return 1.0 + np.abs(self._riemann_lowered).max(axis=(0, 1, 2, 3))
 
     @cached_property
     def q_commutation_gap(self) -> np.ndarray:
         """Largest entry of the commutators of q with the R(e_j, e_i), (N,)."""
-        r13 = self.riemann
-        return np.abs(r13[:, :, AFFINOR_NEXT] - r13[:, AFFINOR_PREVIOUS]).max(axis=(1, 2, 3, 4))
+        r13 = self._riemann
+        return np.abs(r13[:, AFFINOR_NEXT] - r13[AFFINOR_PREVIOUS]).max(axis=(0, 1, 2, 3))
+
+    @cached_property
+    def q_commutation_scale(self) -> np.ndarray:
+        """1 + max |r| per point, what the curvature32 check scales tol by, (N,)."""
+        return 1.0 + np.abs(self._riemann).max(axis=(0, 1, 2, 3))
 
 
 def christoffel_partials(m: ManifoldSpec, p) -> np.ndarray:
@@ -130,7 +158,7 @@ def riemann(m: ManifoldSpec, p) -> np.ndarray:
 
 def lower_index(t, r13: np.ndarray) -> np.ndarray:
     """r4[h, k, j, i] = g_lh r13[l, k, j, i] for the metric value t."""
-    return _lower_index(metric_components(t)[None], np.asarray(r13)[None])[0]
+    return _lower_index(metric_components(t)[..., None], np.asarray(r13)[..., None])[..., 0]
 
 
 def riemann_lowered(m: ManifoldSpec, p) -> np.ndarray:

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
 from operator import add
 
 import numpy as np
@@ -407,18 +408,22 @@ class ScalarField:
 
 
 class CompiledField:
-    """A field and its 14 distinct partials as flat exponent/coefficient arrays.
+    """Fields and their 14 distinct partials as flat exponent/coefficient arrays.
 
-    Slot 0 holds the field, slots 1-4 its first partials and slots 5-14 the
-    second partials d_i d_j, i <= j. Lowering one exponent of every term
-    keeps the canonical term order, so each slot lists its terms in the
-    field's order, with the coefficients `ScalarField.partial` computes
-    (c * e_i, then times e_j). `evaluate` multiplies and sums in the order
-    of `ScalarField.__call__`, so the results agree with `__call__`,
-    `gradient` and `hessian` bit for bit.
+    Slot 0 of a field holds the field, slots 1-4 its first partials and
+    slots 5-14 the second partials d_i d_j, i <= j. Lowering one exponent
+    of every term keeps the canonical term order, so each slot lists its
+    terms in the field's order, with the coefficients `ScalarField.partial`
+    computes (c * e_i, then times e_j). `ScalarField.compile` gives the
+    compiled form of one field; `jets` joins those of the fields it
+    evaluates into one (`_joined`), so that they share one schedule. The
+    terms are listed slot by slot, and field by field within a slot, so the
+    terms of the slots up to an order are a prefix. `evaluate` multiplies
+    and sums in the order of `ScalarField.__call__`, so the results agree
+    with `__call__`, `gradient` and `hessian` bit for bit.
     """
 
-    __slots__ = ("exponents", "coefficients", "schedule", "max_exponents", "_prefix")
+    __slots__ = ("exponents", "coefficients", "counts", "max_exponents", "_schedules")
 
     def __init__(self, terms: dict):
         exps = np.array(list(terms), dtype=np.int64).reshape(-1, _NVARS)
@@ -434,46 +439,71 @@ class CompiledField:
             exps[:, _SLOT_SECOND].T - (_SLOT_FIRST == _SLOT_SECOND)[:, None],
         )
         slot_of, term_of = np.nonzero(keep)  # slot-major, terms in field order
-        counts = keep.sum(axis=1)
-        # schedule[j, s]: flat index of the j-th term of slot s; -1 pads,
-        # and evaluate() appends a zero column for it to read
-        schedule = np.full((counts.max(), len(counts)), -1, dtype=np.intp)
-        schedule[np.cumsum(keep, axis=1)[slot_of, term_of] - 1, slot_of] = np.arange(
-            len(slot_of)
-        )
-        self.exponents = lowered[slot_of, term_of]
         # a huge coefficient times an exponent gives inf, as in `partial`
         with np.errstate(over="ignore"):
-            self.coefficients = (
-                coeffs[term_of] * first[slot_of, term_of] * second[slot_of, term_of]
+            coefficients = coeffs[term_of] * first[slot_of, term_of] * second[slot_of, term_of]
+        self._tabulate(
+            lowered[slot_of, term_of], coefficients, keep.sum(axis=1)[None],
+            exps.max(axis=0, initial=0),
+        )
+
+    def _tabulate(self, exponents, coefficients, counts, max_exponents) -> None:
+        """Keep the terms of F fields and build the schedule that sums them.
+
+        The terms are listed slot by slot, field by field within a slot, and
+        counts[f, s] is the number of terms of slot s of field f.
+        """
+        self.exponents = exponents
+        self.coefficients = coefficients
+        self.counts = counts
+        self.max_exponents = max_exponents
+        fields, slots = counts.shape
+        # start[f, s]: where the terms of slot s of field f begin
+        start = (np.cumsum(counts.T) - counts.T.ravel()).reshape(slots, fields).T
+        depth = np.arange(counts.max(initial=0))[:, None, None]
+        # schedule[j, f, s]: the j-th term of slot s of field f; past its
+        # last term, -1, the zero row that evaluate() appends
+        schedule = np.where(depth < counts, start + depth, -1)
+        # per order: (terms used, schedule[j, (f, s)] of the slots used)
+        self._schedules = tuple(
+            (
+                int(counts[:, :n].sum()),
+                np.ascontiguousarray(
+                    schedule[: counts[:, :n].max(initial=0), :, :n]
+                ).reshape(-1, fields * n),
             )
-        self.schedule = schedule
-        self.max_exponents = exps.max(axis=0, initial=0)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        # per order: (terms used, schedule rows used)
-        self._prefix = tuple((int(offsets[n]), int(counts[:n].max())) for n in _ORDER_SLOTS)
+            for n in _ORDER_SLOTS
+        )
 
     def evaluate(self, powers, order: int = 2) -> np.ndarray:
-        """Slots 0 .. (1, 5, 15)[order] - 1 at N points, shape (N, slots).
+        """Slots 0 .. (1, 5, 15)[order] - 1 of each field at N points, (F, slots, N).
 
-        powers[k] is the table of x_{k+1}**e, shape (N, e_max + 1), with
-        column e computed by `scalar_pow`, as `jets` builds it: per column,
-        or for a long block with repeated coordinates once per distinct
-        value and gathered, which gives the same bits.
+        powers[k] is the table of x_{k+1}**e, shape (e_max + 1, N), with
+        row e computed by `scalar_pow`, as `jets` builds it: per row, or
+        for a long block with repeated coordinates once per distinct value
+        and gathered, which gives the same bits.
+
+        The points lie on the last axis throughout, so each gather, product
+        and sum is one contiguous loop over the N points, and one gather per
+        coordinate and one add per schedule row serve every field at once.
+        Each term is still (c * x1^e1) * x2^e2 * x3^e3 * x4^e4, and each
+        slot a sum from 0.0 of its terms in field order, one per row, as
+        __call__ sums: the layout changes no bit.
         """
-        nterms, rows = self._prefix[order]
+        nterms, schedule = self._schedules[order]
         exps = self.exponents[:nterms]
-        mono = self.coefficients[:nterms] * powers[0][:, exps[:, 0]]
+        n = powers[0].shape[1]
+        mono = np.empty((nterms + 1, n))
+        np.multiply(self.coefficients[:nterms, None], powers[0][exps[:, 0]], out=mono[:nterms])
         for k in range(1, _NVARS):
-            mono *= powers[k][:, exps[:, k]]
-        mono = np.concatenate([mono, np.zeros((len(mono), 1))], axis=1)
-        schedule = self.schedule[:rows, : _ORDER_SLOTS[order]]
-        # one term per slot at a time, from 0.0, as __call__ sums; adding
-        # the zero padding leaves every partial sum unchanged
-        out = np.zeros((len(mono), schedule.shape[1]))
+            mono[:nterms] *= powers[k][exps[:, k]]
+        mono[nterms] = 0.0
+        # adding the zero padding leaves every partial sum unchanged: a sum
+        # from 0.0 is never -0.0
+        out = np.zeros((schedule.shape[1], n))
         for row in schedule:
-            out += mono[:, row]
-        return out
+            out += mono[row]
+        return out.reshape(len(self.counts), _ORDER_SLOTS[order], n)
 
 
 def _distinct_bits(values: np.ndarray):
@@ -494,30 +524,34 @@ def _distinct_bits(values: np.ndarray):
 # Field values of example (order 0, its three quadratic fields) on blocks
 # of its 9^4 validity grid took, with a table per column and shared: 79 and
 # 78 us at 64 points, 145 and 102 us at 256, and 2.54 and 1.21 ms for the
-# whole grid in chunks of 1024. On blocks whose coordinates are all
-# distinct, which then keep a table per column, the np.unique that finds
-# that out costs 30 us at 256 points and 76 us at 1024 (2-vCPU Xeon,
-# Python 3.11, numpy 2.4). Shorter blocks, the 64-point chunks of the
-# geometry checks and one-point checks, keep a table per column.
-_SHARED_POWERS_FROM = 256
+# whole grid in chunks of 1024. From 64 on, the chunks of the geometry
+# checks share too: a grid's chunk repeats its coordinates. On a block whose
+# coordinates are all distinct, which then keeps a table per column, the
+# np.unique that finds that out costs 76 us at 1024 points, 30 us at 256
+# and 14-17 us at 64, where the power tables of the cubic fields took
+# 67-73 us without it and 81-90 us with it, and their jets 228-279 us and
+# 238-280 us (2-vCPU Xeon, Python 3.11, numpy 2.4). One-point checks keep a
+# table per column.
+_SHARED_POWERS_FROM = 64
 
 
 def _power_table(column: np.ndarray, top: int) -> np.ndarray:
-    table = np.empty((len(column), top + 1))
-    table[:, 0] = 1.0
+    table = np.empty((top + 1, len(column)))
+    table[0] = 1.0
     if top >= 1:
-        table[:, 1] = column
+        table[1] = column
     for e in range(2, top + 1):
-        table[:, e] = scalar_pow(column, e)
+        table[e] = scalar_pow(column, e)
     return table
 
 
 def _power_tables(points: np.ndarray, top: np.ndarray) -> list[np.ndarray]:
     """The table of x_{k+1}**e, e = 0 .. top[k], of each coordinate of (N, 4) points.
 
-    Column e is `scalar_pow(x_{k+1}, e)` either way: a long block with
-    repeated values computes the powers of its distinct values only, up to
-    the largest top, and gathers each coordinate's rows from them.
+    Each table is (top[k] + 1, N), the points last. Row e is
+    `scalar_pow(x_{k+1}, e)` either way: a long block with repeated values
+    computes the powers of its distinct values only, up to the largest
+    top, and gathers each coordinate's columns from them.
     """
     if len(points) >= _SHARED_POWERS_FROM:
         distinct, inverse = _distinct_bits(points)
@@ -528,8 +562,44 @@ def _power_tables(points: np.ndarray, top: np.ndarray) -> list[np.ndarray]:
         shared = len(distinct) * max(largest - 1, 0)
         if shared < len(points) * int(np.maximum(top - 1, 0).sum()):
             table = _power_table(distinct, largest)
-            return [table[inverse[:, k], : top[k] + 1] for k in range(_NVARS)]
+            return [table[: top[k] + 1, inverse[:, k]] for k in range(_NVARS)]
     return [_power_table(points[:, k], int(top[k])) for k in range(_NVARS)]
+
+
+# the joined compiled forms `jets` keeps, a fixed bound: the fields of the
+# built-in example and of the configs `load_manifold` keeps parsed fit
+_JOINED_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=_JOINED_CACHE_SIZE)
+def _joined(parts: tuple) -> CompiledField:
+    """The compiled forms of several fields as one, to be evaluated on one schedule.
+
+    Each part lists its terms slot by slot, so a stable sort by slot lists
+    the terms of every part slot by slot, part by part within a slot.
+    """
+    slots = np.concatenate(
+        [np.repeat(np.arange(len(_SLOT_FIRST)), p.counts.sum(axis=0)) for p in parts]
+    )
+    order = np.argsort(slots, kind="stable")
+    joint = CompiledField.__new__(CompiledField)
+    joint._tabulate(
+        np.concatenate([p.exponents for p in parts])[order],
+        np.concatenate([p.coefficients for p in parts])[order],
+        np.concatenate([p.counts for p in parts]),
+        np.max([p.max_exponents for p in parts], axis=0),
+    )
+    return joint
+
+
+def _points_first(x: np.ndarray) -> np.ndarray:
+    """The view (N, ...) of a points-last array (..., N): the point axis moved first."""
+    return x.transpose(x.ndim - 1, *range(x.ndim - 1))
+
+
+def _points_last(x: np.ndarray) -> np.ndarray:
+    """The view (..., N) of an (N, ...) array: the point axis moved last."""
+    return x.transpose(*range(1, x.ndim), 0)
 
 
 def jets(fields, points, order: int = 2):
@@ -540,6 +610,11 @@ def jets(fields, points, order: int = 2):
     returned as None. Entry for entry, the results equal `__call__`,
     `gradient` and `hessian` of each field at each point.
 
+    The fields are evaluated together, on one schedule, into one block
+    (F, slots, N) with the points last, contiguous; the three results are
+    views of it with the point axis moved first, so `_points_last` gives
+    the points-last layout back without a copy.
+
     The powers of the coordinates come from `scalar_pow`, the only power
     used: from _SHARED_POWERS_FROM points on, where that raises fewer
     values, once per distinct coordinate value (by bits) of the block;
@@ -548,14 +623,13 @@ def jets(fields, points, order: int = 2):
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     points = _as_points(points)
-    compiled = [field.compile() for field in fields]
-    top = np.max([c.max_exponents for c in compiled], axis=0)
-    powers = _power_tables(points, top)
+    compiled = _joined(tuple(field.compile() for field in fields))
+    powers = _power_tables(points, compiled.max_exponents)
     with np.errstate(over="ignore", invalid="ignore"):
-        slots = np.stack([c.evaluate(powers, order) for c in compiled], axis=1)
-    values = slots[:, :, 0]
-    gradients = slots[:, :, 1 : 1 + _NVARS] if order >= 1 else None
-    hessians = slots[:, :, _HESSIAN_SLOTS] if order == 2 else None
+        block = compiled.evaluate(powers, order)
+    values = block[:, 0].T
+    gradients = _points_first(block[:, 1 : 1 + _NVARS]) if order >= 1 else None
+    hessians = _points_first(block[:, _HESSIAN_SLOTS]) if order == 2 else None
     return values, gradients, hessians
 
 

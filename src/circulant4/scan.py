@@ -64,7 +64,7 @@ import numpy as np
 from . import __version__
 from .connection import Connection, check_tolerance
 from .curvature import Geometry
-from .fields import _distinct_bits, as_point
+from .fields import _distinct_bits, _points_first, _points_last, as_point
 from .manifolds import ManifoldSpec
 
 __all__ = [
@@ -87,12 +87,14 @@ _VERSION = __version__
 
 # grid points per batched pass, by the jet order the checks need. Validity
 # alone reads only field values (order 0): over the 9^4 grid of example
-# that pass took 31 ms in chunks of 64 points, 14 ms in chunks of 256 and
-# 8.6 ms in chunks of 1024. A pass with derivatives gains little from
-# larger chunks (all checks on an 8^4 grid of the cubic manifold: 167, 158
-# and 165 ms), but its curvature temporaries grow with them: the
-# tracemalloc peak of one chunk is 0.2 MB at 64, 1.7 MB at 256 and 9.5 MB
-# at 1024 (2-vCPU Xeon, Python 3.11, numpy 2.4)
+# that pass took 24-30 ms in chunks of 64 points, 9-11 ms in chunks of 256
+# and 4.5-5.4 ms in chunks of 1024 (medians of 8). A pass with derivatives
+# gains less from larger chunks (all checks on an 8^4 grid of the cubic
+# manifold: 141-164, 99-114 and 121-142 ms), and its curvature temporaries
+# grow with them: the tracemalloc peak of one chunk is 0.3 MB at 64, 1.7 MB
+# at 256 and 9.4 MB at 1024 (2-vCPU Xeon, Python 3.11, numpy 2.4). Chunks
+# of 256 raised the peak RSS of a 256-point all-check scan process from
+# 38.8 to 41.0 MB, so the derivative pass keeps 64.
 CHUNK_SIZE = 64
 VALIDITY_CHUNK_SIZE = 1024
 
@@ -164,12 +166,12 @@ class _GeometryCheck(NamedTuple):
     residual: Callable[[float, float], float]  # of the summary and CSV
 
 
-def _curvature_check(tensor: str, gap: str) -> _GeometryCheck:
-    """The check that a `Geometry` gap is within tol scaled by 1 + max |tensor|."""
+def _curvature_check(gap: str, scale: str) -> _GeometryCheck:
+    """The check that a `Geometry` gap is within tol times its scale, 1 + max |R|."""
     return _GeometryCheck(
         Geometry,
         ("residual", "scale"),
-        lambda g: (getattr(g, gap), 1.0 + np.abs(getattr(g, tensor)).max(axis=(1, 2, 3, 4))),
+        lambda g: (getattr(g, gap), getattr(g, scale)),
         lambda residual, scale, tol: residual <= tol * scale,
         lambda residual, scale: residual,
     )
@@ -179,12 +181,12 @@ _GEOMETRY_CHECKS = {
     "parallel": _GeometryCheck(
         Connection,
         ("nabla_q_max", "gradient_condition_max"),
-        lambda g: (g.nabla_q_max, np.max(g.gradient_conditions, axis=1)),
+        lambda g: (g.nabla_q_max, g.gradient_condition_max),
         lambda nq, gm, tol: nq <= tol and gm <= tol,
         max,
     ),
-    "curvature31": _curvature_check("riemann_lowered", "q_invariance_gap"),
-    "curvature32": _curvature_check("riemann", "q_commutation_gap"),
+    "curvature31": _curvature_check("q_invariance_gap", "q_invariance_scale"),
+    "curvature32": _curvature_check("q_commutation_gap", "q_commutation_scale"),
 }
 
 
@@ -223,17 +225,20 @@ def _valid_rows(reasons: list) -> list[int]:
     return [n for n, reason in enumerate(reasons) if reason is None]
 
 
+def _at_rows(jet, rows: list):
+    """The rows of an (N, ...) jet, picked along its point axis, which stays last in memory."""
+    return None if jet is None else _points_first(_points_last(jet)[..., rows])
+
+
 def _evaluate_chunk(manifold: ManifoldSpec, points, checks, tolerance: float) -> _Columns:
     """The columns of an (N, 4) array of points, from one batched pass."""
-    values, gradients, hessians = manifold.jets(points, _jet_order(checks))
-    reasons = manifold.domain_reasons(points, values)
-    rows = _valid_rows(reasons)
+    jets = manifold.jets(points, _jet_order(checks))
+    reasons = manifold.domain_reasons(points, jets[0])
     geometric = {name: _GEOMETRY_CHECKS[name] for name in checks if name != "validity"}
     outcomes = dict.fromkeys(geometric, _NO_OUTCOMES)
-    if geometric and rows:
-        geometry = Geometry(
-            values[rows], gradients[rows], None if hessians is None else hessians[rows]
-        )
+    rows = _valid_rows(reasons) if geometric else []
+    if rows:
+        geometry = Geometry(*(_at_rows(jet, rows) for jet in jets))
         failures = {
             stage: geometry.failures(stage.jet_order)
             for stage in {check.stage for check in geometric.values()}
@@ -253,8 +258,8 @@ def _evaluate_chunk(manifold: ManifoldSpec, points, checks, tolerance: float) ->
                     for error, a, b in zip(errors, first, second)
                 ]
                 outcomes[name] = _Outcomes(passed, numbers, errors)
-    # values is a view of every jet slot; the report keeps only the values
-    values = np.ascontiguousarray(values)
+    # the values are a view of every jet slot; the report keeps only them
+    values = np.ascontiguousarray(jets[0])
     return _Columns(points, values, reasons, tuple(checks), outcomes)
 
 
@@ -430,10 +435,15 @@ def run_scan(manifold: ManifoldSpec, config: ScanConfig) -> Report:
 # distinct value. On the 9^4 validity grid of example, where a chunk of
 # 1024 points has 0.2-2% of its coordinates and 11-48% of its A, B and C
 # distinct, the texts of its seven rows took 15.1 ms one by one, 5.0 ms
-# shared within each row and 3.1 ms shared across the block; with no
-# repeated values, the np.unique that finds that out costs 7% more at 256
-# values per row and 4% more at 1024 (2-vCPU Xeon, Python 3.11, numpy 2.4).
-_SHARED_TEXTS_FROM = 256
+# shared within each row and 3.1 ms shared across the block. From 64 on,
+# the chunks of the geometry checks share too: rendering the JSON report
+# of all checks on the 4^4 cubic grid took 2.7-3.1 ms sharing from 256 and
+# 1.7-2.2 ms sharing from 64. With no repeated values, the np.unique that
+# finds that out costs 4% more at 1024 values per row, 7% at 256 and, at
+# 64, 5-14% for a chunk's seven rows (300-334 us without it, 316-380 us
+# with it) and 16-20 us for a check's two (2-vCPU Xeon, Python 3.11,
+# numpy 2.4).
+_SHARED_TEXTS_FROM = 64
 
 
 def _float_texts(block: np.ndarray) -> list[list[str]]:

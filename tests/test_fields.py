@@ -380,7 +380,7 @@ def test_compiled_jets_match_reference_bitwise(name):
     # from _SHARED_POWERS_FROM points on, powers are shared between equal
     # coordinates: the reference points tiled (repeats, 0.0 beside -0.0,
     # odd powers, overflow), and a block with every coordinate distinct
-    tiles = -(-_SHARED_POWERS_FROM // len(points))
+    tiles = max(2, -(-_SHARED_POWERS_FROM // len(points)))
     distinct = np.random.default_rng(20261019).uniform(-3.0, 3.0, (_SHARED_POWERS_FROM, 4))
     assert np.unique(_bits(distinct)).size == distinct.size
     blocks = [
@@ -420,6 +420,8 @@ def test_jets_of_several_fields_and_orders():
     assert np.array_equal(v0, values) and g0 is None and h0 is None
     v1, g1, h1 = jets([m.A, m.B, m.C], points, order=1)
     assert np.array_equal(g1, gradients) and h1 is None
+    empty = jets([m.A, m.B, m.C], np.zeros((0, 4)))
+    assert [x.shape for x in empty] == [(0, 3), (0, 3, 4), (0, 3, 4, 4)]
     with pytest.raises(ValueError):
         jets([m.A], points, order=3)
     with pytest.raises(ValueError):
