@@ -89,13 +89,17 @@ _VERSION = __version__
 # alone reads only field values (order 0): over the 9^4 grid of example
 # that pass took 24-30 ms in chunks of 64 points, 9-11 ms in chunks of 256
 # and 4.5-5.4 ms in chunks of 1024 (medians of 8). A pass with derivatives
-# gains less from larger chunks (all checks on an 8^4 grid of the cubic
-# manifold: 141-164, 99-114 and 121-142 ms), and its curvature temporaries
-# grow with them: the tracemalloc peak of one chunk is 0.3 MB at 64, 1.7 MB
-# at 256 and 9.4 MB at 1024 (2-vCPU Xeon, Python 3.11, numpy 2.4). Chunks
-# of 256 raised the peak RSS of a 256-point all-check scan process from
-# 38.8 to 41.0 MB, so the derivative pass keeps 64.
-CHUNK_SIZE = 64
+# gains less from larger chunks, and its curvature stages grow with them:
+# d Gamma, R and the lowered R take 4^4 floats per point each, 512 KiB at
+# 256. All checks on the 8^4 grid of the cubic manifold took 143, 132 and
+# 134 ms in chunks of 64, 128 and 256 (medians of 60, alternating in one
+# process; paired, 0.91 and 0.92 of the time at 64); the tracemalloc peak
+# of one chunk is 0.31, 0.55 and 1.23 MB, and the peak RSS of the 4^4
+# all-check scan process (perfbench scan-cubic, 10 s) 38.8, 39.0 and 39.9
+# MB. 256 has half the per-chunk steps of 128 (jets, domain, writers) at
+# the same pass time. With the stages formed out of place, chunks of 256
+# peaked at 1.69 MB and 41.0 MB (2-vCPU Xeon, Python 3.11, numpy 2.4).
+CHUNK_SIZE = 256
 VALIDITY_CHUNK_SIZE = 1024
 
 # grid points per scan. A report keeps its columns in memory, about 180 B

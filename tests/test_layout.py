@@ -17,6 +17,7 @@ import pytest
 from circulant4 import Geometry, constant_manifold, example_manifold, load_manifold
 from circulant4.circulant import AFFINOR_NEXT, AFFINOR_PREVIOUS, SLOT_FIELD, _thresholds
 from circulant4.fields import _SHARED_POWERS_FROM, ScalarField, jets, parse_field, scalar_pow
+from circulant4.scan import CHUNK_SIZE
 
 from helpers import REPO_ROOT
 
@@ -27,7 +28,8 @@ MANIFOLDS = {
     "steep": os.path.join(REPO_ROOT, "tests", "data", "steep.cfg"),
 }
 
-POINT_COUNTS = (1, 63, 64, 65, 300)
+# 256 is scan.CHUNK_SIZE, the size the all-check scans run at
+POINT_COUNTS = (1, 63, 64, 65, 256, 300)
 
 
 def _manifold(name):
@@ -184,17 +186,20 @@ def test_joint_jets_match_each_field_bitwise(case, count):
 
 
 def test_the_stages_keep_the_points_last_and_contiguous():
-    m = _manifold("cubic")
-    jet = m.jets(_points("cubic", 64))
-    geometry = Geometry(*jet)
     stages = (
         "inverse", "metric", "metric_partials", "first_kind", "christoffel", "nabla_q",
         "gradient_conditions", "full_system", "christoffel_partials", "riemann",
         "riemann_lowered",
     )
-    arrays = {f"jet {k}": x for k, x in enumerate(jet)}
-    arrays.update((stage, getattr(geometry, stage)) for stage in stages)
-    for name, array in arrays.items():
-        assert array.shape[0] == 64, name
-        # the point axis, first in the view, is the innermost in memory
-        assert array.strides[0] == array.itemsize, name
+    m = _manifold("cubic")
+    # d Gamma and R are summed in place, so they keep the layout of the
+    # first term they are formed from
+    for count in (64, CHUNK_SIZE):
+        jet = m.jets(_points("cubic", count))
+        geometry = Geometry(*jet)
+        arrays = {f"jet {k}": x for k, x in enumerate(jet)}
+        arrays.update((stage, getattr(geometry, stage)) for stage in stages)
+        for name, array in arrays.items():
+            assert array.shape[0] == count, name
+            # the point axis, first in the view, is the innermost in memory
+            assert array.strides[0] == array.itemsize, (name, count)

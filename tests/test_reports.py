@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from circulant4 import example_manifold, load_manifold
+from circulant4 import example_manifold, load_manifold, scan
 from circulant4.cli import main
 from circulant4.scan import AxisSpec, Report, ScanConfig, _write_json, render_report, run_check, run_scan
 
@@ -80,6 +80,41 @@ def test_benchmark_scans_match_pinned_digests(name, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
+
+
+# the geometry chunk size of each golden scan and pinned digest: at
+# CHUNK_SIZE = 256, 81 (cubic-scan.json), 108 (example-scan.json) and 256
+# (scan-cubic) points are one chunk each, so the same scans are run again
+# in chunks of 64, where each crosses chunk boundaries
+_SPLIT_SCANS = {
+    "cubic-scan.json": 2,
+    "example-scan.json": 2,
+    "scan-cubic": 4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_SCANS))
+def test_scans_in_chunks_of_64_give_the_same_bytes(name, capsys, monkeypatch):
+    chunks = []
+    evaluate = scan._evaluate_chunk
+
+    def evaluate_chunk(manifold, points, *args):
+        chunks.append(len(points))
+        return evaluate(manifold, points, *args)
+
+    monkeypatch.setattr(scan, "CHUNK_SIZE", 64)
+    monkeypatch.setattr(scan, "_evaluate_chunk", evaluate_chunk)
+    if name in GOLDEN:
+        argv, code = GOLDEN[name]
+        with open(os.path.join(GOLDEN_DIR, name), "rb") as golden:
+            expected = hashlib.sha256(golden.read()).hexdigest()
+    else:
+        (argv, expected), code = BENCHMARK_SCANS[name], 1
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == expected
+    assert len(chunks) == _SPLIT_SCANS[name] and max(chunks) == 64
 
 
 def _written(value) -> str:

@@ -19,6 +19,7 @@ from circulant4 import (
     example_manifold,
     full_system_residuals,
     gradient_condition_residuals,
+    load_manifold,
     max_curvature_q_invariance_residual,
     metric_partials,
     nabla_q,
@@ -43,9 +44,10 @@ from circulant4.scan import (
     run_scan,
 )
 
-from helpers import grid_points, near_singular_manifold, nonflat_parallel_manifold, run_cli
+from helpers import REPO_ROOT, grid_points, near_singular_manifold, nonflat_parallel_manifold, run_cli
 
 P0 = (1.0, 0.1, 2.0, 0.2)
+CUBIC = os.path.join(REPO_ROOT, "perfbench", "manifolds", "cubic.cfg")
 
 # every corner is valid; used when a fully green report is wanted
 GOOD_AXES = (
@@ -399,11 +401,14 @@ def _line_axes(start, stop, count, rest=(0.1, 2.0, 0.2)):
 
 
 # all checks in chunks of CHUNK_SIZE; validity alone in chunks of
-# VALIDITY_CHUNK_SIZE, so its counts straddle that boundary
+# VALIDITY_CHUNK_SIZE, so its counts straddle that boundary. 63 and 65
+# straddle _SHARED_POWERS_FROM and _SHARED_TEXTS_FROM, both 64, from which
+# a chunk raises each distinct coordinate once and writes each distinct
+# float once
 _CHUNKING_CASES = [
     pytest.param(manifold, count, CHECKS, id=f"{name}-{count}")
     for name, manifold in (("example", example_manifold()), ("cubic", nonflat_parallel_manifold()))
-    for count in (1, CHUNK_SIZE - 1, CHUNK_SIZE + 1, 2 * CHUNK_SIZE + 1)
+    for count in (1, 63, 65, CHUNK_SIZE - 1, CHUNK_SIZE + 1, 2 * CHUNK_SIZE + 1)
 ] + [
     pytest.param(example_manifold(), count, ("validity",), id=f"example-validity-{count}")
     for count in (VALIDITY_CHUNK_SIZE - 1, VALIDITY_CHUNK_SIZE + 1)
@@ -440,6 +445,29 @@ def test_validity_scan_peak_memory_per_point(count, start, stop):
     finally:
         tracemalloc.stop()
     assert peak / count**4 < _RECORD_DICT_PEAK_PER_POINT[count] / 2
+
+
+# tracemalloc peak of run_scan plus render_report for the all-check JSON
+# scan of the 4^4 cubic grid, the benchmark's scan-cubic (Python 3.11,
+# numpy 2.4): 0.94 MB in chunks of 64 points and 2.70 MB in one chunk of
+# 256 with the out-of-place curvature stages, 2.00 MB in one chunk of 256
+# with the stages formed in place. Three 512 KiB stages (d Gamma, R, the
+# lowered R) live through the pass, and the gaps need one buffer more.
+_CUBIC_SCAN_PEAK_BYTES = 2_100_000
+
+
+def test_cubic_all_check_scan_peak_memory():
+    manifold = load_manifold(CUBIC)
+    config = ScanConfig(tuple(AxisSpec(-1.0, 1.0, 4) for _ in range(4)), CHECKS)
+    assert CHUNK_SIZE >= 256  # one chunk: the peak of a full chunk
+    render_report(run_scan(manifold, config), "json")  # compiles the fields
+    tracemalloc.start()
+    try:
+        render_report(run_scan(manifold, config), "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _CUBIC_SCAN_PEAK_BYTES
 
 
 def test_degenerate_point_stays_local_to_its_chunk():
