@@ -9,10 +9,11 @@ the tests check the analytic path against lives in the private
 `circulant4._oracles`.
 
 The geometry pipeline evaluates fields through their compiled form
-(`ScalarField.compile`): flat exponent and coefficient arrays for the field
-and its 14 distinct partials, evaluated for N points at once by `jets`. It
-reproduces `ScalarField.__call__`, `gradient` and `hessian` bit for bit,
-which stay as the per-point reference.
+(`CompiledField`): flat exponent and coefficient arrays for several fields
+and their 14 distinct partials each, evaluated for N points at once by
+`jets`. It reproduces `ScalarField.__call__`, `gradient` and `hessian` bit
+for bit, which stay as the per-point reference. A `ManifoldSpec` keeps the
+compiled form of its three fields.
 
 Fields can be built programmatically (`ScalarField.coordinate`, arithmetic
 operators) or parsed from a small expression grammar:
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
 from operator import add
 
 import numpy as np
@@ -220,7 +220,7 @@ class ScalarField:
         for ``2*x1*x2``. Omitted or empty gives the zero field.
     """
 
-    __slots__ = ("_terms", "_compiled")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         clean = {}
@@ -267,15 +267,6 @@ class ScalarField:
         return max((sum(e) for e in self._terms), default=0)
 
     # evaluation and derivatives
-
-    def compile(self) -> "CompiledField":
-        """The compiled form, built on first use and kept on the field."""
-        try:
-            return self._compiled
-        except AttributeError:
-            compiled = CompiledField(self._terms)
-            object.__setattr__(self, "_compiled", compiled)
-            return compiled
 
     def __call__(self, p) -> float:
         p = as_point(p)
@@ -411,23 +402,24 @@ class CompiledField:
     """Fields and their 14 distinct partials as flat exponent/coefficient arrays.
 
     Slot 0 of a field holds the field, slots 1-4 its first partials and
-    slots 5-14 the second partials d_i d_j, i <= j. Lowering one exponent
-    of every term keeps the canonical term order, so each slot lists its
-    terms in the field's order, with the coefficients `ScalarField.partial`
-    computes (c * e_i, then times e_j). `ScalarField.compile` gives the
-    compiled form of one field; `jets` joins those of the fields it
-    evaluates into one (`_joined`), so that they share one schedule. The
-    terms are listed slot by slot, and field by field within a slot, so the
-    terms of the slots up to an order are a prefix. `evaluate` multiplies
-    and sums in the order of `ScalarField.__call__`, so the results agree
-    with `__call__`, `gradient` and `hessian` bit for bit.
+    slots 5-14 the second partials d_i d_j, i <= j. The terms of all the
+    fields are listed slot by slot, and field by field within a slot, so
+    the terms of the slots up to an order are a prefix and one schedule
+    sums every field. Lowering one exponent of every term keeps the
+    canonical term order, so each slot of a field lists its terms in the
+    field's order, with the coefficients `ScalarField.partial` computes
+    (c * e_i, then times e_j). `evaluate` multiplies and sums in the order
+    of `ScalarField.__call__`, so the results agree with `__call__`,
+    `gradient` and `hessian` bit for bit.
     """
 
     __slots__ = ("exponents", "coefficients", "counts", "max_exponents", "_schedules")
 
-    def __init__(self, terms: dict):
-        exps = np.array(list(terms), dtype=np.int64).reshape(-1, _NVARS)
-        coeffs = np.array(list(terms.values()), dtype=float)
+    def __init__(self, fields):
+        fields = tuple(fields)
+        exps = np.array([e for f in fields for e in f._terms], dtype=np.int64).reshape(-1, _NVARS)
+        coeffs = np.array([c for f in fields for c in f._terms.values()], dtype=float)
+        field_of = np.repeat(np.arange(len(fields)), [len(f._terms) for f in fields])
         lowered = exps[None, :, :] - _SLOT_DERIVATIVES[:, None, :]  # [slot, term, var]
         keep = np.all(lowered >= 0, axis=2)
         # the exponents a slot's coefficient is multiplied by, first d_i,
@@ -438,28 +430,20 @@ class CompiledField:
             1,
             exps[:, _SLOT_SECOND].T - (_SLOT_FIRST == _SLOT_SECOND)[:, None],
         )
-        slot_of, term_of = np.nonzero(keep)  # slot-major, terms in field order
+        # slot-major; the terms field by field, each field's in its order
+        slot_of, term_of = np.nonzero(keep)
+        self.exponents = lowered[slot_of, term_of]
         # a huge coefficient times an exponent gives inf, as in `partial`
         with np.errstate(over="ignore"):
-            coefficients = coeffs[term_of] * first[slot_of, term_of] * second[slot_of, term_of]
-        self._tabulate(
-            lowered[slot_of, term_of], coefficients, keep.sum(axis=1)[None],
-            exps.max(axis=0, initial=0),
-        )
-
-    def _tabulate(self, exponents, coefficients, counts, max_exponents) -> None:
-        """Keep the terms of F fields and build the schedule that sums them.
-
-        The terms are listed slot by slot, field by field within a slot, and
-        counts[f, s] is the number of terms of slot s of field f.
-        """
-        self.exponents = exponents
-        self.coefficients = coefficients
-        self.counts = counts
-        self.max_exponents = max_exponents
-        fields, slots = counts.shape
+            self.coefficients = (
+                coeffs[term_of] * first[slot_of, term_of] * second[slot_of, term_of]
+            )
+        self.max_exponents = exps.max(axis=0, initial=0)
+        # counts[f, s]: the number of terms of slot s of field f
+        counts = self.counts = np.zeros((len(fields), len(_SLOT_FIRST)), dtype=np.int64)
+        np.add.at(counts, (field_of[term_of], slot_of), 1)
         # start[f, s]: where the terms of slot s of field f begin
-        start = (np.cumsum(counts.T) - counts.T.ravel()).reshape(slots, fields).T
+        start = (np.cumsum(counts.T) - counts.T.ravel()).reshape(counts.T.shape).T
         depth = np.arange(counts.max(initial=0))[:, None, None]
         # schedule[j, f, s]: the j-th term of slot s of field f; past its
         # last term, -1, the zero row that evaluate() appends
@@ -470,7 +454,7 @@ class CompiledField:
                 int(counts[:, :n].sum()),
                 np.ascontiguousarray(
                     schedule[: counts[:, :n].max(initial=0), :, :n]
-                ).reshape(-1, fields * n),
+                ).reshape(-1, len(fields) * n),
             )
             for n in _ORDER_SLOTS
         )
@@ -566,32 +550,6 @@ def _power_tables(points: np.ndarray, top: np.ndarray) -> list[np.ndarray]:
     return [_power_table(points[:, k], int(top[k])) for k in range(_NVARS)]
 
 
-# the joined compiled forms `jets` keeps, a fixed bound: the fields of the
-# built-in example and of the configs `load_manifold` keeps parsed fit
-_JOINED_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=_JOINED_CACHE_SIZE)
-def _joined(parts: tuple) -> CompiledField:
-    """The compiled forms of several fields as one, to be evaluated on one schedule.
-
-    Each part lists its terms slot by slot, so a stable sort by slot lists
-    the terms of every part slot by slot, part by part within a slot.
-    """
-    slots = np.concatenate(
-        [np.repeat(np.arange(len(_SLOT_FIRST)), p.counts.sum(axis=0)) for p in parts]
-    )
-    order = np.argsort(slots, kind="stable")
-    joint = CompiledField.__new__(CompiledField)
-    joint._tabulate(
-        np.concatenate([p.exponents for p in parts])[order],
-        np.concatenate([p.coefficients for p in parts])[order],
-        np.concatenate([p.counts for p in parts]),
-        np.max([p.max_exponents for p in parts], axis=0),
-    )
-    return joint
-
-
 def _points_first(x: np.ndarray) -> np.ndarray:
     """The view (N, ...) of a points-last array (..., N): the point axis moved first."""
     return x.transpose(x.ndim - 1, *range(x.ndim - 1))
@@ -602,13 +560,13 @@ def _points_last(x: np.ndarray) -> np.ndarray:
     return x.transpose(*range(1, x.ndim), 0)
 
 
-def jets(fields, points, order: int = 2):
-    """Values, gradients and Hessians of several fields at N points at once.
+def jets(compiled: CompiledField, points, order: int = 2):
+    """Values, gradients and Hessians of the compiled fields at N points at once.
 
     Returns (values (N, F), gradients (N, F, 4), hessians (N, F, 4, 4)) for
-    F fields; with order 0 or 1 the higher derivatives are skipped and
-    returned as None. Entry for entry, the results equal `__call__`,
-    `gradient` and `hessian` of each field at each point.
+    the F fields of `compiled`; with order 0 or 1 the higher derivatives are
+    skipped and returned as None. Entry for entry, the results equal
+    `__call__`, `gradient` and `hessian` of each field at each point.
 
     The fields are evaluated together, on one schedule, into one block
     (F, slots, N) with the points last, contiguous; the three results are
@@ -623,7 +581,6 @@ def jets(fields, points, order: int = 2):
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     points = _as_points(points)
-    compiled = _joined(tuple(field.compile() for field in fields))
     powers = _power_tables(points, compiled.max_exponents)
     with np.errstate(over="ignore", invalid="ignore"):
         block = compiled.evaluate(powers, order)

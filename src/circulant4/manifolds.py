@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .circulant import CirculantTriple, metric_components
-from .fields import ParseError, ScalarField, as_point, jets, parse_field
+from .fields import CompiledField, ParseError, ScalarField, as_point, jets, parse_field
 
 __all__ = [
     "SignLineLocus",
@@ -85,12 +85,24 @@ class ManifoldSpec:
     C: ScalarField
     excluded_loci: tuple[SignLineLocus, ...] = field(default=())
 
+    @cached_property
+    def compiled(self) -> CompiledField:
+        """The compiled form of A, B and C.
+
+        Built on the first `jets` call, not when the manifold is made, so
+        making or loading one compiles nothing; kept on the manifold and
+        freed with it. `dataclasses.replace` gives a new manifold, which
+        compiles its own fields.
+        """
+        return CompiledField((self.A, self.B, self.C))
+
     def jets(self, points, order: int = 2):
         """Values (N, 3), gradients (N, 3, 4) and Hessians (N, 3, 4, 4) of A, B, C.
 
-        Derivatives above `order` are skipped and returned as None.
+        They are evaluated from `compiled`, on one schedule. Derivatives
+        above `order` are skipped and returned as None.
         """
-        return jets((self.A, self.B, self.C), points, order)
+        return jets(self.compiled, points, order)
 
     def triple_at(self, p) -> CirculantTriple:
         """The field values at p.
@@ -226,9 +238,9 @@ def manifold_from_config(text: str, name: str | None = None) -> ManifoldSpec:
 
 
 # the distinct configs `load_manifold` keeps parsed, a fixed bound: one
-# entry of perfbench/manifolds/cubic.cfg (970 bytes), its fields compiled by
-# a check, retains about 26 KB (tracemalloc), its key included; a key may
-# hold up to MAX_CONFIG_BYTES
+# entry of perfbench/manifolds/cubic.cfg (970 bytes), with the compiled form
+# a check builds on it, retains about 30 KB (tracemalloc), its key included;
+# a key may hold up to MAX_CONFIG_BYTES
 _CONFIG_CACHE_SIZE = 4
 
 

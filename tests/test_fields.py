@@ -1,5 +1,6 @@
 """Polynomial fields: exact derivatives, canonical printing, parsing."""
 
+import dataclasses
 import functools
 import math
 import operator
@@ -20,7 +21,9 @@ from circulant4 import (
     parse_field,
 )
 from circulant4._oracles import fd_gradient
-from circulant4.fields import _SHARED_POWERS_FROM, MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, jets
+from circulant4.fields import (
+    _SHARED_POWERS_FROM, MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, CompiledField, jets,
+)
 
 from helpers import PARSER_CORPUS, REPO_ROOT, random_polynomial
 
@@ -390,14 +393,14 @@ def test_compiled_jets_match_reference_bitwise(name):
         (distinct, _reference_jets(f, distinct)),
     ]
     for block, expected in blocks:
-        values, gradients, hessians = jets([f], block)
+        values, gradients, hessians = jets(CompiledField([f]), block)
         assert np.array_equal(_bits(values[:, 0]), _bits(expected[0]))
         assert np.array_equal(_bits(gradients[:, 0]), _bits(expected[1]))
         assert np.array_equal(_bits(hessians[:, 0]), _bits(expected[2]))
     # one point at a time: no row depends on the others
-    values, gradients, hessians = jets([f], points)
+    values, gradients, hessians = jets(CompiledField([f]), points)
     for k in (0, len(points) - 1):
-        single = jets([f], points[k : k + 1])
+        single = jets(CompiledField([f]), points[k : k + 1])
         assert all(
             np.array_equal(_bits(a), _bits(b[k : k + 1])) for a, b in
             zip(single, (values, gradients, hessians))
@@ -407,41 +410,54 @@ def test_compiled_jets_match_reference_bitwise(name):
 def test_jets_of_several_fields_and_orders():
     m = example_manifold()
     points = _reference_points()[:10]
-    values, gradients, hessians = jets([m.A, m.B, m.C], points)
+    values, gradients, hessians = jets(CompiledField([m.A, m.B, m.C]), points)
     assert values.shape == (10, 3)
     assert gradients.shape == (10, 3, 4)
     assert hessians.shape == (10, 3, 4, 4)
     assert np.array_equal(hessians, np.swapaxes(hessians, 2, 3))
     for k, f in enumerate((m.A, m.B, m.C)):
-        alone = jets([f], points)
+        alone = jets(CompiledField([f]), points)
         assert np.array_equal(values[:, k], alone[0][:, 0])
         assert np.array_equal(hessians[:, k], alone[2][:, 0])
-    v0, g0, h0 = jets([m.A, m.B, m.C], points, order=0)
+    v0, g0, h0 = jets(CompiledField([m.A, m.B, m.C]), points, order=0)
     assert np.array_equal(v0, values) and g0 is None and h0 is None
-    v1, g1, h1 = jets([m.A, m.B, m.C], points, order=1)
+    v1, g1, h1 = jets(CompiledField([m.A, m.B, m.C]), points, order=1)
     assert np.array_equal(g1, gradients) and h1 is None
-    empty = jets([m.A, m.B, m.C], np.zeros((0, 4)))
+    empty = jets(CompiledField([m.A, m.B, m.C]), np.zeros((0, 4)))
     assert [x.shape for x in empty] == [(0, 3), (0, 3, 4), (0, 3, 4, 4)]
     with pytest.raises(ValueError):
-        jets([m.A], points, order=3)
+        jets(CompiledField([m.A]), points, order=3)
     with pytest.raises(ValueError):
-        jets([m.A], points[0])
+        jets(CompiledField([m.A]), points[0])
     with pytest.raises(ValueError):
-        jets([m.A], [[0.0, 0.0, 0.0, float("nan")]])
+        jets(CompiledField([m.A]), [[0.0, 0.0, 0.0, float("nan")]])
 
 
-def test_compiled_form_is_kept_on_the_field():
-    f = parse_field("x1^2*x3 - x4")
-    compiled = f.compile()
-    assert f.compile() is compiled
-    clone = pickle.loads(pickle.dumps(f))
-    assert clone == f
-    assert np.array_equal(jets([clone], [[1.0, 2.0, 3.0, 4.0]])[1], jets([f], [[1.0, 2.0, 3.0, 4.0]])[1])
+def test_compiled_form_is_kept_on_the_manifold():
+    cubic = os.path.join(REPO_ROOT, "perfbench", "manifolds", "cubic.cfg")
+    m = load_manifold(cubic)
+    points = _reference_points()[:10]
+    first = m.jets(points)
+    compiled = m.compiled
+    second = m.jets(points)
+    assert m.compiled is compiled
+    assert load_manifold(cubic) is m and load_manifold(cubic).compiled is compiled
+    assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(first, second))
+    # a new A compiles anew, with no stale form
+    changed = dataclasses.replace(m, A=parse_field("x1^2*x3 - x4"))
+    assert changed.compiled is not compiled
+    got = changed.jets(points)
+    for a, b, expected in zip(got, first, _reference_jets(changed.A, points)):
+        assert np.array_equal(_bits(a[:, 0]), _bits(expected))
+        assert np.array_equal(_bits(a[:, 1:]), _bits(b[:, 1:]))
+    clone = pickle.loads(pickle.dumps(m))
+    assert clone == m
+    assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(clone.jets(points), first))
 
 
 @given(_fields, st.tuples(*[st.floats(-4, 4)] * 4))
 def test_compiled_jets_match_reference_on_random_fields(f, p):
-    values, gradients, hessians = jets([f], [p])
+    values, gradients, hessians = jets(CompiledField([f]), [p])
     assert _bits(values[0, 0]) == _bits(f(p))
     assert np.array_equal(_bits(gradients[0, 0]), _bits(f.gradient(p)))
     assert np.array_equal(_bits(hessians[0, 0]), _bits(f.hessian(p)))

@@ -16,7 +16,9 @@ import pytest
 
 from circulant4 import Geometry, constant_manifold, example_manifold, load_manifold
 from circulant4.circulant import AFFINOR_NEXT, AFFINOR_PREVIOUS, SLOT_FIELD, _thresholds
-from circulant4.fields import _SHARED_POWERS_FROM, ScalarField, jets, parse_field, scalar_pow
+from circulant4.fields import (
+    _SHARED_POWERS_FROM, CompiledField, ScalarField, jets, parse_field, scalar_pow,
+)
 from circulant4.scan import CHUNK_SIZE
 
 from helpers import REPO_ROOT
@@ -176,7 +178,7 @@ def test_joint_jets_match_each_field_bitwise(case, count):
     assert (count >= _SHARED_POWERS_FROM) == (count >= 64)
     expected = _reference_jets(fields, points)
     for order in (0, 1, 2):
-        got = jets(fields, points, order)
+        got = jets(CompiledField(fields), points, order)
         for k in range(3):
             if k > order:
                 assert got[k] is None
