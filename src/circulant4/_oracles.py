@@ -67,7 +67,8 @@ def christoffel_partials_fd(m: ManifoldSpec, p, h: float = 1e-4) -> np.ndarray:
 def riemann_fd(m: ManifoldSpec, p, h: float = 1e-4) -> np.ndarray:
     """Same assembly with finite-difference Christoffel partials."""
     dgamma = christoffel_partials_fd(m, p, h)
-    return _assemble_riemann(christoffel(m, p)[..., None], dgamma[..., None])[..., 0]
+    out, scratch = np.empty((2, *dgamma.shape, 1))
+    return _assemble_riemann(christoffel(m, p)[..., None], dgamma[..., None], out, scratch)[..., 0]
 
 
 def raise_index(t, r4: np.ndarray) -> np.ndarray:

@@ -330,7 +330,7 @@ class Connection:
 
     @cached_property
     def _christoffel(self) -> np.ndarray:
-        return 0.5 * np.einsum("asn,aijn->sijn", self._inverse, self._first_kind)
+        return np.einsum("asn,aijn->sijn", self._inverse, self._first_kind) / 2
 
     christoffel = _stage_view("_christoffel", "Gamma[n, s, i, j] = g^{as} t[n, a, i, j] / 2.")
 

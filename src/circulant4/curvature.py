@@ -35,14 +35,41 @@ gap, and the scale its check compares it with (1 + the largest entry of
 stage attributes are the (N, ...) views, bit for bit what a points-first
 pass computes.
 
-Each rank-5 stage takes 4^4 N floats, 512 KiB at 256 points, so the
-stages are formed in place: d Gamma and R each sum their terms into one
-result buffer, in the order of the formulas, instead of making a new
-array for each partial sum. As q is the cyclic shift, each gap is four
-block subtractions of slices of R into one buffer, with no shifted copy
-of R, and its scale takes |R| in the same buffer. Each element goes
-through the same operations in the same order as in the out-of-place
-sums, so the bits are the same.
+Each rank-5 stage takes 4^4 N floats, 512 KiB at 256 points. A pass
+forms its three in one block, (3, 4, 4, 4, 4, N): slot 0 holds d Gamma,
+slot 1 R and slot 2 the lowered R. The stages form in that order, each
+reading the one before, so while a stage is formed the slots after its
+own are free and serve as its scratch:
+
+- d Gamma sums its two einsum terms into slot 0. The Hessian term reads
+  dt[m, a, i, j] = d_m d_i g_aj + d_m d_j g_ai - d_m d_a g_ij, formed in
+  slot 1: `np.take` of the Hessians, by index tables built once, places
+  the first term in slot 2, the second is its view with i and j swapped,
+  and a second `np.take` into slot 2 gives the last. The einsum of the
+  Hessian term then goes to slot 2.
+- R sums its terms into slot 1, with the product term E1 (the third term
+  of the formula) in slot 2. The fourth term E2 is E1 with j and i
+  swapped, E2[l, k, j, i] = E1[l, k, i, j]: both are the same sum over s
+  of the same products, so the transposed view of E1 gives E2's bits
+  without a second einsum.
+- The lowered R is an einsum into slot 2.
+
+As q is the cyclic shift, each gap is four block subtractions of slices
+of R into one buffer, with no shifted copy of R, and its scale takes |R|
+in the same buffer. Each element goes through the same operations in the
+same order as in the out-of-place sums, so the bits are the same. The
+block takes the dtype of Gamma and the Hessians, and d Gamma, like Gamma,
+is halved by `/ 2`, so a pass over object arrays of `fractions.Fraction`,
+given an exact inverse, stays exact through the gaps; only the scales
+add the float 1.
+
+One block instead of a buffer per stage and term is also what lets the
+allocator keep the memory between passes: glibc serves the first 1.5 MB
+block by mmap, and freeing it raises the mmap and trim thresholds above
+what a pass holds, so later passes reuse heap pages instead of mapping
+and faulting in fresh ones. At 256 points that took the all-check scan
+of a 4^4 grid from about 550 minor page faults per call, of 1.5-3.6 us
+each, to none (glibc 2.36, 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -72,31 +99,49 @@ __all__ = [
 CURVATURE_NOT_FINITE = "curvature is not finite"
 
 
-def _assemble_riemann(gamma, dgamma) -> np.ndarray:
+def _hessian_tables() -> tuple:
+    """Which rows of the flat (3 * 16, N) Hessians form dt, two tables [m, a, i, j].
+
+    dt[m, a, i, j] = d_m d_i g_aj + d_m d_j g_ai - d_m d_a g_ij, and
+    d_x d_y g_ab is row 16 f + 4 x + y, f = SLOT_FIELD[a, b], of the flat
+    Hessians. The tables pick the first term and the last; the second is
+    the first with i and j swapped.
+    """
+    m, a, i, j = np.indices((4, 4, 4, 4))
+    tables = (16 * SLOT_FIELD[a, j] + 4 * m + i, 16 * SLOT_FIELD[i, j] + 4 * m + a)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+_DT_FIRST, _DT_LAST = _hessian_tables()
+
+
+def _assemble_riemann(gamma, dgamma, out, scratch) -> np.ndarray:
     """r[l, k, j, i, n], the (1,3) curvature from Gamma and d Gamma, the points last.
 
-    Summed ((T1 - T2) + E1) - E2 into one buffer, one einsum term alive at
-    a time. The buffer is in C order, and so is the lowered R, which takes
+    Summed ((T1 - T2) + E1) - E2 into `out`, with E1 in `scratch`, both of
+    d Gamma's shape; E2 is E1 with its j and i axes swapped (see the module
+    docstring). `out` is in C order, and so is the lowered R, which takes
     its layout, so that a block of the first two axes, as the gaps read
     them, is a run of whole contiguous rows: both gaps took 54 us at one
     point and 379 us at 256, against 74 and 573 us in the order that the
-    transposes of d Gamma give. Writing E2 into the buffer of E1 with out=
-    took 8 us more at one point (2-vCPU Xeon, numpy 2.4).
+    transposes of d Gamma give (2-vCPU Xeon, numpy 2.4).
     """
-    out = np.empty(dgamma.shape)
     np.subtract(
         dgamma.transpose(1, 3, 0, 2, 4),  # "jlikn->lkjin"
         dgamma.transpose(1, 3, 2, 0, 4),  # "iljkn->lkjin"
         out=out,
     )
-    out += np.einsum("ljsn,sikn->lkjin", gamma, gamma)
-    out -= np.einsum("lisn,sjkn->lkjin", gamma, gamma)
+    e1 = np.einsum("ljsn,sikn->lkjin", gamma, gamma, out=scratch)
+    out += e1
+    out -= e1.transpose(0, 1, 3, 2, 4)  # E2, "lisn,sjkn->lkjin"
     return out
 
 
-def _lower_index(g, r13) -> np.ndarray:
-    """r4[h, k, j, i, n] = g_lh r13[l, k, j, i, n], the points last."""
-    return np.einsum("lhn,lkjin->hkjin", g, r13)
+def _lower_index(g, r13, out) -> np.ndarray:
+    """r4[h, k, j, i, n] = g_lh r13[l, k, j, i, n] into `out`, the points last."""
+    return np.einsum("lhn,lkjin->hkjin", g, r13, out=out)
 
 
 class Geometry(Connection):
@@ -112,21 +157,25 @@ class Geometry(Connection):
     not_finite = CURVATURE_NOT_FINITE
 
     @cached_property
+    def _curvature_block(self) -> np.ndarray:
+        """d Gamma, R and the lowered R, in this order, (3, 4, 4, 4, 4, N)."""
+        dtype = np.result_type(self._christoffel, self._hessians)
+        return np.empty((3, 4, 4, 4, 4, self._values.shape[-1]), dtype)
+
+    @cached_property
     def _christoffel_partials(self) -> np.ndarray:
+        out, dt, term = self._curvature_block  # R's and the lowered R's slots as scratch
         ginv = self._inverse
-        # both einsums of d g^{-1} run before the Hessian temporaries exist
         dginv = -np.einsum("abn,mbcn,cdn->madn", ginv, self._metric_partials, ginv)
-        out = np.einsum("masn,aijn->msijn", dginv, self._first_kind)
+        np.einsum("masn,aijn->msijn", dginv, self._first_kind, out=out)
         del dginv
-        # hessians[f, m, i, n] placed at [a, j, m, i, n], read as hg[m, i, a, j, n]
-        hg = self._hessians[SLOT_FIELD].transpose(2, 3, 0, 1, 4)  # d_m d_i g_aj
-        # "miajn->maijn" + "mjain->maijn" - hg, in C order as R is
-        dt = np.empty(hg.shape)
-        np.add(hg.transpose(0, 2, 1, 3, 4), hg.transpose(0, 2, 3, 1, 4), out=dt)
-        dt -= hg
-        del hg
-        out += np.einsum("asn,maijn->msijn", ginv, dt)
-        out *= 0.5
+        hessians = self._hessians.reshape(3 * 16, -1)
+        # mode="clip" writes straight into out=, which the default mode buffers
+        first = np.take(hessians, _DT_FIRST, axis=0, out=term, mode="clip")
+        np.add(first, first.transpose(0, 1, 3, 2, 4), out=dt)
+        dt -= np.take(hessians, _DT_LAST, axis=0, out=term, mode="clip")
+        out += np.einsum("asn,maijn->msijn", ginv, dt, out=term)
+        out /= 2
         return out
 
     christoffel_partials = _stage_view(
@@ -135,13 +184,14 @@ class Geometry(Connection):
 
     @cached_property
     def _riemann(self) -> np.ndarray:
-        return _assemble_riemann(self._christoffel, self._christoffel_partials)
+        _, out, scratch = self._curvature_block  # the lowered R's slot as scratch
+        return _assemble_riemann(self._christoffel, self._christoffel_partials, out, scratch)
 
     riemann = _stage_view("_riemann", "r[n, l, k, j, i], the (1,3) curvature.")
 
     @cached_property
     def _riemann_lowered(self) -> np.ndarray:
-        return _lower_index(self._metric, self._riemann)
+        return _lower_index(self._metric, self._riemann, self._curvature_block[2])
 
     riemann_lowered = _stage_view("_riemann_lowered", "r4[n, h, k, j, i], the (0,4) curvature.")
 
@@ -235,7 +285,8 @@ def riemann(m: ManifoldSpec, p) -> np.ndarray:
 
 def lower_index(t, r13: np.ndarray) -> np.ndarray:
     """r4[h, k, j, i] = g_lh r13[l, k, j, i] for the metric value t."""
-    return _lower_index(metric_components(t)[..., None], np.asarray(r13)[..., None])[..., 0]
+    r13 = np.asarray(r13)[..., None]
+    return _lower_index(metric_components(t)[..., None], r13, np.empty(r13.shape))[..., 0]
 
 
 def riemann_lowered(m: ManifoldSpec, p) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Christoffel symbols, nabla q and the gradient-condition systems."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from helpers import (
     perturbed_example,
     perturbed_example_fixed,
     random_polynomial,
+    rational_passes,
     sample_valid_points,
 )
 
@@ -400,3 +403,11 @@ def test_an_all_check_chunk_names_each_non_finite_jet_once(monkeypatch):
     columns = _evaluate_chunk(example_manifold(), np.array([P0, (1.0, 0.2, 2.0, 0.3)]), CHECKS, 1e-8)
     assert sorted(calls) == ["", "Hessian of ", "gradient of "]
     assert all(all(columns.outcomes[name].passed) for name in CHECKS[1:])
+
+
+def test_christoffel_stays_exact_on_fraction_jets():
+    # halving by `/ 2`, not `0.5 *`, keeps a Fraction a Fraction
+    exact, floats = rational_passes(Connection)
+    gamma = exact.christoffel
+    assert all(type(x) is Fraction for x in gamma.flat)
+    assert np.allclose(floats.christoffel, gamma.astype(float), rtol=1e-14, atol=1e-15)

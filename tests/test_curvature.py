@@ -1,6 +1,8 @@
 """Riemann curvature, its oracles, and the affinor structure identities."""
 
+import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +33,7 @@ from circulant4._oracles import (
 from helpers import (
     nonflat_parallel_manifold,
     perturbed_example_fixed,
+    rational_passes,
     sample_valid_points,
 )
 
@@ -216,6 +219,49 @@ def test_degenerate_rows_stay_local(nonflat_points):
         assert np.array_equal(r4[k], alone.riemann_lowered[0])
         assert np.array_equal(nq[k], alone.nabla_q[0])
         assert np.array_equal(r4[k], riemann_lowered(m, points[k]))
+
+
+# the three rank-5 stages share one block per pass; the gaps read them
+BLOCK_STAGES = ("christoffel_partials", "riemann", "riemann_lowered")
+GAP_ATTRIBUTES = ("q_invariance_gap", "q_invariance_scale", "q_commutation_gap",
+                  "q_commutation_scale")
+
+
+def _perturbed_geometry():
+    m = perturbed_example_fixed()
+    points = sample_valid_points(m, 5, np.random.default_rng(5))
+    return Geometry(*m.jets(np.array(points)))
+
+
+def test_passes_share_no_stage_memory():
+    first, second = _perturbed_geometry(), _perturbed_geometry()
+    attributes = BLOCK_STAGES + GAP_ATTRIBUTES
+    for a, b in itertools.product(attributes, repeat=2):
+        assert not np.shares_memory(getattr(first, a), getattr(second, b)), (a, b)
+    for a, b in itertools.combinations(attributes, 2):
+        assert not np.shares_memory(getattr(first, a), getattr(first, b)), (a, b)
+
+
+def test_stages_read_in_any_order_keep_their_bits():
+    # a stage formed later uses the slots of the stages after it as scratch,
+    # never its own or one before; the arrays read first are held to the end
+    fresh = _perturbed_geometry()
+    expected = {a: getattr(fresh, a).copy() for a in BLOCK_STAGES + GAP_ATTRIBUTES}
+    assert np.max(expected["q_commutation_gap"]) > 1e-3  # R is not zero, nor are the gaps
+    for order in itertools.permutations(BLOCK_STAGES + GAP_ATTRIBUTES[::2]):
+        geometry = _perturbed_geometry()
+        got = {a: getattr(geometry, a) for a in order + GAP_ATTRIBUTES[1::2]}
+        for a, value in got.items():
+            assert np.array_equal(value.view(np.int64), expected[a].view(np.int64)), (order, a)
+
+
+def test_curvature_stages_stay_exact_on_fraction_jets():
+    exact, floats = rational_passes(Geometry)
+    for stage in ("christoffel",) + BLOCK_STAGES + GAP_ATTRIBUTES[::2]:
+        value = getattr(exact, stage)
+        assert all(type(x) is Fraction for x in value.flat), stage
+        scale = 1.0 + np.max(np.abs(getattr(floats, stage)))
+        assert np.allclose(getattr(floats, stage), value.astype(float), rtol=0, atol=1e-14 * scale)
 
 
 @pytest.mark.xfail(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import platform
 import tracemalloc
 import warnings
 
@@ -44,7 +45,9 @@ from circulant4.scan import (
     run_scan,
 )
 
-from helpers import REPO_ROOT, grid_points, near_singular_manifold, nonflat_parallel_manifold, run_cli
+from helpers import (
+    REPO_ROOT, grid_points, near_singular_manifold, nonflat_parallel_manifold, run_cli, run_python,
+)
 
 P0 = (1.0, 0.1, 2.0, 0.2)
 CUBIC = os.path.join(REPO_ROOT, "perfbench", "manifolds", "cubic.cfg")
@@ -451,8 +454,10 @@ def test_validity_scan_peak_memory_per_point(count, start, stop):
 # scan of the 4^4 cubic grid, the benchmark's scan-cubic (Python 3.11,
 # numpy 2.4): 0.94 MB in chunks of 64 points and 2.70 MB in one chunk of
 # 256 with the out-of-place curvature stages, 2.00 MB in one chunk of 256
-# with the stages formed in place. Three 512 KiB stages (d Gamma, R, the
-# lowered R) live through the pass, and the gaps need one buffer more.
+# with the stages formed in place, and 2.00 MB (1 997 120 B) with the three
+# stages in one block. The three 512 KiB stages (d Gamma, R, the lowered R)
+# are that 1.5 MiB block, which lives through the pass and serves as the
+# stages' scratch, and the gaps need one buffer more.
 _CUBIC_SCAN_PEAK_BYTES = 2_100_000
 
 
@@ -468,6 +473,41 @@ def test_cubic_all_check_scan_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= _CUBIC_SCAN_PEAK_BYTES
+
+
+# a fresh interpreter runs the all-check JSON scan of the 4^4 cubic grid
+# through the CLI, in process, and prints the minor page faults per call
+# of the last 20 of 30 calls
+_FAULTS_PER_SCAN = """
+import io, resource, sys
+from contextlib import redirect_stdout
+from circulant4.cli import main
+
+argv = ["scan", "--manifold", sys.argv[1], "--box=" + ",".join(["-1:1:4"] * 4),
+        "--checks=validity,parallel,curvature31,curvature32", "--format", "json"]
+
+def scan():
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) in (0, 1)  # a report was written
+
+for _ in range(10):
+    scan()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    scan()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_repeated_cubic_scans_reuse_their_pages():
+    # the curvature stages of a pass are one block; once glibc has freed the
+    # first one, its raised thresholds keep later passes in the heap. With a
+    # buffer per stage and term, every call mapped and faulted in its ~2 MB
+    # again: about 550 faults per call (glibc 2.36)
+    result = run_python("-c", _FAULTS_PER_SCAN, CUBIC)
+    assert result.returncode == 0, result.stderr
+    assert float(result.stdout) < 20
 
 
 def test_degenerate_point_stays_local_to_its_chunk():
