@@ -227,14 +227,14 @@ GAP_ATTRIBUTES = ("q_invariance_gap", "q_invariance_scale", "q_commutation_gap",
                   "q_commutation_scale")
 
 
-def _perturbed_geometry():
+@pytest.fixture(scope="module")
+def perturbed_jets():
     m = perturbed_example_fixed()
-    points = sample_valid_points(m, 5, np.random.default_rng(5))
-    return Geometry(*m.jets(np.array(points)))
+    return m.jets(np.array(sample_valid_points(m, 5, np.random.default_rng(5))))
 
 
-def test_passes_share_no_stage_memory():
-    first, second = _perturbed_geometry(), _perturbed_geometry()
+def test_passes_share_no_stage_memory(perturbed_jets):
+    first, second = Geometry(*perturbed_jets), Geometry(*perturbed_jets)
     attributes = BLOCK_STAGES + GAP_ATTRIBUTES
     for a, b in itertools.product(attributes, repeat=2):
         assert not np.shares_memory(getattr(first, a), getattr(second, b)), (a, b)
@@ -242,14 +242,14 @@ def test_passes_share_no_stage_memory():
         assert not np.shares_memory(getattr(first, a), getattr(first, b)), (a, b)
 
 
-def test_stages_read_in_any_order_keep_their_bits():
+def test_stages_read_in_any_order_keep_their_bits(perturbed_jets):
     # a stage formed later uses the slots of the stages after it as scratch,
     # never its own or one before; the arrays read first are held to the end
-    fresh = _perturbed_geometry()
+    fresh = Geometry(*perturbed_jets)
     expected = {a: getattr(fresh, a).copy() for a in BLOCK_STAGES + GAP_ATTRIBUTES}
     assert np.max(expected["q_commutation_gap"]) > 1e-3  # R is not zero, nor are the gaps
     for order in itertools.permutations(BLOCK_STAGES + GAP_ATTRIBUTES[::2]):
-        geometry = _perturbed_geometry()
+        geometry = Geometry(*perturbed_jets)
         got = {a: getattr(geometry, a) for a in order + GAP_ATTRIBUTES[1::2]}
         for a, value in got.items():
             assert np.array_equal(value.view(np.int64), expected[a].view(np.int64)), (order, a)
