@@ -169,19 +169,18 @@ FULL_TERMS = _relation_table(FULL_LABELS)
 def _relation_residuals(table, gradients) -> np.ndarray:
     """|relation| for every relation of a table at N points, (relations, N).
 
-    gradients is (3, 4, N), the points last. Each relation is summed term
-    by term in label order. Adding c * y for c = -1 is subtracting y in
-    IEEE arithmetic, and adding the zero padding changes at most the sign
-    of a zero, so after the absolute value the residuals are those of the
-    relations written out by hand, bit for bit.
+    gradients is (3, 4, N), the points last. All terms are gathered at
+    once, (terms, relations, N), and summed over their outer axis, which
+    numpy adds row by row, so each relation is summed term by term in label
+    order. Adding c * y for c = -1 is subtracting y in IEEE arithmetic, and
+    adding the zero padding changes at most the sign of a zero, so after
+    the absolute value the residuals are those of the relations written
+    out by hand, bit for bit.
     """
     coefficients, columns = table
     points = gradients.shape[-1]
     flat = np.concatenate([gradients.reshape(12, points), np.zeros((1, points))])
-    total = coefficients[0][:, None] * flat[columns[0]]
-    for c, k in zip(coefficients[1:], columns[1:]):
-        total = total + c[:, None] * flat[k]
-    return np.abs(total)
+    return np.abs((coefficients[:, :, None] * flat[columns]).sum(axis=0))
 
 
 def _stage_view(stage: str, doc: str) -> property:

@@ -38,18 +38,19 @@ Reports are plain mappings rendered to JSON or CSV. Rendering is
 deterministic: fixed key order, records in row-major grid order, floats in
 shortest round-trip form (`float.__repr__`), so identical inputs give
 byte-identical output, the same bytes as json.dumps(report, indent=2) and
-the csv module give for the mapping. Both writers read the columns, one
-chunk at a time, from columns of float texts, each distinct float of a
-long chunk written once (`_float_texts`): CSV joins each row's cells with
-commas, with each distinct reason quoted once by the csv module; JSON
-fills one record template per chunk with one `%`-template per outcome
-shape (null, validity, parallel or curvature results, error).
-`_write_json`, a pure writer with the bytes of json.dumps(indent=2),
-writes only `meta` and `summary`.
+the csv module give for the mapping. Both writers read the records from
+the columns, one chunk at a time, from columns of float texts, each
+distinct float of a long chunk written once (`_float_texts`): CSV joins
+each row's cells with commas, with each distinct reason quoted once by the
+csv module; JSON fills one record template per chunk with one `%`-template
+per outcome shape (null, validity, parallel or curvature results, error).
+The JSON `meta` and `summary` are json.dumps(indent=2)'s own text,
+indented one level.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from csv import writer as csv_writer
 from dataclasses import dataclass, field
@@ -142,7 +143,7 @@ class AxisSpec:
             raise ValueError(f"axis start {self.start} exceeds stop {self.stop}")
         if not math.isfinite(self.stop - self.start):
             raise ValueError(f"axis span {self.start}:{self.stop} is not finite")
-        if not isinstance(self.count, int) or self.count < 1:
+        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 1:
             raise ValueError(f"axis count must be a positive integer, got {self.count!r}")
 
     def values(self) -> np.ndarray:
@@ -251,19 +252,16 @@ def _evaluate_chunk(manifold: ManifoldSpec, points, checks, tolerance: float) ->
         # the pass reads the jets of the valid rows; where every row is valid, uncopied
         picked = jets if len(rows) == len(reasons) else (_at_rows(jet, rows) for jet in jets)
         geometry = Geometry(*picked)
-        failures = {
-            stage: geometry.failures(stage.jet_order)
-            for stage in {check.stage for check in geometric.values()}
-        }
         # rows that get an error outcome may hold inf and NaN, without warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for name, check in geometric.items():
+                failures = geometry.failures(check.stage.jet_order)
                 numbers = np.array(check.numbers(geometry))
                 first, second = numbers.tolist()
                 errors = [
                     failure
                     or (None if math.isfinite(a) and math.isfinite(b) else check.stage.not_finite)
-                    for failure, a, b in zip(failures[check.stage], first, second)
+                    for failure, a, b in zip(failures, first, second)
                 ]
                 passed = [
                     error is None and check.passes(a, b, tolerance)
@@ -577,78 +575,31 @@ def _json_chunk(columns: _Columns, quoted: dict) -> str:
     return ",\n    ".join(map(template.__mod__, zip(*cells)))
 
 
-# the float spellings json.dumps changes
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+def _json_nested(value) -> str:
+    """json.dumps(value, indent=2), indented one level to sit inside the report.
 
-
-def _write_json(value, newline: str, out: list) -> None:
-    """Append the text json.dumps(value, indent=2) gives for value to out.
-
-    newline is a line break followed by the indentation of value's line.
-    Scalars are written as json writes them: strings through json's C
-    escaper, floats (subclasses too) by float.__repr__ with NaN, Infinity
-    and -Infinity, ints by int.__repr__. Dicts keep their insertion order
-    and need string keys; lists and tuples are arrays. Anything else
-    raises TypeError.
+    json escapes every line break inside a string, so each one in the text
+    starts a line of the layout.
     """
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        out.append(_JSON_FLOATS.get(text, text))
-    elif isinstance(value, str):
-        out.append(_json_str(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            out.append(separator)
-            _write_json(item, inner, out)
-            separator = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(separator + _json_str(key) + ": ")
-            _write_json(item, inner, out)
-            separator = "," + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
 def render_report(report: Report, fmt: str = "json") -> str:
     """Serialize a report; json round-trips exactly, csv is one row per point.
 
-    Both read the columns of the report, never its record dicts.
+    Both write the records from the columns of the report (JSON from
+    `%`-templates, CSV as joined cells), never from its record dicts; the
+    JSON meta and summary are json.dumps's own text.
     """
     if fmt == "json":
         quoted = {None: "null"}
-        out = ['{\n  "meta": ']
-        _write_json(report.meta, "\n  ", out)
+        out = ['{\n  "meta": ', _json_nested(report.meta)]
         separator = ',\n  "points": [\n    '
         for chunk in report.columns:
             out += (separator, _json_chunk(chunk, quoted))
             separator = ",\n    "
         out.append("\n  ]" if report.columns else ',\n  "points": []')
-        out.append(',\n  "summary": ')
-        _write_json(report.summary, "\n  ", out)
-        out.append("\n}\n")
+        out += (',\n  "summary": ', _json_nested(report.summary), "\n}\n")
         return "".join(out)
     if fmt == "csv":
         quoted = {None: ""}

@@ -78,6 +78,9 @@ def test_axis_spec():
         AxisSpec(1.0, 0.0, 2)
     with pytest.raises(ValueError):
         AxisSpec(0.0, 1.0, 0)
+    # bool is an int, but not a count
+    with pytest.raises(ValueError, match="positive integer"):
+        AxisSpec(0.0, 1.0, True)
     with pytest.raises(ValueError):
         AxisSpec(float("nan"), 1.0, 2)
     # the span overflows, so linspace would give inf and NaN
