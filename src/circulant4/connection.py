@@ -75,10 +75,11 @@ class DomainError(ValueError):
 PARALLEL_NOT_FINITE = "parallel residuals are not finite"
 
 
-def check_tolerance(tol: float, name: str = "tolerance") -> None:
-    """Raise ValueError unless tol is positive and finite."""
+def check_tolerance(tol: float, name: str = "tolerance") -> float:
+    """tol as a float; ValueError unless it is positive and finite."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"{name} must be positive and finite, got {tol}")
+    return float(tol)
 
 
 @dataclass(frozen=True)
@@ -445,7 +446,7 @@ def parallelism_verdict(m: ManifoldSpec, p, tol: float = 1e-8):
     within tol. The report lists the eight reduced residuals followed by
     the nabla q maximum.
     """
-    check_tolerance(tol)
+    tol = check_tolerance(tol)
     connection = Connection.at(m, p)
     nq_max = float(connection.finite_row("nabla_q_max"))
     conditions = connection.finite_row("gradient_conditions").tolist()

@@ -463,9 +463,9 @@ class CompiledField:
         """Slots 0 .. (1, 5, 15)[order] - 1 of each field at N points, (F, slots, N).
 
         powers[k] is the table of x_{k+1}**e, shape (e_max + 1, N), with
-        row e computed by `scalar_pow`, as `jets` builds it: per row, or
-        for a long block with repeated coordinates once per distinct value
-        and gathered, which gives the same bits.
+        row e computed by `scalar_pow`, as `jets` builds it: once per axis
+        value and gathered by each point's index on the axis, which gives
+        the bits of the point's own powers.
 
         The points lie on the last axis throughout, so each gather, product
         and sum is one contiguous loop over the N points, and one gather per
@@ -490,35 +490,6 @@ class CompiledField:
         return out.reshape(len(self.counts), _ORDER_SLOTS[order], n)
 
 
-def _distinct_bits(values: np.ndarray):
-    """The distinct values of a float array and where each value is among them.
-
-    Returns (distinct (D,), inverse of values' shape) with values equal to
-    distinct[inverse] bit for bit. Values are told apart by their bits, so
-    -0.0 is not 0.0.
-    """
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
-    # the shape of the inverse varies across numpy versions
-    return distinct.view(np.float64), inverse.reshape(values.shape)
-
-
-# From this many points on, the power tables of a block are built once per
-# distinct coordinate value, where that calls `scalar_pow` on fewer values.
-# Field values of example (order 0, its three quadratic fields) on blocks
-# of its 9^4 validity grid took, with a table per column and shared: 79 and
-# 78 us at 64 points, 145 and 102 us at 256, and 2.54 and 1.21 ms for the
-# whole grid in chunks of 1024. From 64 on, the chunks of the geometry
-# checks share too: a grid's chunk repeats its coordinates. On a block whose
-# coordinates are all distinct, which then keeps a table per column, the
-# np.unique that finds that out costs 76 us at 1024 points, 30 us at 256
-# and 14-17 us at 64, where the power tables of the cubic fields took
-# 67-73 us without it and 81-90 us with it, and their jets 228-279 us and
-# 238-280 us (2-vCPU Xeon, Python 3.11, numpy 2.4). One-point checks keep a
-# table per column.
-_SHARED_POWERS_FROM = 64
-
-
 def _power_table(column: np.ndarray, top: int) -> np.ndarray:
     table = np.empty((top + 1, len(column)))
     table[0] = 1.0
@@ -529,25 +500,18 @@ def _power_table(column: np.ndarray, top: int) -> np.ndarray:
     return table
 
 
-def _power_tables(points: np.ndarray, top: np.ndarray) -> list[np.ndarray]:
-    """The table of x_{k+1}**e, e = 0 .. top[k], of each coordinate of (N, 4) points.
+def _power_tables(axes, index, top: np.ndarray) -> list[np.ndarray]:
+    """The table of x_{k+1}**e, e = 0 .. top[k], of each coordinate of N points.
 
-    Each table is (top[k] + 1, N), the points last. Row e is
-    `scalar_pow(x_{k+1}, e)` either way: a long block with repeated values
-    computes the powers of its distinct values only, up to the largest
-    top, and gathers each coordinate's columns from them.
+    The points are given by axes: coordinate k of point n is
+    axes[k][index[k, n]], with index (4, N). Row e of a table is
+    `scalar_pow` of axes[k], raised once per axis value and gathered by
+    the index, so each table is (top[k] + 1, N), the points last, with the
+    bits of `scalar_pow` of the coordinates themselves.
     """
-    if len(points) >= _SHARED_POWERS_FROM:
-        distinct, inverse = _distinct_bits(points)
-        largest = int(top.max())
-        # values scalar_pow raises: each distinct one to every power up to
-        # the largest, against each coordinate to its own top; where every
-        # value is distinct, sharing never raises fewer
-        shared = len(distinct) * max(largest - 1, 0)
-        if shared < len(points) * int(np.maximum(top - 1, 0).sum()):
-            table = _power_table(distinct, largest)
-            return [table[: top[k] + 1, inverse[:, k]] for k in range(_NVARS)]
-    return [_power_table(points[:, k], int(top[k])) for k in range(_NVARS)]
+    return [
+        np.take(_power_table(values, int(t)), i, axis=1) for values, i, t in zip(axes, index, top)
+    ]
 
 
 def _points_first(x: np.ndarray) -> np.ndarray:
@@ -574,14 +538,25 @@ def jets(compiled: CompiledField, points, order: int = 2):
     the points-last layout back without a copy.
 
     The powers of the coordinates come from `scalar_pow`, the only power
-    used: from _SHARED_POWERS_FROM points on, where that raises fewer
-    values, once per distinct coordinate value (by bits) of the block;
-    otherwise once per point and coordinate.
+    used, by `_grid_jets`: a block of points is its own grid, each column
+    an axis and each point its own index on every axis.
+    """
+    points = _as_points(points)
+    own = np.broadcast_to(np.arange(len(points)), (_NVARS, len(points)))
+    return _grid_jets(compiled, points.T, own, order)
+
+
+def _grid_jets(compiled: CompiledField, axes, index, order: int):
+    """`jets` at the N points of a grid: coordinate k of point n is axes[k][index[k, n]].
+
+    axes are four arrays of finite values and index is (4, N). The powers
+    are raised once per axis value and gathered by the index
+    (`_power_tables`), so a scan chunk raises each value of an axis once,
+    whatever its number of points.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    points = _as_points(points)
-    powers = _power_tables(points, compiled.max_exponents)
+    powers = _power_tables(axes, index, compiled.max_exponents)
     with np.errstate(over="ignore", invalid="ignore"):
         block = compiled.evaluate(powers, order)
     values = block[:, 0].T

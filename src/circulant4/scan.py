@@ -26,7 +26,14 @@ check reads. Validity alone needs no derivatives, so it runs in chunks of
 VALIDITY_CHUNK_SIZE; the other checks run in chunks of CHUNK_SIZE. A grid
 may hold at most MAX_POINTS points.
 
-A chunk's result is columnar (`_Columns`): the points, triples and
+A grid is a product of four axes (`_Axes`), and a chunk holds its points
+as their (4, N) index on the axes, in row-major order. The jets raise
+each axis value to its powers once and gather them by the index
+(`fields._grid_jets`), and the writers write each axis value's text once
+per report and gather it the same way. A one-point check is the grid of
+one value per axis, so it takes the same path.
+
+A chunk's result is columnar (`_Columns`): the axes and index, triples and
 reasons (a point is valid where its reason is None), and for each
 geometry check its pass flags, its two numbers and its error texts at
 the valid points, as arrays and lists. No record dict is built on the
@@ -39,11 +46,14 @@ deterministic: fixed key order, records in row-major grid order, floats in
 shortest round-trip form (`float.__repr__`), so identical inputs give
 byte-identical output, the same bytes as json.dumps(report, indent=2) and
 the csv module give for the mapping. Both writers read the records from
-the columns, one chunk at a time, from columns of float texts, each
-distinct float of a long chunk written once (`_float_texts`): CSV joins
-each row's cells with commas, with each distinct reason quoted once by the
-csv module; JSON fills one record template per chunk with one `%`-template
-per outcome shape (null, validity, parallel or curvature results, error).
+the columns, one chunk at a time, from columns of texts: the coordinates
+from the axes, the triples and check numbers with each distinct float of
+a long chunk written once (`_float_texts`), and valid and reason as one
+text per distinct reason. CSV joins each row's cells with commas; where
+no geometry check ran at a row, its cells from valid on are that one
+text, quoted by the csv module. JSON fills one record template per chunk
+with one `%`-template per outcome shape (null, validity, parallel or
+curvature results, error).
 The JSON `meta` and `summary` are json.dumps(indent=2)'s own text,
 indented one level.
 """
@@ -52,6 +62,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from csv import writer as csv_writer
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -65,7 +76,7 @@ import numpy as np
 from . import __version__
 from .connection import Connection, check_tolerance
 from .curvature import Geometry
-from .fields import _distinct_bits, _points_first, _points_last, as_point
+from .fields import _grid_jets, _points_first, _points_last, as_point
 from .manifolds import ManifoldSpec
 
 __all__ = [
@@ -87,14 +98,21 @@ CHECKS = ("validity", "parallel", "curvature31", "curvature32")
 _VERSION = __version__
 
 # grid points per batched pass, by the jet order the checks need. Validity
-# alone reads only field values (order 0): over the 9^4 grid of example
-# that pass took 24-30 ms in chunks of 64 points, 9-11 ms in chunks of 256
-# and 4.5-5.4 ms in chunks of 1024 (medians of 8). A pass with derivatives
-# gains less from larger chunks, and its curvature stages grow with them:
-# d Gamma, R and the lowered R take 4^4 floats per point each, 512 KiB at
-# 256. All checks on the 8^4 grid of the cubic manifold took 143, 132 and
-# 134 ms in chunks of 64, 128 and 256 (medians of 60, alternating in one
-# process; paired, 0.91 and 0.92 of the time at 64); the tracemalloc peak
+# alone reads only field values (order 0), and its writers share the texts
+# of repeated triples within a chunk, so it gains from large chunks. The
+# CSV scan of the 9^4 grid of example (cli.main in one process, the sizes
+# alternating, 200 rounds, three runs) took 0.85, 0.74-0.78 and 0.82-0.85
+# of the time at 1024 in chunks of 2048, 4096 and 8192 (one chunk), and of
+# the 15^4 grid 0.75, 0.65 and 0.65; the tracemalloc peak of the 9^4 scan
+# is 1.40, 1.39, 1.56 and 2.21 MB at 1024 to 8192. 1024 was best only
+# while every chunk sorted the bits of its coordinates.
+#
+# A pass with derivatives gains less from larger chunks, and its curvature
+# stages grow with them: d Gamma, R and the lowered R take 4^4 floats per
+# point each, 512 KiB at 256. All checks on the 8^4 grid of the cubic
+# manifold took 143, 132 and 134 ms in chunks of 64, 128 and 256 (medians
+# of 60, alternating in one process; paired, 0.91 and 0.92 of the time at
+# 64); the tracemalloc peak
 # of one chunk is 0.31, 0.55 and 1.23 MB, and the peak RSS of the 4^4
 # all-check scan process (perfbench scan-cubic, 10 s) 38.8, 39.0 and 39.9
 # MB. 256 has half the per-chunk steps of 128 (jets, domain, writers) at
@@ -107,7 +125,7 @@ _VERSION = __version__
 # the faults went to none, and the tracemalloc peak stayed at 2.00 MB
 # (glibc 2.36, same host).
 CHUNK_SIZE = 256
-VALIDITY_CHUNK_SIZE = 1024
+VALIDITY_CHUNK_SIZE = 4096
 
 # grid points per scan. A report keeps its columns in memory, about 180 B
 # per point with every check, and rendering it peaks at about 1.7 KB per
@@ -130,7 +148,13 @@ def _canonical_checks(checks) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class AxisSpec:
-    """One grid axis: count values evenly spaced over [start, stop]."""
+    """One grid axis: count values evenly spaced over [start, stop].
+
+    An axis of count 1 is its start alone, as np.linspace gives it: a
+    start of -0.0 as 0.0, at any count. The bounds are kept as floats and
+    the count as an int, whatever real and integer types they came as; a
+    bool is not a count.
+    """
 
     start: float
     stop: float
@@ -139,12 +163,19 @@ class AxisSpec:
     def __post_init__(self):
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("axis bounds must be finite")
+        object.__setattr__(self, "start", float(self.start))
+        object.__setattr__(self, "stop", float(self.stop))
         if self.start > self.stop:
             raise ValueError(f"axis start {self.start} exceeds stop {self.stop}")
         if not math.isfinite(self.stop - self.start):
             raise ValueError(f"axis span {self.start}:{self.stop} is not finite")
-        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 1:
+        try:
+            count = operator.index(self.count)
+        except TypeError:
+            count = 0
+        if isinstance(self.count, bool) or count < 1:
             raise ValueError(f"axis count must be a positive integer, got {self.count!r}")
+        object.__setattr__(self, "count", count)
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -163,7 +194,7 @@ class ScanConfig:
             raise ValueError("exactly four AxisSpec axes are required")
         # canonical order, so equivalent configs report identically
         object.__setattr__(self, "checks", _canonical_checks(self.checks))
-        check_tolerance(self.tolerance)
+        object.__setattr__(self, "tolerance", check_tolerance(self.tolerance))
         points = math.prod(axis.count for axis in self.axes)
         if points > MAX_POINTS:
             raise ValueError(f"grid has {points} points, more than MAX_POINTS = {MAX_POINTS}")
@@ -222,14 +253,43 @@ class _Outcomes(NamedTuple):
 _NO_OUTCOMES = _Outcomes([], np.zeros((2, 0)), [])
 
 
+class _Axes:
+    """The values of the four axes of a grid, shared by the chunks of its report.
+
+    A chunk holds its points as a (4, N) index into them: coordinate k of
+    point n is values[k][index[k, n]]. A one-point check is the grid of
+    one value per axis.
+    """
+
+    def __init__(self, values):
+        self.values = tuple(values)
+
+    def points(self, index: np.ndarray) -> np.ndarray:
+        """The (N, 4) points of a (4, N) index, a transposed view."""
+        return np.array([v[i] for v, i in zip(self.values, index)]).T
+
+    @cached_property
+    def texts(self) -> tuple:
+        """float.__repr__ of each value of each axis, written once per report."""
+        return tuple(
+            np.array(list(map(float.__repr__, v.tolist())), dtype=object) for v in self.values
+        )
+
+
 class _Columns(NamedTuple):
     """The records of a chunk of N points, one column per field."""
 
-    points: np.ndarray  # (N, 4)
+    axes: _Axes  # the grid's axes
+    index: np.ndarray  # (4, N) the points' index on the axes
     values: np.ndarray  # (N, 3) the triples, reported as null where not finite
     reasons: list  # (N,) why a point is invalid, None where it is valid
     checks: tuple  # the checks run, in CHECKS order
     outcomes: dict  # geometry check name -> _Outcomes, at the valid points
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (N, 4) points, from the axes and index."""
+        return self.axes.points(self.index)
 
 
 def _valid_rows(reasons: list) -> list[int]:
@@ -241,10 +301,12 @@ def _at_rows(jet, rows: list):
     return None if jet is None else _points_first(_points_last(jet)[..., rows])
 
 
-def _evaluate_chunk(manifold: ManifoldSpec, points, checks, tolerance: float) -> _Columns:
-    """The columns of an (N, 4) array of points, from one batched pass."""
-    jets = manifold.jets(points, _jet_order(checks))
-    reasons = manifold.domain_reasons(points, jets[0])
+def _evaluate_chunk(
+    manifold: ManifoldSpec, axes: _Axes, index: np.ndarray, checks, tolerance: float
+) -> _Columns:
+    """The columns of the N points of a (4, N) index on axes, from one batched pass."""
+    jets = _grid_jets(manifold.compiled, axes.values, index, _jet_order(checks))
+    reasons = manifold.domain_reasons(axes.points(index), jets[0])
     geometric = {name: _GEOMETRY_CHECKS[name] for name in checks if name != "validity"}
     outcomes = dict.fromkeys(geometric, _NO_OUTCOMES)
     rows = _valid_rows(reasons) if geometric else []
@@ -270,7 +332,7 @@ def _evaluate_chunk(manifold: ManifoldSpec, points, checks, tolerance: float) ->
                 outcomes[name] = _Outcomes(passed, numbers, errors)
     # the values are a view of every jet slot; the report keeps only them
     values = np.ascontiguousarray(jets[0])
-    return _Columns(points, values, reasons, tuple(checks), outcomes)
+    return _Columns(axes, index, values, reasons, tuple(checks), outcomes)
 
 
 def _at_points(columns: _Columns, outcomes: list, skipped) -> list:
@@ -314,17 +376,18 @@ def _records(columns: _Columns) -> list[dict]:
     ]
 
 
-def _point_columns(manifold: ManifoldSpec, point, checks, tolerance: float) -> _Columns:
-    checks = _canonical_checks(checks)
-    check_tolerance(tolerance)
-    return _evaluate_chunk(manifold, as_point(point)[None], checks, tolerance)
+def _point_columns(manifold: ManifoldSpec, point, checks: tuple, tolerance: float) -> _Columns:
+    """The columns of one point, a (4,) array: the grid of one value per axis."""
+    axes = _Axes(point[:, None])
+    return _evaluate_chunk(manifold, axes, np.zeros((4, 1), dtype=np.intp), checks, tolerance)
 
 
 def evaluate_point(
     manifold: ManifoldSpec, point, checks=CHECKS, tolerance: float = 1e-8
 ) -> dict:
     """One record of the report: triple, validity and check outcomes at point."""
-    return _records(_point_columns(manifold, point, checks, tolerance))[0]
+    checks, tolerance = _canonical_checks(checks), check_tolerance(tolerance)
+    return _records(_point_columns(manifold, as_point(point), checks, tolerance))[0]
 
 
 def _summarize(chunks, checks) -> dict:
@@ -411,28 +474,31 @@ def run_check(
     manifold: ManifoldSpec, point, checks=CHECKS, tolerance: float = 1e-8
 ) -> Report:
     """Evaluate the checks at a single point and wrap them as a report."""
+    checks, tolerance = _canonical_checks(checks), check_tolerance(tolerance)
+    point = as_point(point)
     columns = _point_columns(manifold, point, checks, tolerance)
-    meta = _meta(manifold, "check", columns.checks, tolerance)
-    meta["point"] = columns.points[0].tolist()
+    meta = _meta(manifold, "check", checks, tolerance)
+    meta["point"] = point.tolist()
     return Report(meta, (columns,), _summarize((columns,), columns.checks))
 
 
-def _grid_chunks(axes, size: int):
-    """The grid points in row-major order (last axis fastest), in chunks of size."""
-    values = [axis.values() for axis in axes]
-    shape = tuple(axis.count for axis in axes)
+def _grid_chunks(shape: tuple, size: int):
+    """The (4, n) axis index of the points of a grid of shape, in chunks of size.
+
+    The points are in row-major order, the last axis fastest.
+    """
     total = math.prod(shape)
     for start in range(0, total, size):
-        index = np.unravel_index(np.arange(start, min(start + size, total)), shape)
-        yield np.stack([v[i] for v, i in zip(values, index)], axis=1)
+        yield np.array(np.unravel_index(np.arange(start, min(start + size, total)), shape))
 
 
 def run_scan(manifold: ManifoldSpec, config: ScanConfig) -> Report:
     """Evaluate the configured checks over the whole grid, one chunk at a time."""
     size = VALIDITY_CHUNK_SIZE if _jet_order(config.checks) == 0 else CHUNK_SIZE
+    axes = _Axes(axis.values() for axis in config.axes)
     chunks = tuple(
-        _evaluate_chunk(manifold, chunk, config.checks, config.tolerance)
-        for chunk in _grid_chunks(config.axes, size)
+        _evaluate_chunk(manifold, axes, index, config.checks, config.tolerance)
+        for index in _grid_chunks(tuple(axis.count for axis in config.axes), size)
     )
     meta = _meta(manifold, "scan", config.checks, config.tolerance)
     meta["box"] = [
@@ -441,24 +507,37 @@ def run_scan(manifold: ManifoldSpec, config: ScanConfig) -> Report:
     return Report(meta, chunks, _summarize(chunks, config.checks))
 
 
+def _distinct_bits(values: np.ndarray):
+    """The distinct values of a float array and where each value is among them.
+
+    Returns (distinct (D,), inverse of values' shape) with values equal to
+    distinct[inverse] bit for bit. Values are told apart by their bits, so
+    -0.0 is not 0.0.
+    """
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+    # the shape of the inverse varies across numpy versions
+    return distinct.view(np.float64), inverse.reshape(values.shape)
+
+
 # From this many values per row on, a block is written one text per
-# distinct value. On the 9^4 validity grid of example, where a chunk of
-# 1024 points has 0.2-2% of its coordinates and 11-48% of its A, B and C
-# distinct, the texts of its seven rows took 15.1 ms one by one, 5.0 ms
-# shared within each row and 3.1 ms shared across the block. From 64 on,
-# the chunks of the geometry checks share too: rendering the JSON report
-# of all checks on the 4^4 cubic grid took 2.7-3.1 ms sharing from 256 and
-# 1.7-2.2 ms sharing from 64. With no repeated values, the np.unique that
-# finds that out costs 4% more at 1024 values per row, 7% at 256 and, at
-# 64, 5-14% for a chunk's seven rows (300-334 us without it, 316-380 us
-# with it) and 16-20 us for a check's two (2-vCPU Xeon, Python 3.11,
-# numpy 2.4).
+# distinct value. Grid chunks repeat their triples: a 4096-point chunk of
+# the 9^4 validity grid of example has 4.9% of its A, B and C distinct, and
+# their texts took 0.65 ms shared against 4.4 ms one by one; the 256-point
+# chunk of the 4^4 cubic grid 30%, 0.21 against 0.45 ms, and its first 64
+# points 60%, 0.14-0.17 against 0.11-0.21 ms. The check numbers of the
+# 256-point cubic chunk took 0.10 against 0.23 ms. With no repeated values
+# the np.unique that finds that out costs 12% more at 256 values per row
+# and 70% at 64 (0.19 against 0.11 ms for three rows), which only the last
+# chunk of a scan can reach (2-vCPU Xeon, Python 3.11, numpy 2.4).
 _SHARED_TEXTS_FROM = 64
 
 
 def _float_texts(block: np.ndarray) -> list[list[str]]:
     """float.__repr__ of each value of each row of a (k, N) array, one list per row.
 
+    The writers call it on the triples and the check numbers of a chunk;
+    the coordinates are the texts of the axes (`_float_cells`).
     float.__repr__ is the shortest text that reads back the same. In a
     block of _SHARED_TEXTS_FROM values per row or more, with repeated
     values, each distinct value is written once; values are told apart by
@@ -483,24 +562,25 @@ _CSV_COLUMNS = (
 _BOOL_TEXTS = ("false", "true")
 
 
-def _leading_cells(columns: _Columns, quoted: dict, quote, missing: str) -> list[list[str]]:
-    """The texts of the point, triple, valid and reason of each record of a chunk.
+def _float_cells(columns: _Columns, missing: str) -> list[list[str]]:
+    """The texts of the point and the triple of each record of a chunk, one list per field.
 
-    A triple component that is not finite is missing. quoted maps each
-    reason to its text; quote writes the reasons it does not hold yet.
+    A coordinate is the text of its axis value (`_Axes.texts`), gathered
+    by the chunk's index. A triple component that is not finite is missing.
     """
-    reasons = set(columns.reasons)
-    for reason in reasons - quoted.keys():
-        quoted[reason] = quote(reason)
-    valid = {reason: _BOOL_TEXTS[reason is None] for reason in reasons}
-    cells = _float_texts(np.concatenate([columns.points.T, columns.values.T]))
+    cells = [texts[i].tolist() for texts, i in zip(columns.axes.texts, columns.index)]
+    cells += _float_texts(columns.values.T)
     finite = np.isfinite(columns.values)
     if not finite.all():
         for n, k in zip(*np.nonzero(~finite)):
             cells[4 + k][n] = missing
-    cells.append(list(map(valid.__getitem__, columns.reasons)))
-    cells.append(list(map(quoted.__getitem__, columns.reasons)))
     return cells
+
+
+def _per_reason(reasons: list, text) -> list:
+    """text(reason) for each of a chunk's reasons, called once per distinct reason."""
+    texts = {reason: text(reason) for reason in set(reasons)}
+    return list(map(texts.__getitem__, reasons))
 
 
 def _csv_quoted(text: str) -> str:
@@ -510,33 +590,56 @@ def _csv_quoted(text: str) -> str:
     return buffer.getvalue()[:-1]
 
 
-def _csv_chunk(columns: _Columns, quoted: dict) -> str:
-    """The CSV rows of a chunk; quoted maps each reason to its cell and grows."""
-    cells = _leading_cells(columns, quoted, _csv_quoted, "")
-    for name, check in _GEOMETRY_CHECKS.items():
-        # the two cells of a check as one, so absent or skipped it is ","
-        if name not in columns.outcomes:
-            cells.append(repeat(","))
-            continue
-        o = columns.outcomes[name]
-        cells.append(_at_points(columns, [
-            _BOOL_TEXTS[p] + "," + float.__repr__(check.residual(a, b)) if e is None else "false,"
-            for p, a, b, e in zip(o.passed, *o.numbers.tolist(), o.errors)
-        ], ","))
+def _csv_not_run(reason) -> str:
+    """The cells from valid on of a row where no geometry check ran, as one.
+
+    The two cells of each geometry check are "," then, as in _csv_chunk.
+    """
+    reason_cell = "" if reason is None else _csv_quoted(reason)
+    return ",".join([_BOOL_TEXTS[reason is None], reason_cell, *[","] * len(_GEOMETRY_CHECKS)])
+
+
+def _csv_chunk(columns: _Columns) -> str:
+    """The CSV rows of a chunk.
+
+    The cells from valid on are one text per reason, written once, where
+    no geometry check ran: at each invalid point, and at every point of a
+    validity-only scan.
+    """
+    cells = _float_cells(columns, "")
+    tails = _per_reason(columns.reasons, _csv_not_run)
+    if columns.outcomes:
+        outcomes = []
+        for name, check in _GEOMETRY_CHECKS.items():
+            # the two cells of a check as one, so absent it is ","
+            if name not in columns.outcomes:
+                outcomes.append(repeat(","))
+                continue
+            o = columns.outcomes[name]
+            outcomes.append([
+                _BOOL_TEXTS[p] + "," + float.__repr__(check.residual(a, b))
+                if e is None else "false,"
+                for p, a, b, e in zip(o.passed, *o.numbers.tolist(), o.errors)
+            ])
+        # valid, the empty reason cell and the two cells of each check
+        ran = map(",".join, zip(repeat(_BOOL_TEXTS[True] + ","), *outcomes))
+        for n, tail in zip(_valid_rows(columns.reasons), ran):
+            tails[n] = tail
+    cells.append(tails)
     rows = list(map(",".join, zip(*cells)))
     rows.append("")  # the last line break, and none without rows
     return "\n".join(rows)
 
 
 # one record of the points array of a JSON report, as json.dumps(indent=2)
-# lays it out there: the part up to the outcomes, one outcome line per
+# lays it out there: the part up to the outcomes, with the valid and reason
+# lines as one text per reason (`_json_valid_reason`), one outcome line per
 # check, and the end
 _JSON_RECORD = (
     "{\n"
     '      "point": [\n        %s,\n        %s,\n        %s,\n        %s\n      ],\n'
     '      "triple": {\n        "A": %s,\n        "B": %s,\n        "C": %s\n      },\n'
-    '      "valid": %s,\n'
-    '      "reason": %s,\n'
+    '      %s,\n'
     '      "checks": {'
 )
 _JSON_OUTCOME_LINE = '\n        %s: %%s'
@@ -558,9 +661,16 @@ def _json_record_template(checks: tuple) -> str:
     return _JSON_RECORD + outcomes + _JSON_RECORD_END
 
 
-def _json_chunk(columns: _Columns, quoted: dict) -> str:
-    """The records of a chunk as JSON array items; quoted maps reasons to JSON and grows."""
-    cells = _leading_cells(columns, quoted, _json_str, "null")
+def _json_valid_reason(reason) -> str:
+    """The valid and reason lines of a record, as one text."""
+    reason_text = "null" if reason is None else _json_str(reason)
+    return '"valid": %s,\n      "reason": %s' % (_BOOL_TEXTS[reason is None], reason_text)
+
+
+def _json_chunk(columns: _Columns) -> str:
+    """The records of a chunk as JSON array items."""
+    cells = _float_cells(columns, "null")
+    cells.append(_per_reason(columns.reasons, _json_valid_reason))
     for name in columns.checks:
         if name == "validity":
             cells.append([_JSON_VALIDITY[reason is None] for reason in columns.reasons])
@@ -592,17 +702,15 @@ def render_report(report: Report, fmt: str = "json") -> str:
     JSON meta and summary are json.dumps's own text.
     """
     if fmt == "json":
-        quoted = {None: "null"}
         out = ['{\n  "meta": ', _json_nested(report.meta)]
         separator = ',\n  "points": [\n    '
         for chunk in report.columns:
-            out += (separator, _json_chunk(chunk, quoted))
+            out += (separator, _json_chunk(chunk))
             separator = ",\n    "
         out.append("\n  ]" if report.columns else ',\n  "points": []')
         out += (',\n  "summary": ', _json_nested(report.summary), "\n}\n")
         return "".join(out)
     if fmt == "csv":
-        quoted = {None: ""}
         header = ",".join(_CSV_COLUMNS) + "\n"
-        return "".join([header, *(_csv_chunk(chunk, quoted) for chunk in report.columns)])
+        return "".join([header, *(_csv_chunk(chunk) for chunk in report.columns)])
     raise ValueError(f"unknown report format {fmt!r}")

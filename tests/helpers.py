@@ -15,7 +15,8 @@ import numpy as np
 
 from circulant4 import ManifoldSpec, ScalarField, example_manifold
 from circulant4.circulant import SLOT_FIELD
-from circulant4.fields import _points_last
+from circulant4.fields import _grid_jets, _points_last
+from circulant4.scan import _Axes, _grid_chunks
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC_DIR = os.path.join(REPO_ROOT, "src")
@@ -35,6 +36,22 @@ def sample_valid_points(manifold, count, rng, low=-3.0, high=3.0, max_draws=100_
             if len(points) == count:
                 return points
     raise RuntimeError(f"found only {len(points)} of {count} valid points")
+
+
+# the axes of a grid for the jets: -0.0 beside 0.0, values whose powers
+# overflow (1e155 squared, 1e308 cubed) and 1.5 on three axes
+JET_GRID_AXES = (
+    np.array([-0.0, 0.0, 1.5]),
+    np.array([1e155, -1e155, 1e308, 0.75]),
+    np.array([1.5, -2.25, 0.5]),
+    np.array([0.1, 1.5, -0.0]),
+)
+
+
+def grid_chunk_jets(compiled, axes, size, order=2):
+    """(points, jets) of each chunk of size points of the grid of axes, as a scan evaluates it."""
+    for index in _grid_chunks(tuple(map(len, axes)), size):
+        yield _Axes(axes).points(index), _grid_jets(compiled, axes, index, order)
 
 
 def grid_points(axes):

@@ -24,7 +24,7 @@ from circulant4 import (
 from circulant4 import connection
 from circulant4.connection import FULL_TERMS, REDUCED_TERMS, Connection
 from circulant4.curvature import Geometry
-from circulant4.scan import CHECKS, _evaluate_chunk
+from circulant4.scan import CHECKS, _Axes, _evaluate_chunk
 
 from helpers import (
     perturbed_example,
@@ -400,7 +400,9 @@ def test_an_all_check_chunk_names_each_non_finite_jet_once(monkeypatch):
 
     name_non_finite = connection._name_non_finite
     monkeypatch.setattr(connection, "_name_non_finite", counted)
-    columns = _evaluate_chunk(example_manifold(), np.array([P0, (1.0, 0.2, 2.0, 0.3)]), CHECKS, 1e-8)
+    # two points, each its own index on axes of two values
+    axes = _Axes(np.array([P0, (1.0, 0.2, 2.0, 0.3)]).T)
+    columns = _evaluate_chunk(example_manifold(), axes, np.array([[0, 1]] * 4), CHECKS, 1e-8)
     assert sorted(calls) == ["", "Hessian of ", "gradient of "]
     assert all(all(columns.outcomes[name].passed) for name in CHECKS[1:])
 

@@ -21,11 +21,9 @@ from circulant4 import (
     parse_field,
 )
 from circulant4._oracles import fd_gradient
-from circulant4.fields import (
-    _SHARED_POWERS_FROM, MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, CompiledField, jets,
-)
+from circulant4.fields import MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, CompiledField, jets
 
-from helpers import PARSER_CORPUS, REPO_ROOT, random_polynomial
+from helpers import JET_GRID_AXES, PARSER_CORPUS, REPO_ROOT, grid_chunk_jets, random_polynomial
 
 x1, x2, x3, x4 = (ScalarField.coordinate(i) for i in (1, 2, 3, 4))
 
@@ -380,20 +378,15 @@ def test_compiled_jets_match_reference_bitwise(name):
     f = REFERENCE_FIELDS[name]
     points = _reference_points()
     reference = _reference_jets(f, points)
-    # from _SHARED_POWERS_FROM points on, powers are shared between equal
-    # coordinates: the reference points tiled (repeats, 0.0 beside -0.0,
-    # odd powers, overflow), and a block with every coordinate distinct
-    tiles = max(2, -(-_SHARED_POWERS_FROM // len(points)))
-    distinct = np.random.default_rng(20261019).uniform(-3.0, 3.0, (_SHARED_POWERS_FROM, 4))
-    assert np.unique(_bits(distinct)).size == distinct.size
-    blocks = [
-        (points, reference),
-        (np.tile(points, (tiles, 1)), [np.tile(r, (tiles,) + (1,) * (r.ndim - 1))
-                                       for r in reference]),
-        (distinct, _reference_jets(f, distinct)),
+    # the points as their own grid, and the chunks of a grid, whose powers
+    # are raised once per axis value: 0.0 beside -0.0, overflowing powers
+    # and a value on several axes
+    blocks = [((points, reference), jets(CompiledField([f]), points))] + [
+        ((block, _reference_jets(f, block)), got)
+        for block, got in grid_chunk_jets(CompiledField([f]), JET_GRID_AXES, 40)
     ]
-    for block, expected in blocks:
-        values, gradients, hessians = jets(CompiledField([f]), block)
+    assert len(blocks) == 4
+    for (block, expected), (values, gradients, hessians) in blocks:
         assert np.array_equal(_bits(values[:, 0]), _bits(expected[0]))
         assert np.array_equal(_bits(gradients[:, 0]), _bits(expected[1]))
         assert np.array_equal(_bits(hessians[:, 0]), _bits(expected[2]))

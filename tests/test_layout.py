@@ -16,12 +16,10 @@ import pytest
 
 from circulant4 import Geometry, constant_manifold, example_manifold, load_manifold
 from circulant4.circulant import AFFINOR_NEXT, AFFINOR_PREVIOUS, SLOT_FIELD, _thresholds
-from circulant4.fields import (
-    _SHARED_POWERS_FROM, CompiledField, ScalarField, jets, parse_field, scalar_pow,
-)
+from circulant4.fields import CompiledField, ScalarField, jets, parse_field, scalar_pow
 from circulant4.scan import CHUNK_SIZE
 
-from helpers import REPO_ROOT
+from helpers import JET_GRID_AXES, REPO_ROOT, grid_chunk_jets
 
 MANIFOLDS = {
     "cubic": os.path.join(REPO_ROOT, "perfbench", "manifolds", "cubic.cfg"),
@@ -171,11 +169,10 @@ def test_joint_jets_match_each_field_bitwise(case, count):
     fields = _joint_cases()[case]
     rng = np.random.default_rng(20261020 + count)
     points = rng.uniform(-3.0, 3.0, (count, 4))
-    # repeated coordinates, as in a grid, and 0.0 beside -0.0
+    # repeated coordinates, and 0.0 beside -0.0, in a block that is its own grid
     points[::3, 1] = points[0, 1]
     points[1::5, 2] = 0.0
     points[2::5, 2] = -0.0
-    assert (count >= _SHARED_POWERS_FROM) == (count >= 64)
     expected = _reference_jets(fields, points)
     for order in (0, 1, 2):
         got = jets(CompiledField(fields), points, order)
@@ -185,6 +182,20 @@ def test_joint_jets_match_each_field_bitwise(case, count):
                 continue
             assert got[k].shape == expected[k].shape
             assert np.array_equal(_bits(got[k]), _bits(expected[k])), (order, k)
+
+
+@pytest.mark.parametrize("case", list(_joint_cases()))
+def test_joint_jets_of_grid_chunks_match_each_field_bitwise(case):
+    # each value of an axis raised once per chunk, gathered by the index
+    fields = _joint_cases()[case]
+    for order in (0, 1, 2):
+        chunks = list(grid_chunk_jets(CompiledField(fields), JET_GRID_AXES, 64, order))
+        assert [len(points) for points, _ in chunks] == [64, 44]
+        for points, got in chunks:
+            expected = _reference_jets(fields, points)
+            for k in range(order + 1):
+                assert np.array_equal(_bits(got[k]), _bits(expected[k])), (order, k)
+            assert got[order + 1 :] == (None,) * (2 - order)
 
 
 def test_the_stages_keep_the_points_last_and_contiguous():

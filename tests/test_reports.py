@@ -80,14 +80,17 @@ def test_benchmark_scans_match_pinned_digests(name, capsys):
     assert hashlib.sha256(captured.out.encode("utf-8")).hexdigest() == digest
 
 
-# the geometry chunk size of each golden scan and pinned digest: at
-# CHUNK_SIZE = 256, 81 (cubic-scan.json), 108 (example-scan.json) and 256
-# (scan-cubic) points are one chunk each, so the same scans are run again
-# in chunks of 64, where each crosses chunk boundaries
+# the chunk count of each golden scan and pinned digest in chunks of 64
+# points. At CHUNK_SIZE = 256, 81 (cubic-scan.json), 108 (example-scan.json)
+# and 256 (scan-cubic) points are one chunk each; scan-validity's 6561
+# points are a few chunks of VALIDITY_CHUNK_SIZE. In chunks of 64 each
+# crosses chunk boundaries, scan-validity about a hundred, and every chunk
+# gathers its coordinate texts from the axes anew
 _SPLIT_SCANS = {
     "cubic-scan.json": 2,
     "example-scan.json": 2,
     "scan-cubic": 4,
+    "scan-validity": 103,
 }
 
 
@@ -96,11 +99,12 @@ def test_scans_in_chunks_of_64_give_the_same_bytes(name, capsys, monkeypatch):
     chunks = []
     evaluate = scan._evaluate_chunk
 
-    def evaluate_chunk(manifold, points, *args):
-        chunks.append(len(points))
-        return evaluate(manifold, points, *args)
+    def evaluate_chunk(manifold, axes, index, *args):
+        chunks.append(index.shape[1])
+        return evaluate(manifold, axes, index, *args)
 
     monkeypatch.setattr(scan, "CHUNK_SIZE", 64)
+    monkeypatch.setattr(scan, "VALIDITY_CHUNK_SIZE", 64)
     monkeypatch.setattr(scan, "_evaluate_chunk", evaluate_chunk)
     if name in GOLDEN:
         argv, code = GOLDEN[name]
@@ -154,6 +158,11 @@ _SHAPES = {
     # repeated values; x1 holds both -0.0 and 0.0, which must stay apart
     "example-signed-zeros": lambda: _scan(
         example_manifold(), "-0.0:-0.0:2,-1:1:8,0.5:2:4,-1:1:4", ("validity",)
+    ),
+    # coordinates written from the axes' texts: np.linspace ends an axis on
+    # its stop, here -0.0, and x2 holds 0.0
+    "example-negative-zero-axis": lambda: _scan(
+        example_manifold(), "-1:-0.0:3,-1:1:3,0.5:2:2,-0.0:-0.0:2", ("validity",)
     ),
     "empty": Report,
 }

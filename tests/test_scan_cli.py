@@ -93,6 +93,42 @@ def test_axis_spec():
             ScanConfig(tuple(AxisSpec(0.0, 1.0, count) for count in counts))
 
 
+def test_numpy_tolerance_gives_python_bools():
+    # numpy float tolerance made each pass flag a numpy bool, which no
+    # writer could index its texts by
+    report = run_check(example_manifold(), P0, tolerance=np.float64(1e-8))
+    assert render_report(report, "csv") == render_report(run_check(example_manifold(), P0), "csv")
+    assert type(report.meta["tolerance"]) is float
+    record = evaluate_point(example_manifold(), P0, tolerance=np.float64(1e-8))
+    assert all(type(outcome["passed"]) is bool for outcome in record["checks"].values())
+
+
+def test_float32_inputs_render():
+    # json.dumps refuses a float32 in meta; they are kept as floats
+    check = run_check(example_manifold(), P0, tolerance=np.float32(1e-8))
+    assert json.loads(render_report(check))["meta"]["tolerance"] == float(np.float32(1e-8))
+    axis = AxisSpec(np.float32(0.1), 1.0, 2)
+    assert type(axis.start) is float and axis.start == float(np.float32(0.1))
+    report = run_scan(example_manifold(), ScanConfig((axis,) + GOOD_AXES[1:], ("validity",)))
+    assert json.loads(render_report(report))["meta"]["box"][0]["start"] == axis.start
+
+
+def test_axis_count_takes_any_integer_but_a_bool():
+    axis = AxisSpec(0.0, 1.0, np.int64(3))
+    assert axis == AxisSpec(0.0, 1.0, 3) and type(axis.count) is int
+    for count in (np.bool_(True), 3.0, "3"):
+        with pytest.raises(ValueError, match="positive integer"):
+            AxisSpec(0.0, 1.0, count)
+
+
+def test_int_bounds_and_tolerance_are_written_as_floats():
+    # the same text as the CLI, which parses them as floats
+    config = ScanConfig(tuple(AxisSpec(0, 1, 2) for _ in range(4)), ("validity",), tolerance=1)
+    meta = render_report(run_scan(example_manifold(), config)).split('"summary"')[0]
+    assert '"start": 0.0,' in meta and '"stop": 1.0,' in meta and '"tolerance": 1.0,' in meta
+    assert '"tolerance": 1.0,' in render_report(run_check(example_manifold(), P0, tolerance=1))
+
+
 def test_scan_config_normalizes_checks():
     config = ScanConfig(GOOD_AXES, checks=("parallel", "validity"))
     assert config.checks == ("validity", "parallel")
@@ -408,9 +444,8 @@ def _line_axes(start, stop, count, rest=(0.1, 2.0, 0.2)):
 
 # all checks in chunks of CHUNK_SIZE; validity alone in chunks of
 # VALIDITY_CHUNK_SIZE, so its counts straddle that boundary. 63 and 65
-# straddle _SHARED_POWERS_FROM and _SHARED_TEXTS_FROM, both 64, from which
-# a chunk raises each distinct coordinate once and writes each distinct
-# float once
+# straddle _SHARED_TEXTS_FROM = 64, from which a chunk writes each distinct
+# triple component and residual once
 _CHUNKING_CASES = [
     pytest.param(manifold, count, CHECKS, id=f"{name}-{count}")
     for name, manifold in (("example", example_manifold()), ("cubic", nonflat_parallel_manifold()))
