@@ -443,16 +443,17 @@ def _line_axes(start, stop, count, rest=(0.1, 2.0, 0.2)):
 
 
 # all checks in chunks of CHUNK_SIZE; validity alone in chunks of
-# VALIDITY_CHUNK_SIZE, so its counts straddle that boundary. 63 and 65
-# straddle _SHARED_TEXTS_FROM = 64, from which a chunk writes each distinct
-# triple component and residual once
+# VALIDITY_CHUNK_SIZE, so its last two counts straddle that boundary and
+# 1023 and 1025 fill one chunk in part. 63 and 65 straddle
+# _SHARED_TEXTS_FROM = 64, from which a chunk writes each distinct triple
+# component and residual once
 _CHUNKING_CASES = [
     pytest.param(manifold, count, CHECKS, id=f"{name}-{count}")
     for name, manifold in (("example", example_manifold()), ("cubic", nonflat_parallel_manifold()))
     for count in (1, 63, 65, CHUNK_SIZE - 1, CHUNK_SIZE + 1, 2 * CHUNK_SIZE + 1)
 ] + [
     pytest.param(example_manifold(), count, ("validity",), id=f"example-validity-{count}")
-    for count in (VALIDITY_CHUNK_SIZE - 1, VALIDITY_CHUNK_SIZE + 1)
+    for count in (1023, 1025, VALIDITY_CHUNK_SIZE - 1, VALIDITY_CHUNK_SIZE + 1)
 ]
 
 
