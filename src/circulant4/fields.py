@@ -464,8 +464,8 @@ class CompiledField:
 
         powers[k] is the table of x_{k+1}**e, shape (e_max + 1, N), with
         row e computed by `scalar_pow`, as `jets` builds it: once per axis
-        value and gathered by each point's index on the axis, which gives
-        the bits of the point's own powers.
+        value a chunk touches and gathered by each point's index on the
+        axis, which gives the bits of the point's own powers.
 
         The points lie on the last axis throughout, so each gather, product
         and sum is one contiguous loop over the N points, and one gather per
@@ -500,18 +500,22 @@ def _power_table(column: np.ndarray, top: int) -> np.ndarray:
     return table
 
 
-def _power_tables(axes, index, top: np.ndarray) -> list[np.ndarray]:
-    """The table of x_{k+1}**e, e = 0 .. top[k], of each coordinate of N points.
+def _axis_powers(values: np.ndarray, i, top: int) -> np.ndarray:
+    """The table of x**e, e = 0 .. top, of the coordinates values[i] of N points, (top + 1, N).
 
-    The points are given by axes: coordinate k of point n is
-    axes[k][index[k, n]], with index (4, N). Row e of a table is
-    `scalar_pow` of axes[k], raised once per axis value and gathered by
-    the index, so each table is (top[k] + 1, N), the points last, with the
-    bits of `scalar_pow` of the coordinates themselves.
+    i is an index array on the axis, or slice(None) where the points are
+    its values in order. A chunk of a row-major grid touches a range of
+    each axis; where that range is no longer than the chunk, each value in
+    it is raised once and the table gathered by the index. Elsewhere, in a
+    block of points or a chunk across the end of a long axis, the points'
+    own coordinates are raised. Row e is `scalar_pow` of the coordinates
+    either way.
     """
-    return [
-        np.take(_power_table(values, int(t)), i, axis=1) for values, i, t in zip(axes, index, top)
-    ]
+    if not isinstance(i, slice):
+        lo, hi = int(i.min()), int(i.max()) + 1
+        if hi - lo <= len(i):
+            return np.take(_power_table(values[lo:hi], top), i - lo, axis=1)
+    return _power_table(values[i], top)
 
 
 def _points_first(x: np.ndarray) -> np.ndarray:
@@ -539,24 +543,26 @@ def jets(compiled: CompiledField, points, order: int = 2):
 
     The powers of the coordinates come from `scalar_pow`, the only power
     used, by `_grid_jets`: a block of points is its own grid, each column
-    an axis and each point its own index on every axis.
+    an axis and the points its values in order.
     """
     points = _as_points(points)
-    own = np.broadcast_to(np.arange(len(points)), (_NVARS, len(points)))
-    return _grid_jets(compiled, points.T, own, order)
+    return _grid_jets(compiled, points.T, (slice(None),) * _NVARS, order)
 
 
 def _grid_jets(compiled: CompiledField, axes, index, order: int):
-    """`jets` at the N points of a grid: coordinate k of point n is axes[k][index[k, n]].
+    """`jets` at the N points of a grid: coordinate k of point n is axes[k][index[k][n]].
 
-    axes are four arrays of finite values and index is (4, N). The powers
-    are raised once per axis value and gathered by the index
-    (`_power_tables`), so a scan chunk raises each value of an axis once,
-    whatever its number of points.
+    axes are four arrays of finite values, and index[k] is the points'
+    index array on axis k, or slice(None) where they are its values in
+    order. A chunk of a scan raises each axis value it touches once, and
+    across the end of a long axis its points' own coordinates
+    (`_axis_powers`).
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    powers = _power_tables(axes, index, compiled.max_exponents)
+    powers = [
+        _axis_powers(values, i, int(t)) for values, i, t in zip(axes, index, compiled.max_exponents)
+    ]
     with np.errstate(over="ignore", invalid="ignore"):
         block = compiled.evaluate(powers, order)
     values = block[:, 0].T

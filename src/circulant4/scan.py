@@ -28,10 +28,10 @@ may hold at most MAX_POINTS points.
 
 A grid is a product of four axes (`_Axes`), and a chunk holds its points
 as their (4, N) index on the axes, in row-major order. The jets raise
-each axis value to its powers once and gather them by the index
-(`fields._grid_jets`), and the writers write each axis value's text once
-per report and gather it the same way. A one-point check is the grid of
-one value per axis, so it takes the same path.
+each axis value a chunk touches to its powers once and gather them by the
+index (`fields._grid_jets`), and the writers write each axis value's text
+once per report and gather it the same way. A one-point check is the
+grid of one value per axis, so it takes the same path.
 
 A chunk's result is columnar (`_Columns`): the axes and index, triples and
 reasons (a point is valid where its reason is None), and for each
@@ -256,16 +256,17 @@ _NO_OUTCOMES = _Outcomes([], np.zeros((2, 0)), [])
 class _Axes:
     """The values of the four axes of a grid, shared by the chunks of its report.
 
-    A chunk holds its points as a (4, N) index into them: coordinate k of
-    point n is values[k][index[k, n]]. A one-point check is the grid of
-    one value per axis.
+    A chunk holds its points as their index on each axis: coordinate k of
+    point n is values[k][index[k][n]]. A scan chunk's index is a (4, N)
+    array; a one-point check is the grid of one value per axis, and its
+    index is slice(None) on each.
     """
 
     def __init__(self, values):
         self.values = tuple(values)
 
     def points(self, index: np.ndarray) -> np.ndarray:
-        """The (N, 4) points of a (4, N) index, a transposed view."""
+        """The (N, 4) points of an index on the axes, a transposed view."""
         return np.array([v[i] for v, i in zip(self.values, index)]).T
 
     @cached_property
@@ -280,7 +281,7 @@ class _Columns(NamedTuple):
     """The records of a chunk of N points, one column per field."""
 
     axes: _Axes  # the grid's axes
-    index: np.ndarray  # (4, N) the points' index on the axes
+    index: np.ndarray | tuple  # the points' index on each axis, as `_Axes` takes it
     values: np.ndarray  # (N, 3) the triples, reported as null where not finite
     reasons: list  # (N,) why a point is invalid, None where it is valid
     checks: tuple  # the checks run, in CHECKS order
@@ -302,9 +303,9 @@ def _at_rows(jet, rows: list):
 
 
 def _evaluate_chunk(
-    manifold: ManifoldSpec, axes: _Axes, index: np.ndarray, checks, tolerance: float
+    manifold: ManifoldSpec, axes: _Axes, index, checks, tolerance: float
 ) -> _Columns:
-    """The columns of the N points of a (4, N) index on axes, from one batched pass."""
+    """The columns of the N points of an index on axes, from one batched pass."""
     jets = _grid_jets(manifold.compiled, axes.values, index, _jet_order(checks))
     reasons = manifold.domain_reasons(axes.points(index), jets[0])
     geometric = {name: _GEOMETRY_CHECKS[name] for name in checks if name != "validity"}
@@ -335,14 +336,17 @@ def _evaluate_chunk(
     return _Columns(axes, index, values, reasons, tuple(checks), outcomes)
 
 
-def _at_points(columns: _Columns, outcomes: list, skipped) -> list:
-    """A geometry check's per-point items: outcomes at the valid points, skipped elsewhere."""
-    if len(outcomes) == len(columns.reasons):
+def _at_points(reasons: list, outcomes: list, skipped: list) -> list:
+    """Per-point items of a chunk: outcomes at the valid points, skipped's elsewhere.
+
+    outcomes holds an item per valid point and skipped one per point; the
+    items of skipped at the valid points are replaced in place.
+    """
+    if len(outcomes) == len(reasons):
         return outcomes
-    spread = [skipped] * len(columns.reasons)
-    for n, outcome in zip(_valid_rows(columns.reasons), outcomes):
-        spread[n] = outcome
-    return spread
+    for n, outcome in zip(_valid_rows(reasons), outcomes):
+        skipped[n] = outcome
+    return skipped
 
 
 def _records(columns: _Columns) -> list[dict]:
@@ -354,10 +358,10 @@ def _records(columns: _Columns) -> list[dict]:
             continue
         first, second = _GEOMETRY_CHECKS[name].keys
         o = columns.outcomes[name]
-        per_check.append(_at_points(columns, [
+        per_check.append(_at_points(columns.reasons, [
             {"passed": p, first: a, second: b} if e is None else {"passed": False, "error": e}
             for p, a, b, e in zip(o.passed, *o.numbers.tolist(), o.errors)
-        ], None))
+        ], [None] * len(columns.reasons)))
     triples = [
         {k: x if math.isfinite(x) else None for k, x in zip("ABC", triple)}
         for triple in columns.values.tolist()
@@ -379,7 +383,7 @@ def _records(columns: _Columns) -> list[dict]:
 def _point_columns(manifold: ManifoldSpec, point, checks: tuple, tolerance: float) -> _Columns:
     """The columns of one point, a (4,) array: the grid of one value per axis."""
     axes = _Axes(point[:, None])
-    return _evaluate_chunk(manifold, axes, np.zeros((4, 1), dtype=np.intp), checks, tolerance)
+    return _evaluate_chunk(manifold, axes, (slice(None),) * 4, checks, tolerance)
 
 
 def evaluate_point(
@@ -622,9 +626,8 @@ def _csv_chunk(columns: _Columns) -> str:
                 for p, a, b, e in zip(o.passed, *o.numbers.tolist(), o.errors)
             ])
         # valid, the empty reason cell and the two cells of each check
-        ran = map(",".join, zip(repeat(_BOOL_TEXTS[True] + ","), *outcomes))
-        for n, tail in zip(_valid_rows(columns.reasons), ran):
-            tails[n] = tail
+        ran = list(map(",".join, zip(repeat(_BOOL_TEXTS[True] + ","), *outcomes)))
+        tails = _at_points(columns.reasons, ran, tails)
     cells.append(tails)
     rows = list(map(",".join, zip(*cells)))
     rows.append("")  # the last line break, and none without rows
@@ -677,10 +680,10 @@ def _json_chunk(columns: _Columns) -> str:
             continue
         results = _JSON_RESULTS[name]
         o = columns.outcomes[name]
-        cells.append(_at_points(columns, [
+        cells.append(_at_points(columns.reasons, [
             results % (_BOOL_TEXTS[p], a, b) if e is None else _JSON_ERROR % _json_str(e)
             for p, a, b, e in zip(o.passed, *_float_texts(o.numbers), o.errors)
-        ], "null"))
+        ], ["null"] * len(columns.reasons)))
     template = _json_record_template(columns.checks)
     return ",\n    ".join(map(template.__mod__, zip(*cells)))
 

@@ -380,12 +380,14 @@ def test_compiled_jets_match_reference_bitwise(name):
     reference = _reference_jets(f, points)
     # the points as their own grid, and the chunks of a grid, whose powers
     # are raised once per axis value: 0.0 beside -0.0, overflowing powers
-    # and a value on several axes
+    # and a value on several axes; chunks of 2 points also cross the end
+    # of an axis, where they raise their points' own coordinates
     blocks = [((points, reference), jets(CompiledField([f]), points))] + [
         ((block, _reference_jets(f, block)), got)
-        for block, got in grid_chunk_jets(CompiledField([f]), JET_GRID_AXES, 40)
+        for size in (40, 2)
+        for block, got in grid_chunk_jets(CompiledField([f]), JET_GRID_AXES, size)
     ]
-    assert len(blocks) == 4
+    assert len(blocks) == 1 + 3 + 54
     for (block, expected), (values, gradients, hessians) in blocks:
         assert np.array_equal(_bits(values[:, 0]), _bits(expected[0]))
         assert np.array_equal(_bits(gradients[:, 0]), _bits(expected[1]))
