@@ -1,42 +1,60 @@
-"""Independent reference routes, for the tests and demos only.
+"""Reference routes for the tests and demos, outside the public API.
 
-Each function here recomputes something the package computes otherwise,
-by another method, so the two can be compared: central differences for
-gradients (`fd_gradient`) and for the Christoffel partials and R
-(`christoffel_partials_fd`, `riemann_fd`), generic determinants for
-positive definiteness (`leading_principal_minors`), contraction with the
-inverse metric (`raise_index`) and one basis 4-tuple of the slot-transfer
-identity at a time (`curvature_q_invariance_residual`). None of them is
-part of the public API.
+`exact_geometry` is the `Geometry` pass itself over Fractions, the exact
+reference for the float pass. The others recompute something by another
+method: positive definiteness by generic minors, raising an index, and
+the slot-transfer identity one basis 4-tuple at a time.
 """
 
-from __future__ import annotations
+import math
+from fractions import Fraction
 
 import numpy as np
 
-from .circulant import apply_affinor, inverse_metric
-from .connection import christoffel
-from .curvature import _assemble_riemann, contract_lowered, riemann_lowered
-from .fields import _NVARS, as_point
+from .circulant import SLOT_FIELD, apply_affinor, inverse_metric
+from .curvature import Geometry, contract_lowered, riemann_lowered
+from .fields import _points_first
 from .manifolds import ManifoldSpec
 
 
-def fd_gradient(field, p, h: float | None = None) -> np.ndarray:
-    """Central-difference gradient, an independent check on the exact one.
+def exact_jets(fields, points) -> tuple:
+    """Values (N, F), gradients (N, F, 4) and Hessians (N, F, 4, 4) of fields at points.
 
-    With ``h`` omitted the step adapts per axis to 1e-5 * max(1, |x_i|).
-    An explicit non-positive step is rejected.
+    Object arrays of Fractions: each stored float coefficient and each
+    coordinate is taken exactly, and the terms are differentiated exactly.
     """
-    p = as_point(p)
-    if h is not None and not h > 0:
-        raise ValueError("step h must be positive")
-    out = np.empty(_NVARS)
-    for k in range(_NVARS):
-        step = h if h is not None else 1e-5 * max(1.0, abs(p[k]))
-        offset = np.zeros(_NVARS)
-        offset[k] = step
-        out[k] = (field(p + offset) - field(p - offset)) / (2.0 * step)
-    return out
+    def partial(terms, k):
+        return {(*e[:k], e[k] - 1, *e[k + 1 :]): c * e[k] for e, c in terms.items() if e[k]}
+
+    slots = []  # per field, its terms and those of its 4 first and 16 second partials
+    for f in fields:
+        terms = {e: Fraction(c) for e, c in f.terms().items()}
+        firsts = [partial(terms, k) for k in range(4)]
+        slots.append([terms, *firsts, *(partial(t, k) for t in firsts for k in range(4))])
+    points = [[Fraction(x) for x in p] for p in points]
+    block = np.array([[[sum((c * math.prod(map(pow, p, e)) for e, c in s.items()), Fraction(0))
+                        for s in field] for field in slots] for p in points], dtype=object)
+    return block[..., 0], block[..., 1:5], block[..., 5:].reshape(*block.shape[:2], 4, 4)
+
+
+def exact_inverse(values) -> tuple:
+    """`inverse_metrics` in Fractions: the bars over d, d, and none degenerate (d = 0 raises)."""
+    a, b, c = np.asarray(values, dtype=object).T
+    d = (a - c) * ((a + c) ** 2 - 4 * b * b)
+    bars = np.array([a * (a + c) - 2 * b * b, b * (c - a), 2 * b * b - c * (a + c)]) / d
+    return _points_first(bars[SLOT_FIELD]), d, np.zeros(len(d), dtype=bool)
+
+
+def exact_geometry(manifold: ManifoldSpec, points) -> Geometry:
+    """The `Geometry` pass over Fractions at N points, with `exact_inverse` for its inverse.
+
+    Every stage but the scales (1 + a Fraction) is exact. `failures` and
+    `finite_row` are not for it: their np.isfinite takes no object array.
+    """
+    jets = exact_jets((manifold.A, manifold.B, manifold.C), points)
+    geometry = Geometry(*jets)
+    geometry.__dict__["_inverse_metrics"] = exact_inverse(jets[0])
+    return geometry
 
 
 def leading_principal_minors(matrix) -> np.ndarray:
@@ -49,26 +67,6 @@ def leading_principal_minors(matrix) -> np.ndarray:
     if matrix.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {matrix.shape}")
     return np.array([np.linalg.det(matrix[:k, :k]) for k in range(1, 5)])
-
-
-def christoffel_partials_fd(m: ManifoldSpec, p, h: float = 1e-4) -> np.ndarray:
-    """Central differences of christoffel, the independent route to d Gamma."""
-    p = as_point(p)
-    if not h > 0:
-        raise ValueError("step h must be positive")
-    out = np.empty((4, 4, 4, 4))
-    for k in range(4):
-        offset = np.zeros(4)
-        offset[k] = h
-        out[k] = (christoffel(m, p + offset) - christoffel(m, p - offset)) / (2.0 * h)
-    return out
-
-
-def riemann_fd(m: ManifoldSpec, p, h: float = 1e-4) -> np.ndarray:
-    """Same assembly with finite-difference Christoffel partials."""
-    dgamma = christoffel_partials_fd(m, p, h)
-    out, scratch = np.empty((2, *dgamma.shape, 1))
-    return _assemble_riemann(christoffel(m, p)[..., None], dgamma[..., None], out, scratch)[..., 0]
 
 
 def raise_index(t, r4: np.ndarray) -> np.ndarray:

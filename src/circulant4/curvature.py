@@ -11,7 +11,7 @@ axis j, y into i, z into k and u into h.
 
 The Christoffel partials entering d Gamma are assembled analytically from
 the field Hessians together with d g^{-1} = -g^{-1} (d g) g^{-1}. The
-central-difference route that the tests compare them with lives in the
+tests compare every stage with the same pass in Fractions, kept in the
 private `circulant4._oracles`.
 
 On manifolds where q is parallel the curvature satisfies two structure

@@ -4,8 +4,8 @@ The metric coefficients handled by this package are smooth functions of a
 point p = (x1, x2, x3, x4). Restricting them to polynomials keeps every
 derivative exact: gradients and Hessians are themselves polynomials obtained
 by coefficient arithmetic, so the connection and curvature routines never
-depend on numerical differentiation. The central-difference gradient that
-the tests check the analytic path against lives in the private
+depend on numerical differentiation. The tests compare them with the same
+terms evaluated exactly, over Fractions, in the private module
 `circulant4._oracles`.
 
 The geometry pipeline evaluates fields through their compiled form

@@ -14,8 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from circulant4 import ManifoldSpec, ScalarField, example_manifold
-from circulant4.circulant import SLOT_FIELD
-from circulant4.fields import _grid_jets, _points_last
+from circulant4.fields import _grid_jets
 from circulant4.scan import _Axes, _grid_chunks
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -72,35 +71,20 @@ def random_polynomial(rng, degree=2, terms=3, scale=1.0):
     return ScalarField(out)
 
 
-def rational_passes(cls, seed=3):
-    """The pass `cls` over Fraction jets at two points, exact, and the same jets as floats.
+def exact_central_difference(evaluate, point, h=Fraction(1, 2**30)):
+    """(evaluate(p + h e_m) - evaluate(p - h e_m)) / 2h for m = 1..4, stacked first, in Fractions.
 
-    The triples keep g invertible, and the gradients and symmetric Hessians
-    are seeded multiples of 1/8; any jets serve, as the pass does not need
-    them to come from fields. The exact pass gets the closed-form inverse
-    over Fractions in its `__dict__`, in place of `inverse_metrics`, whose
-    powers are floats.
+    evaluate maps a list of Fraction points to an (N, ...) array. Exact but
+    for the O(h^2) of the difference itself, and independent of any formula
+    for the derivative.
     """
-    rng = np.random.default_rng(seed)
-
-    def eighths(shape):
-        return np.array([Fraction(int(k), 8) for k in rng.integers(-16, 17, shape).flat],
-                        dtype=object).reshape(shape)
-
-    values = np.array([[Fraction(3), Fraction(1, 2), Fraction(2)],
-                       [Fraction(5, 2), Fraction(-1, 4), Fraction(1)]], dtype=object)
-    gradients = eighths((2, 3, 4))
-    hessians = eighths((2, 3, 4, 4))
-    hessians = hessians + hessians.transpose(0, 1, 3, 2)
-    inverses = []
-    for a, b, c in values:
-        d = (a - c) * ((a + c) ** 2 - 4 * b * b)
-        bars = [(a * (a + c) - 2 * b * b) / d, b * (c - a) / d, (2 * b * b - c * (a + c)) / d]
-        inverses.append(np.array(bars, dtype=object)[SLOT_FIELD])
-    exact = cls(values, gradients, hessians)
-    exact.__dict__["_inverse"] = _points_last(np.array(inverses))
-    floats = cls(*(np.asarray(jet, dtype=float) for jet in (values, gradients, hessians)))
-    return exact, floats
+    p = [Fraction(x) for x in point]
+    steps = [
+        [x + sign * h * (i == m) for i, x in enumerate(p)] for m in range(4) for sign in (1, -1)
+    ]
+    at = evaluate(steps)
+    at = at.reshape(4, 2, *at.shape[1:])
+    return (at[:, 0] - at[:, 1]) / (2 * h)
 
 
 def perturbed_example(rng, scale=0.3, name="perturbed"):

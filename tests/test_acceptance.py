@@ -33,7 +33,7 @@ from circulant4 import (
     riemann,
     riemann_lowered,
 )
-from circulant4._oracles import christoffel_partials_fd, curvature_q_invariance_residual
+from circulant4._oracles import curvature_q_invariance_residual, exact_geometry
 from circulant4.cli import main
 from circulant4.scan import AxisSpec, ScanConfig, run_check, run_scan
 
@@ -183,17 +183,13 @@ def test_6_curvature_oracles(report_line):
         ) <= 1e-14
 
     m = example_manifold()
-    fd_err = 0.0
-    for p in [P0, (0.5, -0.3, 2.0, 0.8), (-1.5, 0.2, 0.5, -2.0)]:
-        fd_err = max(
-            fd_err,
-            float(
-                np.max(
-                    np.abs(christoffel_partials(m, p) - christoffel_partials_fd(m, p))
-                )
-            ),
-        )
-    fd_ok = fd_err <= 1e-5
+    points = [P0, (0.5, -0.3, 2.0, 0.8), (-1.5, 0.2, 0.5, -2.0)]
+    exact = exact_geometry(m, points).christoffel_partials
+    exact_err = max(
+        float(np.max(np.abs(christoffel_partials(m, p) - dgamma.astype(float))))
+        for p, dgamma in zip(points, exact)
+    )
+    exact_ok = exact_err <= 1e-14
 
     sym_err = 0.0
     nf = nonflat_parallel_manifold()
@@ -217,10 +213,10 @@ def test_6_curvature_oracles(report_line):
         sym_err = max(sym_err, float(max(gaps)) / scale)
     sym_ok = sym_err <= 1e-8
 
-    ok = flat_ok and fd_ok and sym_ok
+    ok = flat_ok and exact_ok and sym_ok
     report_line(
         f"[6/9] {'PASS' if ok else 'FAIL'} curvature: constants flat, "
-        f"fd gap {fd_err:.2e}, symmetry gap {sym_err:.2e} rel"
+        f"d Gamma off the exact pass by {exact_err:.2e}, symmetry gap {sym_err:.2e} rel"
     )
     assert ok
 

@@ -10,10 +10,10 @@ import circulant4
 from helpers import run_python
 
 ORACLES = (
-    "fd_gradient",
+    "exact_jets",
+    "exact_inverse",
+    "exact_geometry",
     "leading_principal_minors",
-    "christoffel_partials_fd",
-    "riemann_fd",
     "raise_index",
     "curvature_q_invariance_residual",
 )
@@ -49,3 +49,12 @@ def test_oracles_import_cleanly_on_their_own():
     result = run_python("-W", "error", "-c", "import circulant4._oracles")
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+
+
+def test_the_command_line_imports_no_oracle_and_no_fractions():
+    # the exact route stays off the import path that every command pays for
+    loaded = "sorted({'circulant4._oracles', 'fractions'} & set(sys.modules))"
+    code = f"import sys, circulant4.cli; print({loaded})"
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -22,15 +22,17 @@ from circulant4 import (
     parse_field,
 )
 from circulant4 import connection
+from circulant4._oracles import exact_geometry
 from circulant4.connection import FULL_TERMS, REDUCED_TERMS, Connection
 from circulant4.curvature import Geometry
 from circulant4.scan import CHECKS, _Axes, _evaluate_chunk
 
 from helpers import (
+    exact_central_difference,
+    nonflat_parallel_manifold,
     perturbed_example,
     perturbed_example_fixed,
     random_polynomial,
-    rational_passes,
     sample_valid_points,
 )
 
@@ -79,16 +81,11 @@ def test_metric_partials_layout():
 
 
 def test_metric_partials_match_finite_differences():
+    # example's fields are quadratic, so the exact central difference of the
+    # exact metric is its exact partials, at any step
     m = example_manifold()
-    h = 1e-6
-    dg = metric_partials(m, P0)
-    for i in range(4):
-        offset = np.zeros(4)
-        offset[i] = h
-        fd = (
-            m.metric_at(np.add(P0, offset)) - m.metric_at(np.subtract(P0, offset))
-        ) / (2 * h)
-        assert np.max(np.abs(dg[i] - fd)) <= 1e-6
+    differences = exact_central_difference(lambda points: exact_geometry(m, points).metric, P0)
+    assert np.max(np.abs(metric_partials(m, P0) - differences.astype(float))) <= 1e-15
 
 
 def test_christoffel_constant_manifold_is_zero():
@@ -409,7 +406,9 @@ def test_an_all_check_chunk_names_each_non_finite_jet_once(monkeypatch):
 
 def test_christoffel_stays_exact_on_fraction_jets():
     # halving by `/ 2`, not `0.5 *`, keeps a Fraction a Fraction
-    exact, floats = rational_passes(Connection)
-    gamma = exact.christoffel
+    m = nonflat_parallel_manifold()
+    points = sample_valid_points(m, 2, np.random.default_rng(3), low=-1.0, high=1.0)
+    gamma = exact_geometry(m, points).christoffel
     assert all(type(x) is Fraction for x in gamma.flat)
+    floats = Connection(*m.jets(np.array(points), 1))
     assert np.allclose(floats.christoffel, gamma.astype(float), rtol=1e-14, atol=1e-15)

@@ -1,6 +1,7 @@
 """Riemann curvature, its oracles, and the affinor structure identities."""
 
 import itertools
+import os
 import warnings
 from fractions import Fraction
 
@@ -17,27 +18,30 @@ from circulant4 import (
     curvature_q_commutation_residual,
     evaluate_point,
     example_manifold,
+    load_manifold,
     lower_index,
     max_curvature_q_invariance_residual,
     nabla_q,
     riemann,
     riemann_lowered,
 )
-from circulant4._oracles import (
-    christoffel_partials_fd,
-    curvature_q_invariance_residual,
-    raise_index,
-    riemann_fd,
-)
+from circulant4._oracles import curvature_q_invariance_residual, exact_geometry, raise_index
+from circulant4.curvature import _assemble_riemann
 
 from helpers import (
+    REPO_ROOT,
+    exact_central_difference,
     nonflat_parallel_manifold,
     perturbed_example_fixed,
-    rational_passes,
     sample_valid_points,
 )
 
 P0 = (1.0, 0.1, 2.0, 0.2)
+CUBIC = os.path.join(REPO_ROOT, "perfbench", "manifolds", "cubic.cfg")
+# row 2030 of np.random.default_rng(1).uniform(0.5, 2, (3000, 4)): example's
+# known curvature31 false failure, where cond(g) is about 1e5
+FALSE_FAILURE_POINT = (0.828852695441705, 1.1964933743341968, 0.8160078976158891,
+                       1.1965961451697962)
 
 
 @pytest.fixture(scope="module")
@@ -52,11 +56,39 @@ def test_constant_manifold_is_flat():
     assert not np.any(riemann(m, (0.4, -2.0, 1.0, 5.0)))
 
 
+@pytest.fixture(scope="module")
+def exact_passes():
+    """Per case, the float pass and `exact_geometry` at the same points.
+
+    The cases: seeded points of example and of the stored cubic, and the
+    false-failure point. The points are floats, which Fractions hold exactly.
+    """
+    example, cubic = example_manifold(), load_manifold(CUBIC)
+    rng = np.random.default_rng(21)
+    cases = {
+        "example": (example, sample_valid_points(example, 3, rng, low=0.5, high=2.0)),
+        "cubic": (cubic, sample_valid_points(cubic, 3, rng, low=-1.0, high=1.0)),
+        "false failure": (example, [FALSE_FAILURE_POINT]),
+    }
+    return {
+        name: (Geometry(*m.jets(np.array(points))), exact_geometry(m, points))
+        for name, (m, points) in cases.items()
+    }
+
+
+def _exact_christoffel_differences(m, p):
+    """The exact central difference of the exact Gamma at p, [m, s, i, j].
+
+    It does not use the d Gamma formula.
+    """
+    return exact_central_difference(lambda points: exact_geometry(m, points).christoffel, p)
+
+
 def test_christoffel_partials_match_finite_differences():
-    m = example_manifold()
-    analytic = christoffel_partials(m, P0)
-    fd = christoffel_partials_fd(m, P0, h=1e-4)
-    assert np.max(np.abs(analytic - fd)) <= 1e-5
+    for m, p in [(example_manifold(), P0), (load_manifold(CUBIC), (0.3, -0.2, 0.5, 0.1))]:
+        exact = exact_geometry(m, [p]).christoffel_partials[0]
+        assert np.max(np.abs(_exact_christoffel_differences(m, p) - exact)) <= 1e-17
+        assert np.max(np.abs(christoffel_partials(m, p) - exact.astype(float))) <= 1e-14
 
 
 def test_christoffel_partials_symmetry():
@@ -65,14 +97,14 @@ def test_christoffel_partials_symmetry():
 
 
 def test_riemann_matches_finite_difference_assembly():
-    m = example_manifold()
-    for p in [P0, (0.5, -0.3, 2.0, 0.8)]:
-        assert np.max(np.abs(riemann(m, p) - riemann_fd(m, p))) <= 1e-5
-
-
-def test_fd_step_validation():
-    with pytest.raises(ValueError):
-        christoffel_partials_fd(example_manifold(), P0, h=0.0)
+    example, cubic = example_manifold(), load_manifold(CUBIC)
+    for m, p in [(example, P0), (example, (0.5, -0.3, 2.0, 0.8)), (cubic, (0.3, -0.2, 0.5, 0.1))]:
+        exact = exact_geometry(m, [p])
+        dgamma = _exact_christoffel_differences(m, p)[..., None]
+        out, scratch = np.empty((2, *dgamma.shape), dtype=object)
+        assembled = _assemble_riemann(exact._christoffel, dgamma, out, scratch)[..., 0]
+        assert np.max(np.abs(assembled - exact.riemann[0])) <= 1e-17
+        assert np.max(np.abs(riemann(m, p) - exact.riemann[0].astype(float))) <= 1e-14
 
 
 def test_example_manifold_is_flat():
@@ -255,13 +287,70 @@ def test_stages_read_in_any_order_keep_their_bits(perturbed_jets):
             assert np.array_equal(value.view(np.int64), expected[a].view(np.int64)), (order, a)
 
 
-def test_curvature_stages_stay_exact_on_fraction_jets():
-    exact, floats = rational_passes(Geometry)
+def test_curvature_stages_stay_exact_on_fraction_jets(exact_passes):
+    floats, exact = exact_passes["cubic"]
     for stage in ("christoffel",) + BLOCK_STAGES + GAP_ATTRIBUTES[::2]:
         value = getattr(exact, stage)
         assert all(type(x) is Fraction for x in value.flat), stage
         scale = 1.0 + np.max(np.abs(getattr(floats, stage)))
         assert np.allclose(getattr(floats, stage), value.astype(float), rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("case", ["example", "cubic"])
+def test_exact_pass_keeps_the_identities_exactly(exact_passes, case):
+    _, exact = exact_passes[case]
+    gamma, dgamma = exact.christoffel, exact.christoffel_partials  # [n, s, i, j], [n, m, s, i, j]
+    r, r4 = exact.riemann, exact.riemann_lowered  # [n, l, k, j, i], [n, h, k, j, i]
+    assert np.all(gamma == gamma.swapaxes(2, 3))
+    assert np.all(dgamma == dgamma.swapaxes(3, 4))
+    assert np.all(r == -r.swapaxes(3, 4))
+    assert not np.any(r + np.einsum("nljik->nlkji", r) + np.einsum("nlikj->nlkji", r))
+    assert np.all(r4 == r4.transpose(0, 4, 3, 2, 1))
+    if case == "example":
+        # the stored cubic rounds 1/6 when it is parsed, so there nabla q and
+        # the gaps are about 1e-17, not 0
+        for stage in ("nabla_q", "riemann", "q_invariance_gap", "q_commutation_gap"):
+            assert not np.any(getattr(exact, stage)), stage
+    else:
+        assert np.any(r)
+
+
+# max |float - exact| over a case's points, relative to the terms that cancel:
+# max |Gamma| for Gamma and nabla q, max |d Gamma| for d Gamma and
+# max |d Gamma| + max |Gamma|^2 for R. Measured (numpy 2.4, x86-64):
+#   example        1.8e-15, 1.1e-15, 6.2e-15, 2.6e-15
+#   cubic          2.8e-16, 2.9e-16, 3.8e-16, 3.4e-16
+#   false failure  2.2e-12, 3.9e-14, 7.2e-12, 3.6e-12
+# Each bound is 10 times its measured value, rounded up.
+ROUNDING_BOUNDS = {
+    "example": {"christoffel": 2e-14, "nabla_q": 2e-14, "christoffel_partials": 7e-14,
+                "riemann": 3e-14},
+    "cubic": {"christoffel": 3e-15, "nabla_q": 3e-15, "christoffel_partials": 4e-15,
+              "riemann": 4e-15},
+    "false failure": {"christoffel": 3e-11, "nabla_q": 4e-13, "christoffel_partials": 8e-11,
+                      "riemann": 4e-11},
+}
+
+
+def _largest(x):
+    """max |x| per point, over the axes after the first, (N,) floats."""
+    return np.abs(x.astype(float)).reshape(len(x), -1).max(axis=1)
+
+
+def test_float_pass_is_off_the_exact_pass_by_rounding(exact_passes):
+    for case, bounds in ROUNDING_BOUNDS.items():
+        floats, exact = exact_passes[case]
+        gamma, dgamma = _largest(exact.christoffel), _largest(exact.christoffel_partials)
+        scales = {"christoffel": gamma, "nabla_q": gamma, "christoffel_partials": dgamma,
+                  "riemann": dgamma + gamma**2}
+        for stage, bound in bounds.items():
+            error = _largest(getattr(floats, stage) - getattr(exact, stage).astype(float))
+            assert np.max(error / scales[stage]) <= bound, (case, stage)
+    # what the strict xfail below states: the exact R and curvature31 gap are
+    # 0 there, and the float R is off by more than 1e-8
+    floats, exact = exact_passes["false failure"]
+    assert exact.q_invariance_gap[0] == 0 and not np.any(exact.riemann)
+    assert np.max(np.abs(floats.riemann)) > 1e-8
 
 
 @pytest.mark.xfail(

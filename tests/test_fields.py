@@ -20,10 +20,17 @@ from circulant4 import (
     load_manifold,
     parse_field,
 )
-from circulant4._oracles import fd_gradient
+from circulant4._oracles import exact_jets
 from circulant4.fields import MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, CompiledField, jets
 
-from helpers import JET_GRID_AXES, PARSER_CORPUS, REPO_ROOT, grid_chunk_jets, random_polynomial
+from helpers import (
+    JET_GRID_AXES,
+    PARSER_CORPUS,
+    REPO_ROOT,
+    exact_central_difference,
+    grid_chunk_jets,
+    random_polynomial,
+)
 
 x1, x2, x3, x4 = (ScalarField.coordinate(i) for i in (1, 2, 3, 4))
 
@@ -92,6 +99,8 @@ def test_hessian_exact_and_symmetric():
 
 
 def test_fd_gradient_agrees():
+    # each coordinate has degree at most 2 in these fields, so the exact
+    # central difference of exact values is the exact gradient at any step
     rng = np.random.default_rng(3)
     for _ in range(10):
         f = ScalarField(
@@ -101,21 +110,11 @@ def test_fd_gradient_agrees():
             }
         )
         p = rng.uniform(-2, 2, size=4)
-        exact = f.gradient(p)
-        approx = fd_gradient(f, p)
-        assert np.max(np.abs(approx - exact)) <= 1e-6 * (1 + np.max(np.abs(exact)))
-
-
-def test_fd_gradient_step_handling():
-    f = x1**2
-    # the adaptive step keeps the estimate sane far from the origin
-    p = (1000.0, 0.0, 0.0, 0.0)
-    assert abs(fd_gradient(f, p)[0] - 2000.0) <= 1e-3
-    assert abs(fd_gradient(f, p, h=1e-3)[0] - 2000.0) <= 1e-6
-    with pytest.raises(ValueError):
-        fd_gradient(f, p, h=0.0)
-    with pytest.raises(ValueError):
-        fd_gradient(f, p, h=-1e-5)
+        exact = exact_jets([f], [p])[1][0, 0]
+        differences = exact_central_difference(lambda points: exact_jets([f], points)[0], p)
+        assert differences[:, 0].tolist() == exact.tolist()
+        gap = np.max(np.abs(f.gradient(p) - exact.astype(float)))
+        assert gap <= 1e-15 * (1 + np.max(np.abs(exact)))
 
 
 def test_immutability_and_equality():
