@@ -9,10 +9,27 @@ stored as r[l, k, j, i], and the (0,4) tensor lowers the first index,
 r4[h, k, j, i] = g_lh r[l, k, j, i], so that R(x, y, z, u) contracts x into
 axis j, y into i, z into k and u into h.
 
-The Christoffel partials entering d Gamma are assembled analytically from
-the field Hessians together with d g^{-1} = -g^{-1} (d g) g^{-1}. The
-tests compare every stage with the same pass in Fractions, kept in the
-private `circulant4._oracles`.
+The pass forms the lowered R first, by the classical formula of the first
+kind, and R from it. With t[a, i, j] = d_i g_aj + d_j g_ai - d_a g_ij,
+twice the symbols of the first kind, g_hs Gamma^s_ik = t[h, i, k] / 2, so
+g_hl d_j Gamma^l_ik = d_j t[h, i, k] / 2 - d_j g_hs Gamma^s_ik. As
+d_j g_hs - t[h, j, s] / 2 = t[s, j, h] / 2, that gives
+
+    r4[h, k, j, i] = G[h, k, j, i] / 2 - G[h, k, i, j] / 2
+    G[h, k, j, i] = d_j d_k g_hi - d_j d_h g_ik - t[s, j, h] Gamma^s_ik
+
+and R is g^{lh} r4[h, k, j, i]. So a pass needs no derivative of Gamma or
+of g^{-1}, and runs two rank-5 einsums. Formed through d Gamma, R summed
+terms of the size of |Gamma|^2 and |d g^{-1}| |t| that cancel: on
+`example`, which is flat, the largest |r4| over the 1 223 valid points of
+a seeded sample of [0.5, 2]^4 was 5.8e-8 that way and is 2.6e-12 this way.
+
+d Gamma stays a stage for its `christoffel_partials` view, by the same
+product rule, d_m Gamma^s_ij = g^{as} (dt[m, a, i, j] / 2 - d_m g_ab
+Gamma^b_ij) with dt[m, a, i, j] = d_m t[a, i, j]; the checks never form it.
+The tests compare every stage with the same pass in Fractions, kept in the
+private `circulant4._oracles`, and d Gamma and R with exact central
+differences of the exact Gamma.
 
 On manifolds where q is parallel the curvature satisfies two structure
 identities: the (0,4) tensor absorbs q from the last slot into the third as
@@ -36,40 +53,37 @@ stage attributes are the (N, ...) views, bit for bit what a points-first
 pass computes.
 
 Each rank-5 stage takes 4^4 N floats, 512 KiB at 256 points. A pass
-forms its three in one block, (3, 4, 4, 4, 4, N): slot 0 holds d Gamma,
-slot 1 R and slot 2 the lowered R. The stages form in that order, each
-reading the one before, so while a stage is formed the slots after its
-own are free and serve as its scratch:
-
-- d Gamma sums its two einsum terms into slot 0. The Hessian term reads
-  dt[m, a, i, j] = d_m d_i g_aj + d_m d_j g_ai - d_m d_a g_ij, formed in
-  slot 1: `np.take` of the Hessians, by index tables built once, places
-  the first term in slot 2, the second is its view with i and j swapped,
-  and a second `np.take` into slot 2 gives the last. The einsum of the
-  Hessian term then goes to slot 2.
-- R sums its terms into slot 1, with the product term E1 (the third term
-  of the formula) in slot 2. The fourth term E2 is E1 with j and i
-  swapped, E2[l, k, j, i] = E1[l, k, i, j]: both are the same sum over s
-  of the same products, so the transposed view of E1 gives E2's bits
-  without a second einsum.
-- The lowered R is an einsum into slot 2.
+holds the lowered R, R and the gaps' scratch in one block, (3, 4, 4, 4,
+4, N), in this order. The lowered R forms first, with the other two
+slots as its scratch. The Hessians and t are halved into the gaps' slot.
+`np.take` of the halved Hessians, by index tables built once, places the
+first second-derivative term of G / 2 in slot 1 and the second in slot
+0, which slot 1 then subtracts, and the einsum term, from t / 2, goes
+through slot 0 in the same way. G / 2 minus its (j, i) transpose, into
+slot 0, is the lowered R. Halving the inputs, a third of a slot's
+entries, in place of the lowered R gives the same bits wherever nothing
+overflows, and at 157 points took 14 us in place of 31. R is an einsum
+from slot 0 into slot 1.
 
 As q is the cyclic shift, each gap is four block subtractions of slices
-of R into one buffer, with no shifted copy of R, and its scale takes |R|
-in the same buffer. Each element goes through the same operations in the
-same order as in the out-of-place sums, so the bits are the same. The
-block takes the dtype of Gamma and the Hessians, and d Gamma, like Gamma,
-is halved by `/ 2`, so a pass over object arrays of `fractions.Fraction`,
-given an exact inverse, stays exact through the gaps; only the scales
-add the float 1.
+of R into slot 2, with no shifted copy of R, and its scale takes |R| in
+the same slot. Each element goes through the same operations in the same
+order as in the out-of-place sums, so the bits are the same. The block
+takes the dtype of Gamma and the Hessians, and the halves, like Gamma,
+are taken by `/ 2`, so a pass over object arrays of `fractions.Fraction`,
+given an exact inverse, stays exact through the gaps; only the scales add
+the float 1.
 
-One block instead of a buffer per stage and term is also what lets the
-allocator keep the memory between passes: glibc serves the first 1.5 MB
-block by mmap, and freeing it raises the mmap and trim thresholds above
-what a pass holds, so later passes reuse heap pages instead of mapping
-and faulting in fresh ones. At 256 points that took the all-check scan
-of a 4^4 grid from about 550 minor page faults per call, of 1.5-3.6 us
-each, to none (glibc 2.36, 2-vCPU Xeon).
+One block instead of a buffer per stage, term and gap is also what lets
+the allocator keep the memory between passes: glibc serves the first
+such block by mmap, and freeing it raises the mmap threshold to its size
+and the trim threshold to twice that, above what a pass holds, so later
+passes reuse heap pages instead of mapping and faulting in fresh ones.
+At 256 points that took the all-check scan of a 4^4 grid from about 550
+minor page faults per call, of 1.5-3.6 us each, to none. With the gaps'
+scratch a buffer of its own, a block of two slots set the trim threshold
+below the pass's peak, and the scan faulted in about 290 pages a call
+(glibc 2.36, 2-vCPU Xeon).
 """
 
 from __future__ import annotations
@@ -100,48 +114,20 @@ CURVATURE_NOT_FINITE = "curvature is not finite"
 
 
 def _hessian_tables() -> tuple:
-    """Which rows of the flat (3 * 16, N) Hessians form dt, two tables [m, a, i, j].
+    """Which rows of the flat (3 * 16, N) Hessians form G, two tables [h, k, j, i].
 
-    dt[m, a, i, j] = d_m d_i g_aj + d_m d_j g_ai - d_m d_a g_ij, and
     d_x d_y g_ab is row 16 f + 4 x + y, f = SLOT_FIELD[a, b], of the flat
-    Hessians. The tables pick the first term and the last; the second is
-    the first with i and j swapped.
+    Hessians. The tables pick d_j d_k g_hi and d_j d_h g_ik, the two
+    second-derivative terms of G (see the module docstring).
     """
-    m, a, i, j = np.indices((4, 4, 4, 4))
-    tables = (16 * SLOT_FIELD[a, j] + 4 * m + i, 16 * SLOT_FIELD[i, j] + 4 * m + a)
+    h, k, j, i = np.indices((4, 4, 4, 4))
+    tables = (16 * SLOT_FIELD[h, i] + 4 * j + k, 16 * SLOT_FIELD[i, k] + 4 * j + h)
     for table in tables:
         table.setflags(write=False)
     return tables
 
 
-_DT_FIRST, _DT_LAST = _hessian_tables()
-
-
-def _assemble_riemann(gamma, dgamma, out, scratch) -> np.ndarray:
-    """r[l, k, j, i, n], the (1,3) curvature from Gamma and d Gamma, the points last.
-
-    Summed ((T1 - T2) + E1) - E2 into `out`, with E1 in `scratch`, both of
-    d Gamma's shape; E2 is E1 with its j and i axes swapped (see the module
-    docstring). `out` is in C order, and so is the lowered R, which takes
-    its layout, so that a block of the first two axes, as the gaps read
-    them, is a run of whole contiguous rows: both gaps took 54 us at one
-    point and 379 us at 256, against 74 and 573 us in the order that the
-    transposes of d Gamma give (2-vCPU Xeon, numpy 2.4).
-    """
-    np.subtract(
-        dgamma.transpose(1, 3, 0, 2, 4),  # "jlikn->lkjin"
-        dgamma.transpose(1, 3, 2, 0, 4),  # "iljkn->lkjin"
-        out=out,
-    )
-    e1 = np.einsum("ljsn,sikn->lkjin", gamma, gamma, out=scratch)
-    out += e1
-    out -= e1.transpose(0, 1, 3, 2, 4)  # E2, "lisn,sjkn->lkjin"
-    return out
-
-
-def _lower_index(g, r13, out) -> np.ndarray:
-    """r4[h, k, j, i, n] = g_lh r13[l, k, j, i, n] into `out`, the points last."""
-    return np.einsum("lhn,lkjin->hkjin", g, r13, out=out)
+_G_FIRST, _G_SECOND = _hessian_tables()
 
 
 class Geometry(Connection):
@@ -157,47 +143,50 @@ class Geometry(Connection):
     not_finite = CURVATURE_NOT_FINITE
 
     @cached_property
-    def _curvature_block(self) -> np.ndarray:
-        """d Gamma, R and the lowered R, in this order, (3, 4, 4, 4, 4, N)."""
-        dtype = np.result_type(self._christoffel, self._hessians)
-        return np.empty((3, 4, 4, 4, 4, self._values.shape[-1]), dtype)
-
-    @cached_property
     def _christoffel_partials(self) -> np.ndarray:
-        out, dt, term = self._curvature_block  # R's and the lowered R's slots as scratch
-        ginv = self._inverse
-        dginv = -np.einsum("abn,mbcn,cdn->madn", ginv, self._metric_partials, ginv)
-        np.einsum("masn,aijn->msijn", dginv, self._first_kind, out=out)
-        del dginv
-        hessians = self._hessians.reshape(3 * 16, -1)
-        # mode="clip" writes straight into out=, which the default mode buffers
-        first = np.take(hessians, _DT_FIRST, axis=0, out=term, mode="clip")
-        np.add(first, first.transpose(0, 1, 3, 2, 4), out=dt)
-        dt -= np.take(hessians, _DT_LAST, axis=0, out=term, mode="clip")
-        out += np.einsum("asn,maijn->msijn", ginv, dt, out=term)
-        out /= 2
-        return out
+        hessians = self._hessians[SLOT_FIELD]  # [a, j, m, i] = d_m d_i g_aj
+        first = hessians.transpose(2, 0, 3, 1, 4)  # d_m d_i g_aj at [m, a, i, j]
+        dt = first + first.transpose(0, 1, 3, 2, 4) - hessians.transpose(2, 3, 0, 1, 4)
+        dg_gamma = np.einsum("mabn,bijn->maijn", self._metric_partials, self._christoffel)
+        return np.einsum("asn,maijn->msijn", self._inverse, dt / 2 - dg_gamma)
 
     christoffel_partials = _stage_view(
         "_christoffel_partials", "dgamma[n, m, s, i, j] = d_m Gamma^s_ij, fully analytic."
     )
 
     @cached_property
-    def _riemann(self) -> np.ndarray:
-        _, out, scratch = self._curvature_block  # the lowered R's slot as scratch
-        return _assemble_riemann(self._christoffel, self._christoffel_partials, out, scratch)
-
-    riemann = _stage_view("_riemann", "r[n, l, k, j, i], the (1,3) curvature.")
+    def _curvature_block(self) -> np.ndarray:
+        """The lowered R, R and the gaps' scratch, in this order, (3, 4, 4, 4, 4, N)."""
+        dtype = np.result_type(self._christoffel, self._hessians)
+        return np.empty((3, 4, 4, 4, 4, self._values.shape[-1]), dtype)
 
     @cached_property
     def _riemann_lowered(self) -> np.ndarray:
-        return _lower_index(self._metric, self._riemann, self._curvature_block[2])
+        out, half_g, scratch = self._curvature_block  # G / 2 in R's slot
+        # the halves of the Hessians and of t, in the gaps' slot
+        half_hessians = np.divide(self._hessians, 2, out=scratch[0, :3]).reshape(3 * 16, -1)
+        half_t = np.divide(self._first_kind, 2, out=scratch[1])
+        # mode="clip" writes straight into out=, which the default mode buffers
+        np.take(half_hessians, _G_FIRST, axis=0, out=half_g, mode="clip")
+        half_g -= np.take(half_hessians, _G_SECOND, axis=0, out=out, mode="clip")
+        half_g -= np.einsum("sjhn,sikn->hkjin", half_t, self._christoffel, out=out)
+        return np.subtract(half_g, half_g.transpose(0, 1, 3, 2, 4), out=out)
 
     riemann_lowered = _stage_view("_riemann_lowered", "r4[n, h, k, j, i], the (0,4) curvature.")
 
     @cached_property
+    def _riemann(self) -> np.ndarray:
+        r4 = self._riemann_lowered
+        return np.einsum("lhn,hkjin->lkjin", self._inverse, r4, out=self._curvature_block[1])
+
+    riemann = _stage_view(
+        "_riemann", "r[n, l, k, j, i] = g^{lh} r4[n, h, k, j, i], the (1,3) curvature."
+    )
+
+    @cached_property
     def _q_invariance(self) -> tuple:
-        return _gap_and_scale(self._riemann_lowered, _Q_INVARIANCE_BLOCKS)
+        scratch = self._curvature_block[2]
+        return _gap_and_scale(self._riemann_lowered, _Q_INVARIANCE_BLOCKS, scratch)
 
     q_invariance_gap = property(
         lambda self: self._q_invariance[0],
@@ -210,7 +199,8 @@ class Geometry(Connection):
 
     @cached_property
     def _q_commutation(self) -> tuple:
-        return _gap_and_scale(self._riemann, _Q_COMMUTATION_BLOCKS)
+        scratch = self._curvature_block[2]
+        return _gap_and_scale(self._riemann, _Q_COMMUTATION_BLOCKS, scratch)
 
     q_commutation_gap = property(
         lambda self: self._q_commutation[0],
@@ -254,13 +244,12 @@ _Q_INVARIANCE_BLOCKS = _shift_blocks(0)
 _Q_COMMUTATION_BLOCKS = _shift_blocks(1)
 
 
-def _gap_and_scale(r, blocks) -> tuple:
+def _gap_and_scale(r, blocks, d) -> tuple:
     """(max |d|, 1 + max |r|) over the leading axes of r, (N,) each.
 
-    d, the difference of `_shift_blocks`, is formed block by block in one
-    buffer, which |r| then reuses.
+    d, the difference of `_shift_blocks`, is formed block by block in the
+    buffer d, of r's shape, which |r| then reuses.
     """
-    d = np.empty_like(r)
     for target, minuend, subtrahend in blocks:
         np.subtract(r[minuend], r[subtrahend], d[target])
     axes = tuple(range(r.ndim - 1))
@@ -285,8 +274,7 @@ def riemann(m: ManifoldSpec, p) -> np.ndarray:
 
 def lower_index(t, r13: np.ndarray) -> np.ndarray:
     """r4[h, k, j, i] = g_lh r13[l, k, j, i] for the metric value t."""
-    r13 = np.asarray(r13)[..., None]
-    return _lower_index(metric_components(t)[..., None], r13, np.empty(r13.shape))[..., 0]
+    return np.einsum("lh,lkji->hkji", metric_components(t), r13)
 
 
 def riemann_lowered(m: ManifoldSpec, p) -> np.ndarray:

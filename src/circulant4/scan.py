@@ -21,10 +21,10 @@ its pass rule and the residual the summary and CSV give. Records,
 summary and both writers read it.
 
 Points are evaluated serially, by one batched pass per chunk: the field
-jets, validity and one `Geometry` (Gamma, nabla q, d Gamma, R) that every
-check reads. Validity alone needs no derivatives, so it runs in chunks of
-VALIDITY_CHUNK_SIZE; the other checks run in chunks of CHUNK_SIZE. A grid
-may hold at most MAX_POINTS points.
+jets, validity and one `Geometry` (Gamma, nabla q, the lowered R and R)
+that every check reads. Validity alone needs no derivatives, so it runs
+in chunks of VALIDITY_CHUNK_SIZE; the other checks run in chunks of
+CHUNK_SIZE. A grid may hold at most MAX_POINTS points.
 
 A grid is a product of four axes (`_Axes`), and a chunk holds its points
 as their (4, N) index on the axes, in row-major order. The jets raise
@@ -123,7 +123,8 @@ _VERSION = __version__
 # again: about 550 minor page faults per 4^4 all-check call, at 1.5-3.6
 # us each. With the three stages in one block per pass (see `curvature`)
 # the faults went to none, and the tracemalloc peak stayed at 2.00 MB
-# (glibc 2.36, same host).
+# (glibc 2.36, same host). A pass now forms no d Gamma: its block holds the
+# lowered R, R and the gaps' scratch, and the peak is 1.75 MB.
 CHUNK_SIZE = 256
 VALIDITY_CHUNK_SIZE = 4096
 
@@ -298,8 +299,13 @@ def _valid_rows(reasons: list) -> list[int]:
 
 
 def _at_rows(jet, rows: list):
-    """The rows of an (N, ...) jet, picked along its point axis, which stays last in memory."""
-    return None if jet is None else _points_first(_points_last(jet)[..., rows])
+    """The rows of an (N, ...) jet, picked along its point axis, which stays last in memory.
+
+    `np.take` along the last axis gives a C-ordered (..., V) array. A fancy
+    index there would give points-first memory, and every einsum of the
+    pass would then walk strided operands.
+    """
+    return None if jet is None else _points_first(np.take(_points_last(jet), rows, axis=-1))
 
 
 def _evaluate_chunk(

@@ -24,9 +24,9 @@ from circulant4 import (
     nabla_q,
     riemann,
     riemann_lowered,
+    scan,
 )
 from circulant4._oracles import curvature_q_invariance_residual, exact_geometry, raise_index
-from circulant4.curvature import _assemble_riemann
 
 from helpers import (
     REPO_ROOT,
@@ -38,6 +38,7 @@ from helpers import (
 
 P0 = (1.0, 0.1, 2.0, 0.2)
 CUBIC = os.path.join(REPO_ROOT, "perfbench", "manifolds", "cubic.cfg")
+PERTURBED = os.path.join(REPO_ROOT, "perfbench", "manifolds", "perturbed.cfg")
 # row 2030 of np.random.default_rng(1).uniform(0.5, 2, (3000, 4)): example's
 # known curvature31 false failure, where cond(g) is about 1e5
 FALSE_FAILURE_POINT = (0.828852695441705, 1.1964933743341968, 0.8160078976158891,
@@ -96,13 +97,29 @@ def test_christoffel_partials_symmetry():
     assert np.array_equal(dgamma, np.swapaxes(dgamma, 2, 3))
 
 
+def _riemann_by_definition(gamma, dgamma):
+    """The (1,3) curvature r[l, k, j, i] by its definition, term by term.
+
+    d_j Gamma^l_ik - d_i Gamma^l_jk + Gamma^l_js Gamma^s_ik - Gamma^l_is
+    Gamma^s_jk, from gamma[s, i, j] and dgamma[m, s, i, j].
+    """
+    product = np.einsum("ljs,sik->lkji", gamma, gamma)
+    return (
+        dgamma.transpose(1, 3, 0, 2)  # d_j Gamma^l_ik, "jlik->lkji"
+        - dgamma.transpose(1, 3, 2, 0)  # d_i Gamma^l_jk, "iljk->lkji"
+        + product
+        - product.transpose(0, 1, 3, 2)
+    )
+
+
 def test_riemann_matches_finite_difference_assembly():
+    # the (1,3) definition, from exact central differences of the exact
+    # Gamma, against the first-kind formula of the pass
     example, cubic = example_manifold(), load_manifold(CUBIC)
     for m, p in [(example, P0), (example, (0.5, -0.3, 2.0, 0.8)), (cubic, (0.3, -0.2, 0.5, 0.1))]:
         exact = exact_geometry(m, [p])
-        dgamma = _exact_christoffel_differences(m, p)[..., None]
-        out, scratch = np.empty((2, *dgamma.shape), dtype=object)
-        assembled = _assemble_riemann(exact._christoffel, dgamma, out, scratch)[..., 0]
+        dgamma = _exact_christoffel_differences(m, p)
+        assembled = _riemann_by_definition(exact.christoffel[0], dgamma)
         assert np.max(np.abs(assembled - exact.riemann[0])) <= 1e-17
         assert np.max(np.abs(riemann(m, p) - exact.riemann[0].astype(float))) <= 1e-14
 
@@ -150,11 +167,12 @@ def test_classical_symmetries(nonflat_points):
 def test_lower_raise_round_trip(nonflat_points):
     m, points = nonflat_points
     p = points[0]
-    r13 = riemann(m, p)
+    r4 = riemann_lowered(m, p)
     t = m.triple_at(p)
-    scale = 1.0 + float(np.max(np.abs(r13)))
-    assert np.max(np.abs(raise_index(t, lower_index(t, r13)) - r13)) <= 1e-10 * scale
-    assert np.array_equal(riemann_lowered(m, p), lower_index(t, r13))
+    scale = 1.0 + float(np.max(np.abs(r4)))
+    assert np.max(np.abs(lower_index(t, raise_index(t, r4)) - r4)) <= 1e-10 * scale
+    # the pass forms the lowered R, and R by raising its first index
+    assert np.array_equal(riemann(m, p), raise_index(t, r4))
 
 
 def test_contract_lowered_picks_components(nonflat_points):
@@ -253,8 +271,9 @@ def test_degenerate_rows_stay_local(nonflat_points):
         assert np.array_equal(r4[k], riemann_lowered(m, points[k]))
 
 
-# the three rank-5 stages share one block per pass; the gaps read them
-BLOCK_STAGES = ("christoffel_partials", "riemann", "riemann_lowered")
+# the rank-5 stages: the lowered R and R share one block per pass, d Gamma
+# has its own memory; the gaps read the block
+RANK5_STAGES = ("christoffel_partials", "riemann", "riemann_lowered")
 GAP_ATTRIBUTES = ("q_invariance_gap", "q_invariance_scale", "q_commutation_gap",
                   "q_commutation_scale")
 
@@ -267,7 +286,7 @@ def perturbed_jets():
 
 def test_passes_share_no_stage_memory(perturbed_jets):
     first, second = Geometry(*perturbed_jets), Geometry(*perturbed_jets)
-    attributes = BLOCK_STAGES + GAP_ATTRIBUTES
+    attributes = RANK5_STAGES + GAP_ATTRIBUTES
     for a, b in itertools.product(attributes, repeat=2):
         assert not np.shares_memory(getattr(first, a), getattr(second, b)), (a, b)
     for a, b in itertools.combinations(attributes, 2):
@@ -275,12 +294,12 @@ def test_passes_share_no_stage_memory(perturbed_jets):
 
 
 def test_stages_read_in_any_order_keep_their_bits(perturbed_jets):
-    # a stage formed later uses the slots of the stages after it as scratch,
-    # never its own or one before; the arrays read first are held to the end
+    # R's slot is the lowered R's scratch, so R is formed after the lowered
+    # R whichever is read first; the arrays read first are held to the end
     fresh = Geometry(*perturbed_jets)
-    expected = {a: getattr(fresh, a).copy() for a in BLOCK_STAGES + GAP_ATTRIBUTES}
+    expected = {a: getattr(fresh, a).copy() for a in RANK5_STAGES + GAP_ATTRIBUTES}
     assert np.max(expected["q_commutation_gap"]) > 1e-3  # R is not zero, nor are the gaps
-    for order in itertools.permutations(BLOCK_STAGES + GAP_ATTRIBUTES[::2]):
+    for order in itertools.permutations(RANK5_STAGES + GAP_ATTRIBUTES[::2]):
         geometry = Geometry(*perturbed_jets)
         got = {a: getattr(geometry, a) for a in order + GAP_ATTRIBUTES[1::2]}
         for a, value in got.items():
@@ -289,7 +308,7 @@ def test_stages_read_in_any_order_keep_their_bits(perturbed_jets):
 
 def test_curvature_stages_stay_exact_on_fraction_jets(exact_passes):
     floats, exact = exact_passes["cubic"]
-    for stage in ("christoffel",) + BLOCK_STAGES + GAP_ATTRIBUTES[::2]:
+    for stage in ("christoffel",) + RANK5_STAGES + GAP_ATTRIBUTES[::2]:
         value = getattr(exact, stage)
         assert all(type(x) is Fraction for x in value.flat), stage
         scale = 1.0 + np.max(np.abs(getattr(floats, stage)))
@@ -316,19 +335,21 @@ def test_exact_pass_keeps_the_identities_exactly(exact_passes, case):
 
 
 # max |float - exact| over a case's points, relative to the terms that cancel:
-# max |Gamma| for Gamma and nabla q, max |d Gamma| for d Gamma and
-# max |d Gamma| + max |Gamma|^2 for R. Measured (numpy 2.4, x86-64):
-#   example        1.8e-15, 1.1e-15, 6.2e-15, 2.6e-15
-#   cubic          2.8e-16, 2.9e-16, 3.8e-16, 3.4e-16
-#   false failure  2.2e-12, 3.9e-14, 7.2e-12, 3.6e-12
-# Each bound is 10 times its measured value, rounded up.
+# max |Gamma| for Gamma and nabla q, max |d Gamma| for d Gamma,
+# max |d Gamma| + max |Gamma|^2 for R and max |g| times that for the
+# lowered R. Measured (numpy 2.4, x86-64):
+#   example        1.8e-15, 1.1e-15, 4.3e-15, 2.3e-15, 1.7e-16
+#   cubic          2.8e-16, 2.9e-16, 5.8e-16, 2.7e-16, 1.4e-16
+#   false failure  2.2e-12, 3.9e-14, 6.4e-12, 2.8e-12, 1.4e-16
+# Each bound is 10 times its measured value, rounded up. Through d Gamma,
+# the lowered R read 4.8e-15, 4.4e-16 and 3.0e-12.
 ROUNDING_BOUNDS = {
-    "example": {"christoffel": 2e-14, "nabla_q": 2e-14, "christoffel_partials": 7e-14,
-                "riemann": 3e-14},
-    "cubic": {"christoffel": 3e-15, "nabla_q": 3e-15, "christoffel_partials": 4e-15,
-              "riemann": 4e-15},
-    "false failure": {"christoffel": 3e-11, "nabla_q": 4e-13, "christoffel_partials": 8e-11,
-                      "riemann": 4e-11},
+    "example": {"christoffel": 2e-14, "nabla_q": 2e-14, "christoffel_partials": 5e-14,
+                "riemann": 3e-14, "riemann_lowered": 2e-15},
+    "cubic": {"christoffel": 3e-15, "nabla_q": 3e-15, "christoffel_partials": 6e-15,
+              "riemann": 3e-15, "riemann_lowered": 2e-15},
+    "false failure": {"christoffel": 3e-11, "nabla_q": 4e-13, "christoffel_partials": 7e-11,
+                      "riemann": 3e-11, "riemann_lowered": 2e-15},
 }
 
 
@@ -341,25 +362,47 @@ def test_float_pass_is_off_the_exact_pass_by_rounding(exact_passes):
     for case, bounds in ROUNDING_BOUNDS.items():
         floats, exact = exact_passes[case]
         gamma, dgamma = _largest(exact.christoffel), _largest(exact.christoffel_partials)
+        curvature = dgamma + gamma**2
         scales = {"christoffel": gamma, "nabla_q": gamma, "christoffel_partials": dgamma,
-                  "riemann": dgamma + gamma**2}
+                  "riemann": curvature, "riemann_lowered": _largest(exact.metric) * curvature}
         for stage, bound in bounds.items():
             error = _largest(getattr(floats, stage) - getattr(exact, stage).astype(float))
             assert np.max(error / scales[stage]) <= bound, (case, stage)
-    # what the strict xfail below states: the exact R and curvature31 gap are
-    # 0 there, and the float R is off by more than 1e-8
+    # at the false-failure point the exact R and curvature31 gap are 0. The
+    # float lowered R is 2.6e-12 there, and R, g^{-1} times it, 1.3e-8, as
+    # cond(g) is about 1e5
     floats, exact = exact_passes["false failure"]
     assert exact.q_invariance_gap[0] == 0 and not np.any(exact.riemann)
+    assert np.max(np.abs(floats.riemann_lowered)) <= 1e-11
     assert np.max(np.abs(floats.riemann)) > 1e-8
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known false failure: at cond(g) ~ 1e5 float R is off by 1.6e-8, while the "
-    "exact curvature31 gap is 0; tolerances from an error bound (ROADMAP item 4) mend it",
-)
 def test_curvature31_passes_on_an_ill_conditioned_example_point():
     # row 2030 of np.random.default_rng(1).uniform(0.5, 2, (3000, 4)): the
-    # residual is 1.43e-8 against a scale of 1.00000006
-    point = (0.828852695441705, 1.1964933743341968, 0.8160078976158891, 1.1965961451697962)
-    assert evaluate_point(example_manifold(), point)["checks"]["curvature31"]["passed"]
+    # residual was 1.43e-8 against a scale of 1.00000006 while R was formed
+    # through d Gamma, and is 7.2e-13 from the first-kind formula
+    checks = evaluate_point(example_manifold(), FALSE_FAILURE_POINT)["checks"]
+    assert checks["curvature31"]["passed"] and checks["curvature31"]["residual"] <= 1e-11
+
+
+def _checks_at(manifold, points):
+    """The columns of all checks at points, from one batched pass as a scan chunk runs it."""
+    index = np.tile(np.arange(len(points)), (4, 1))  # point n is value n of each axis
+    return scan._evaluate_chunk(manifold, scan._Axes(points.T), index, scan.CHECKS, 1e-8)
+
+
+def test_example_sample_has_no_false_failure_and_perturbed_fails_everywhere():
+    # through d Gamma, max |r4| was 5.8e-8 over these points, and curvature31
+    # failed at row 2030 of the sample
+    points = np.random.default_rng(1).uniform(0.5, 2, (3000, 4))
+    example = _checks_at(example_manifold(), points)
+    valid = [reason is None for reason in example.reasons]
+    assert sum(valid) == 1223
+    for name, outcomes in example.outcomes.items():
+        assert all(outcomes.passed) and len(outcomes.passed) == 1223, name
+    r4 = Geometry(*example_manifold().jets(points[valid])).riemann_lowered
+    assert np.max(np.abs(r4)) <= 1e-10
+    perturbed = _checks_at(load_manifold(PERTURBED), points[valid])
+    assert perturbed.reasons == [None] * 1223
+    assert not any(perturbed.outcomes["parallel"].passed)
+    assert perturbed.outcomes["parallel"].errors == [None] * 1223

@@ -1,12 +1,12 @@
-"""The points-last geometry pass against the points-first pass it replaced.
+"""The points-last geometry pass against the same pass written points first.
 
 The pass keeps the points on the last axis, from the jets to the gaps.
-`_points_first_pass` below is the points-first pass as it was written
-before, einsum for einsum: the test pins every stage of the points-last
-pass to it bit for bit, by int64 views, so a zero changing sign or an inf
-turning into a NaN shows. The joint jets are pinned to each field's
-`__call__`, `gradient` and `hessian`, and the stages' layout to the points
-last, contiguous.
+`_points_first_pass` below is the same formulas with the points first,
+einsum for einsum: the test pins every stage of the points-last pass to
+it bit for bit, by int64 views, so a zero changing sign or an inf turning
+into a NaN shows. The joint jets are pinned to each field's `__call__`,
+`gradient` and `hessian`, and the stages' layout, also on the valid rows
+of a scan chunk, to the points last, contiguous.
 """
 
 import os
@@ -14,10 +14,10 @@ import os
 import numpy as np
 import pytest
 
-from circulant4 import Geometry, constant_manifold, example_manifold, load_manifold
+from circulant4 import Geometry, constant_manifold, example_manifold, load_manifold, scan
 from circulant4.circulant import AFFINOR_NEXT, AFFINOR_PREVIOUS, SLOT_FIELD, _thresholds
 from circulant4.fields import CompiledField, ScalarField, jets, parse_field, scalar_pow
-from circulant4.scan import CHUNK_SIZE
+from circulant4.scan import CHUNK_SIZE, AxisSpec, ScanConfig, run_scan
 
 from helpers import JET_GRID_AXES, REPO_ROOT, grid_chunk_jets
 
@@ -74,20 +74,19 @@ def _points_first_pass(values, gradients, hessians) -> dict:
     first_kind = np.einsum("niaj->naij", dg) + np.einsum("njai->naij", dg) - dg
     gamma = 0.5 * np.einsum("nas,naij->nsij", ginv, first_kind)
     nq = (gamma[..., AFFINOR_NEXT] - gamma[:, AFFINOR_PREVIOUS]).transpose(0, 2, 1, 3)
-    hg = np.einsum("najmi->nmiaj", hessians[:, SLOT_FIELD])
+    hg = np.einsum("najmi->nmiaj", hessians[:, SLOT_FIELD])  # [n, m, i, a, j] = d_m d_i g_aj
     dt = np.einsum("nmiaj->nmaij", hg) + np.einsum("nmjai->nmaij", hg) - hg
-    dginv = -np.einsum("nab,nmbc,ncd->nmad", ginv, dg, ginv)
-    dgamma = 0.5 * (
-        np.einsum("nmas,naij->nmsij", dginv, first_kind)
-        + np.einsum("nas,nmaij->nmsij", ginv, dt)
+    dgamma = np.einsum(
+        "nas,nmaij->nmsij", ginv, dt / 2 - np.einsum("nmab,nbij->nmaij", dg, gamma)
     )
-    r13 = (
-        np.einsum("njlik->nlkji", dgamma)
-        - np.einsum("niljk->nlkji", dgamma)
-        + np.einsum("nljs,nsik->nlkji", gamma, gamma)
-        - np.einsum("nlis,nsjk->nlkji", gamma, gamma)
+    half_hg = hg / 2
+    half_g = (
+        np.einsum("njkhi->nhkji", half_hg)
+        - np.einsum("njhik->nhkji", half_hg)
+        - np.einsum("nsjh,nsik->nhkji", first_kind / 2, gamma)
     )
-    r4 = np.einsum("nlh,nlkji->nhkji", g, r13)
+    r4 = half_g - half_g.transpose(0, 1, 2, 4, 3)
+    r13 = np.einsum("nlh,nhkji->nlkji", ginv, r4)
     return {
         "inverse": ginv,
         "metric": g,
@@ -198,19 +197,28 @@ def test_joint_jets_of_grid_chunks_match_each_field_bitwise(case):
             assert got[order + 1 :] == (None,) * (2 - order)
 
 
-def test_the_stages_keep_the_points_last_and_contiguous():
+def test_the_stages_keep_the_points_last_and_contiguous(monkeypatch):
     stages = (
         "inverse", "metric", "metric_partials", "first_kind", "christoffel", "nabla_q",
         "gradient_conditions", "full_system", "christoffel_partials", "riemann",
         "riemann_lowered",
     )
     m = _manifold("cubic")
-    # d Gamma and R are summed in place, so they keep the layout of the
-    # first term they are formed from
-    for count in (64, CHUNK_SIZE):
-        jet = m.jets(_points("cubic", count))
-        geometry = Geometry(*jet)
-        arrays = {f"jet {k}": x for k, x in enumerate(jet)}
+    passes = [Geometry(*m.jets(_points("cubic", count))) for count in (64, CHUNK_SIZE)]
+
+    # the pass of a scan chunk with invalid rows reads the jets of its valid
+    # rows, picked from the chunk's jets
+    def recorded(*jet):
+        passes.append(Geometry(*jet))
+        return passes[-1]
+
+    monkeypatch.setattr(scan, "Geometry", recorded)
+    run_scan(m, ScanConfig(tuple(AxisSpec(-1.0, 1.0, 4) for _ in range(4))))
+    assert len(passes[2].values) == 157  # of the chunk's 256 points
+    for geometry in passes:
+        count = len(geometry.values)
+        arrays = {"values": geometry.values, "gradients": geometry.gradients,
+                  "hessians": geometry.hessians}
         arrays.update((stage, getattr(geometry, stage)) for stage in stages)
         for name, array in arrays.items():
             assert array.shape[0] == count, name

@@ -61,7 +61,7 @@ BENCHMARK_SCANS = {
     "scan-cubic": (
         ["scan", "--manifold", CUBIC, "--box=" + ",".join(["-1.0:1.0:4"] * 4),
          "--checks=validity,parallel,curvature31,curvature32", "--format", "json"],
-        "a3ba516e39e969d46c9ec9232a32de10f93b93c4aaa4f8f59a4a8b190cba63f4",
+        "fbffb1efc0ec68d10c1991d4c0a73fa2396ce99e7ad4f0ce2207fa57daab1e92",
     ),
     "scan-validity": (
         ["scan", "--manifold", "example", "--box=" + ",".join(["0.5:2.0:9"] * 4),

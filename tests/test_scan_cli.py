@@ -520,11 +520,11 @@ def test_validity_scan_peak_memory_per_point(count, start, stop):
 # scan of the 4^4 cubic grid, the benchmark's scan-cubic (Python 3.11,
 # numpy 2.4): 0.94 MB in chunks of 64 points and 2.70 MB in one chunk of
 # 256 with the out-of-place curvature stages, 2.00 MB in one chunk of 256
-# with the stages formed in place, and 2.00 MB (1 997 120 B) with the three
-# stages in one block. The three 512 KiB stages (d Gamma, R, the lowered R)
-# are that 1.5 MiB block, which lives through the pass and serves as the
-# stages' scratch, and the gaps need one buffer more.
-_CUBIC_SCAN_PEAK_BYTES = 2_100_000
+# with the stages formed in place, 2.00 MB (1 997 120 B) with d Gamma, R
+# and the lowered R in one block, and 1.75 MB (1 753 038 B) since a pass
+# forms no d Gamma. The 157 valid points' block of the lowered R, R and
+# the gaps' scratch (3 x 314 KiB) lives through the pass.
+_CUBIC_SCAN_PEAK_BYTES = 1_850_000
 
 
 def test_cubic_all_check_scan_peak_memory():
@@ -567,10 +567,12 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
 def test_repeated_cubic_scans_reuse_their_pages():
-    # the curvature stages of a pass are one block; once glibc has freed the
-    # first one, its raised thresholds keep later passes in the heap. With a
-    # buffer per stage and term, every call mapped and faulted in its ~2 MB
-    # again: about 550 faults per call (glibc 2.36)
+    # the curvature stages of a pass and the gaps' scratch are one block;
+    # once glibc has freed the first one, its raised thresholds keep later
+    # passes in the heap. With a buffer per stage and term, every call
+    # mapped and faulted in its ~2 MB again: about 550 faults per call, and
+    # with the gaps' scratch apart from a block of two stages, about 290
+    # (glibc 2.36)
     result = run_python("-c", _FAULTS_PER_SCAN, CUBIC)
     assert result.returncode == 0, result.stderr
     assert float(result.stdout) < 20
