@@ -62,8 +62,8 @@ first second-derivative term of G / 2 in slot 1 and the second in slot
 through slot 0 in the same way. G / 2 minus its (j, i) transpose, into
 slot 0, is the lowered R. Halving the inputs, a third of a slot's
 entries, in place of the lowered R gives the same bits wherever nothing
-overflows, and at 157 points took 14 us in place of 31. R is an einsum
-from slot 0 into slot 1.
+overflows or underflows, and at 157 points took 14 us in place of 31.
+R is an einsum from slot 0 into slot 1.
 
 As q is the cyclic shift, each gap is four block subtractions of slices
 of R into slot 2, with no shifted copy of R, and its scale takes |R| in

@@ -411,13 +411,9 @@ class CompiledField:
     (c * e_i, then times e_j). `evaluate` multiplies and sums in the order
     of `ScalarField.__call__`, so the results agree with `__call__`,
     `gradient` and `hessian` bit for bit.
-
-    `__init__` turns this, once per order, into the plan `evaluate` runs
-    (`_plan`): the coefficients, which power-table rows multiply them, and
-    which terms each slot sums.
     """
 
-    __slots__ = ("max_exponents", "_fields", "_plans")
+    __slots__ = ("exponents", "coefficients", "counts", "max_exponents", "_schedules")
 
     def __init__(self, fields):
         fields = tuple(fields)
@@ -436,88 +432,62 @@ class CompiledField:
         )
         # slot-major; the terms field by field, each field's in its order
         slot_of, term_of = np.nonzero(keep)
-        exponents = lowered[slot_of, term_of]
+        self.exponents = lowered[slot_of, term_of]
         # a huge coefficient times an exponent gives inf, as in `partial`
         with np.errstate(over="ignore"):
-            coefficients = coeffs[term_of] * first[slot_of, term_of] * second[slot_of, term_of]
+            self.coefficients = (
+                coeffs[term_of] * first[slot_of, term_of] * second[slot_of, term_of]
+            )
         self.max_exponents = exps.max(axis=0, initial=0)
-        self._fields = len(fields)
         # counts[f, s]: the number of terms of slot s of field f
-        counts = np.zeros((len(fields), len(_SLOT_FIRST)), dtype=np.int64)
+        counts = self.counts = np.zeros((len(fields), len(_SLOT_FIRST)), dtype=np.int64)
         np.add.at(counts, (field_of[term_of], slot_of), 1)
         # start[f, s]: where the terms of slot s of field f begin
         start = (np.cumsum(counts.T) - counts.T.ravel()).reshape(counts.T.shape).T
-        # row offset[k] + e of the stacked power tables holds x_{k+1}**e
-        offset = np.cumsum(self.max_exponents + 1) - (self.max_exponents + 1)
-        self._plans = tuple(
-            _plan(coefficients, offset + exponents, exponents > 0, counts[:, :n], start[:, :n])
+        depth = np.arange(counts.max(initial=0))[:, None, None]
+        # schedule[j, f, s]: the j-th term of slot s of field f; past its
+        # last term, -1, the zero row that evaluate() appends
+        schedule = np.where(depth < counts, start + depth, -1)
+        # per order: (terms used, schedule[j, (f, s)] of the slots used)
+        self._schedules = tuple(
+            (
+                int(counts[:, :n].sum()),
+                np.ascontiguousarray(
+                    schedule[: counts[:, :n].max(initial=0), :, :n]
+                ).reshape(-1, len(fields) * n),
+            )
             for n in _ORDER_SLOTS
         )
 
     def evaluate(self, powers, order: int = 2) -> np.ndarray:
         """Slots 0 .. (1, 5, 15)[order] - 1 of each field at N points, (F, slots, N).
 
-        powers stacks the tables of x_{k+1}**e, e = 0 .. max_exponents[k],
-        k = 0 .. 3, shape (sum(max_exponents + 1), N), with row e of each
-        computed by `scalar_pow`, as `jets` builds it: once per axis value
-        a chunk touches and gathered by each point's index on the axis,
-        which gives the bits of the point's own powers.
+        powers[k] is the table of x_{k+1}**e, shape (e_max + 1, N), with
+        row e computed by `scalar_pow`, as `jets` builds it: once per axis
+        value a chunk touches and gathered by each point's index on the
+        axis, which gives the bits of the point's own powers.
 
         The points lie on the last axis throughout, so each gather, product
-        and sum is one contiguous loop over the N points, and one gather
-        and one product per factor level, and one add per schedule row,
-        serve every field at once. Each term is still (c * x1^e1) * x2^e2 *
-        x3^e3 * x4^e4, less the factors x^0 = 1.0, an exact no-op, and each
+        and sum is one contiguous loop over the N points, and one gather per
+        coordinate and one add per schedule row serve every field at once.
+        Each term is still (c * x1^e1) * x2^e2 * x3^e3 * x4^e4, and each
         slot a sum from 0.0 of its terms in field order, one per row, as
-        __call__ sums: the plan changes no bit.
+        __call__ sums: the layout changes no bit.
         """
-        coefficients, factors, schedule, unsort = self._plans[order]
-        n = powers.shape[1]
-        mono = np.empty((len(coefficients), n))
-        first = factors[0]
-        np.multiply(coefficients[: len(first), None], powers.take(first, 0), out=mono[: len(first)])
-        mono[len(first) :] = coefficients[len(first) :, None]
-        for rows in factors[1:]:
-            mono[: len(rows)] *= powers.take(rows, 0)
-        out = np.zeros((len(unsort), n))
-        for rows in schedule:
-            out[: len(rows)] += mono.take(rows, 0)
-        return out.take(unsort, 0).reshape(self._fields, _ORDER_SLOTS[order], n)
-
-
-def _plan(coefficients, rows, used, counts, start) -> tuple:
-    """What `CompiledField.evaluate` runs for the slots of counts, (F, n).
-
-    rows[t, k] is the power-table row of term t's factor x_{k+1}^e, and
-    used[t, k] says that e > 0. The terms of the slots, a prefix of the
-    terms, are listed by their number of such factors, most first, so that
-    the terms with a j-th factor are a prefix at every level j. Returns:
-
-    - the coefficients in that order
-    - factors[j]: the table row of the j-th factor of each of those terms,
-      in increasing k, as __call__ multiplies; the levels past factors[0]
-      that no term reaches are left out
-    - schedule[j]: the row of the j-th term of each slot that has one; the
-      slots are listed by their number of terms, most first, so that these
-      slots are a prefix at every depth j
-    - unsort: where each slot, in (field, slot) order, sits in that listing
-    """
-    nterms = int(counts.sum())
-    used = used[:nterms]
-    order = np.argsort(-used.sum(axis=1), kind="stable")
-    row_of = np.empty(nterms, dtype=np.intp)  # where term t sits in that order
-    row_of[order] = np.arange(nterms)
-    rank = np.cumsum(used, axis=1)  # rank[t, k] = j + 1 where x_{k+1} is term t's j-th factor
-    factors = []
-    for j in range(_NVARS):
-        terms = order[rank[order, -1] > j]
-        if j == 0 or len(terms):
-            factors.append(rows[terms][used[terms] & (rank[terms] == j + 1)])
-    counts, start = counts.ravel(), start.ravel()
-    slots = np.argsort(-counts, kind="stable")
-    schedule = [row_of[start[slots[: np.count_nonzero(counts > j)]] + j]
-                for j in range(counts.max(initial=0))]
-    return coefficients[order], factors, schedule, np.argsort(slots)
+        nterms, schedule = self._schedules[order]
+        exps = self.exponents[:nterms]
+        n = powers[0].shape[1]
+        mono = np.empty((nterms + 1, n))
+        np.multiply(self.coefficients[:nterms, None], powers[0][exps[:, 0]], out=mono[:nterms])
+        for k in range(1, _NVARS):
+            mono[:nterms] *= powers[k][exps[:, k]]
+        mono[nterms] = 0.0
+        # adding the zero padding leaves every partial sum unchanged: a sum
+        # from 0.0 is never -0.0
+        out = np.zeros((schedule.shape[1], n))
+        for row in schedule:
+            out += mono[row]
+        return out.reshape(len(self.counts), _ORDER_SLOTS[order], n)
 
 
 def _power_table(column: np.ndarray, top: int) -> np.ndarray:
@@ -590,10 +560,9 @@ def _grid_jets(compiled: CompiledField, axes, index, order: int):
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    # stacked before the jets are evaluated, so the tables of each axis are freed first
-    powers = np.concatenate([
+    powers = [
         _axis_powers(values, i, int(t)) for values, i, t in zip(axes, index, compiled.max_exponents)
-    ])
+    ]
     with np.errstate(over="ignore", invalid="ignore"):
         block = compiled.evaluate(powers, order)
     values = block[:, 0].T

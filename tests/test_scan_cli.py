@@ -521,7 +521,7 @@ def test_validity_scan_peak_memory_per_point(count, start, stop):
 # numpy 2.4): 0.94 MB in chunks of 64 points and 2.70 MB in one chunk of
 # 256 with the out-of-place curvature stages, 2.00 MB in one chunk of 256
 # with the stages formed in place, 2.00 MB (1 997 120 B) with d Gamma, R
-# and the lowered R in one block, and 1.75 MB (1 753 038 B) since a pass
+# and the lowered R in one block, and 1.75 MB (1 753 990 B) since a pass
 # forms no d Gamma. The 157 valid points' block of the lowered R, R and
 # the gaps' scratch (3 x 314 KiB) lives through the pass.
 _CUBIC_SCAN_PEAK_BYTES = 1_850_000
