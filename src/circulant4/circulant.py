@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import _points_first, scalar_pow
+from .fields import _points_first
 
 __all__ = [
     "CirculantTriple",
@@ -110,12 +110,15 @@ def metric_components(t: CirculantTriple) -> np.ndarray:
 
 
 def metric_determinant(t: CirculantTriple) -> float:
-    """det g = (a - c)^2 ((a + c)^2 - 4 b^2), exact in the triple."""
-    return (t.a - t.c) ** 2 * ((t.a + t.c) ** 2 - 4.0 * t.b * t.b)
+    """det g = (a - c)^2 ((a + c)^2 - 4 b^2), exact in the triple; inf past the float range."""
+    return (t.a - t.c) * (t.a - t.c) * ((t.a + t.c) * (t.a + t.c) - 4.0 * t.b * t.b)
 
 
 def _thresholds(a, b, c) -> np.ndarray:
-    return 1e-12 * scalar_pow(1.0 + np.abs(a) + np.abs(b) + np.abs(c), 3)
+    s = 1.0 + np.abs(a) + np.abs(b) + np.abs(c)
+    # a cube past the float range is inf, and so is the threshold
+    with np.errstate(over="ignore"):
+        return 1e-12 * (s * s * s)
 
 
 def degeneracy_threshold(t: CirculantTriple) -> float:
@@ -138,14 +141,16 @@ def inverse_metrics(triples):
     triples is an (N, 3) array of (a, b, c). Returns (ginv (N, 4, 4), d (N,),
     degenerate (N,)): a point is degenerate when |d|, with
     d = (a - c)((a + c)^2 - 4 b^2), falls at or below the degeneracy
-    threshold or is not finite, and its ginv is NaN. The arithmetic is that
-    of the scalar formula, so each row equals its N = 1 result bit for bit.
+    threshold or is not finite, and its ginv is NaN. The square in d and the
+    cube in the threshold are products, as the jets form powers; the
+    arithmetic is elementwise, so each row equals its N = 1 result bit for
+    bit.
     ginv is a view of a (4, 4, N) array, the points last, as the geometry
     pass reads it: `fields._points_last` gives it back without a copy.
     """
     a, b, c = np.asarray(triples, dtype=float).T
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d = (a - c) * (scalar_pow(a + c, 2) - 4.0 * b * b)
+        d = (a - c) * ((a + c) * (a + c) - 4.0 * b * b)
         # written so that a NaN d (inf - inf) counts as degenerate; where d
         # overflows to inf, so does the threshold
         degenerate = ~(np.abs(d) > _thresholds(a, b, c))

@@ -12,8 +12,10 @@ The geometry pipeline evaluates fields through their compiled form
 (`CompiledField`): flat exponent and coefficient arrays for several fields
 and their 14 distinct partials each, evaluated for N points at once by
 `jets`. It reproduces `ScalarField.__call__`, `gradient` and `hessian` bit
-for bit, which stay as the per-point reference. A `ManifoldSpec` keeps the
-compiled form of its three fields.
+for bit, which stay as the per-point reference. Both form x**e by repeated
+multiplication, ((x * x) * x) ..., in IEEE arithmetic, so the bits do not
+depend on the host's power function. A `ManifoldSpec` keeps the compiled
+form of its three fields.
 
 Fields can be built programmatically (`ScalarField.coordinate`, arithmetic
 operators) or parsed from a small expression grammar:
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import repeat
 from operator import add
 
 import numpy as np
@@ -53,7 +56,6 @@ __all__ = [
     "parse_field",
     "as_point",
     "jets",
-    "scalar_pow",
 ]
 
 _NVARS = 4
@@ -108,30 +110,6 @@ def _as_points(points) -> np.ndarray:
     if not np.all(np.isfinite(q)):
         raise ValueError("point coordinates must be finite")
     return q
-
-
-def _pow_or_inf(x: float, e: int) -> float:
-    try:
-        return math.pow(x, e)
-    except OverflowError:
-        return math.copysign(math.inf, x) if e % 2 else math.inf
-
-
-def scalar_pow(values, e: int) -> np.ndarray:
-    """values**e elementwise, bit for bit as a Python or numpy scalar computes it.
-
-    Scalar powers call the C library's pow. numpy's array power, and repeated
-    multiplication, differ from it in the last bit on a few percent of
-    inputs, which would make batched and per-point results disagree.
-    Overflow gives inf with the sign of the exact power.
-    """
-    values = np.asarray(values, dtype=float)
-    flat = values.ravel().tolist()
-    try:
-        out = [math.pow(x, e) for x in flat]
-    except OverflowError:
-        out = [_pow_or_inf(x, e) for x in flat]
-    return np.array(out, dtype=float).reshape(values.shape)
 
 
 def _graded_key(item):
@@ -275,7 +253,7 @@ class ScalarField:
             mono = coeff
             for x, e in zip(p, exps):
                 if e:
-                    mono *= x**e
+                    mono *= math.prod(repeat(x, e))
             total += mono
         return total
 
@@ -463,9 +441,7 @@ class CompiledField:
         """Slots 0 .. (1, 5, 15)[order] - 1 of each field at N points, (F, slots, N).
 
         powers[k] is the table of x_{k+1}**e, shape (e_max + 1, N), with
-        row e computed by `scalar_pow`, as `jets` builds it: once per axis
-        value a chunk touches and gathered by each point's index on the
-        axis, which gives the bits of the point's own powers.
+        row e the product of row e - 1 and x_{k+1}, as `jets` builds it.
 
         The points lie on the last axis throughout, so each gather, product
         and sum is one contiguous loop over the N points, and one gather per
@@ -491,31 +467,19 @@ class CompiledField:
 
 
 def _power_table(column: np.ndarray, top: int) -> np.ndarray:
+    """The table of x**e, e = 0 .. top, of the coordinates of N points, (top + 1, N).
+
+    Row e is row e - 1 times x, as `ScalarField.__call__` forms x**e: e - 1
+    correctly rounded products, so a relative error of at most about
+    (e - 1) u, u = 2**-53, and the same bits on every host.
+    """
     table = np.empty((top + 1, len(column)))
     table[0] = 1.0
     if top >= 1:
         table[1] = column
     for e in range(2, top + 1):
-        table[e] = scalar_pow(column, e)
+        np.multiply(table[e - 1], table[1], out=table[e])
     return table
-
-
-def _axis_powers(values: np.ndarray, i, top: int) -> np.ndarray:
-    """The table of x**e, e = 0 .. top, of the coordinates values[i] of N points, (top + 1, N).
-
-    i is an index array on the axis, or slice(None) where the points are
-    its values in order. A chunk of a row-major grid touches a range of
-    each axis; where that range is no longer than the chunk, each value in
-    it is raised once and the table gathered by the index. Elsewhere, in a
-    block of points or a chunk across the end of a long axis, the points'
-    own coordinates are raised. Row e is `scalar_pow` of the coordinates
-    either way.
-    """
-    if not isinstance(i, slice):
-        lo, hi = int(i.min()), int(i.max()) + 1
-        if hi - lo <= len(i):
-            return np.take(_power_table(values[lo:hi], top), i - lo, axis=1)
-    return _power_table(values[i], top)
 
 
 def _points_first(x: np.ndarray) -> np.ndarray:
@@ -541,29 +505,14 @@ def jets(compiled: CompiledField, points, order: int = 2):
     views of it with the point axis moved first, so `_points_last` gives
     the points-last layout back without a copy.
 
-    The powers of the coordinates come from `scalar_pow`, the only power
-    used, by `_grid_jets`: a block of points is its own grid, each column
-    an axis and the points its values in order.
-    """
-    points = _as_points(points)
-    return _grid_jets(compiled, points.T, (slice(None),) * _NVARS, order)
-
-
-def _grid_jets(compiled: CompiledField, axes, index, order: int):
-    """`jets` at the N points of a grid: coordinate k of point n is axes[k][index[k][n]].
-
-    axes are four arrays of finite values, and index[k] is the points'
-    index array on axis k, or slice(None) where they are its values in
-    order. A chunk of a scan raises each axis value it touches once, and
-    across the end of a long axis its points' own coordinates
-    (`_axis_powers`).
+    The powers of each coordinate are a table of products (`_power_table`),
+    as `__call__` forms them: no power function is called.
     """
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    powers = [
-        _axis_powers(values, i, int(t)) for values, i, t in zip(axes, index, compiled.max_exponents)
-    ]
+    points = _as_points(points)
     with np.errstate(over="ignore", invalid="ignore"):
+        powers = [_power_table(x, int(top)) for x, top in zip(points.T, compiled.max_exponents)]
         block = compiled.evaluate(powers, order)
     values = block[:, 0].T
     gradients = _points_first(block[:, 1 : 1 + _NVARS]) if order >= 1 else None

@@ -27,11 +27,11 @@ in chunks of VALIDITY_CHUNK_SIZE; the other checks run in chunks of
 CHUNK_SIZE. A grid may hold at most MAX_POINTS points.
 
 A grid is a product of four axes (`_Axes`), and a chunk holds its points
-as their (4, N) index on the axes, in row-major order. The jets raise
-each axis value a chunk touches to its powers once and gather them by the
-index (`fields._grid_jets`), and the writers write each axis value's text
-once per report and gather it the same way. A one-point check is the
-grid of one value per axis, so it takes the same path.
+as their (4, N) index on the axes, in row-major order. The jets and the
+domain read the chunk's points, gathered from the axes once; the writers
+write each axis value's text once per report and gather it by the index.
+A one-point check is the grid of one value per axis, so it takes the
+same path.
 
 A chunk's result is columnar (`_Columns`): the axes and index, triples and
 reasons (a point is valid where its reason is None), and for each
@@ -76,7 +76,7 @@ import numpy as np
 from . import __version__
 from .connection import Connection, check_tolerance
 from .curvature import Geometry
-from .fields import _grid_jets, _points_first, _points_last, as_point
+from .fields import _points_first, _points_last, as_point
 from .manifolds import ManifoldSpec
 
 __all__ = [
@@ -312,8 +312,9 @@ def _evaluate_chunk(
     manifold: ManifoldSpec, axes: _Axes, index, checks, tolerance: float
 ) -> _Columns:
     """The columns of the N points of an index on axes, from one batched pass."""
-    jets = _grid_jets(manifold.compiled, axes.values, index, _jet_order(checks))
-    reasons = manifold.domain_reasons(axes.points(index), jets[0])
+    points = axes.points(index)
+    jets = manifold.jets(points, _jet_order(checks))
+    reasons = manifold.domain_reasons(points, jets[0])
     geometric = {name: _GEOMETRY_CHECKS[name] for name in checks if name != "validity"}
     outcomes = dict.fromkeys(geometric, _NO_OUTCOMES)
     rows = _valid_rows(reasons) if geometric else []

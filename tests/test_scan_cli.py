@@ -29,7 +29,6 @@ from circulant4 import (
     riemann,
     riemann_lowered,
 )
-from circulant4 import fields
 from circulant4.cli import main
 from circulant4.fields import MAX_EXPONENT
 from circulant4.manifolds import MAX_CONFIG_BYTES
@@ -468,32 +467,6 @@ def test_records_do_not_depend_on_chunking(manifold, count, checks):
     assert report.summary["valid_points"] >= (count + 1) // 2
     for point, record in zip(grid_points(config.axes), report.points):
         assert json.dumps(record) == json.dumps(evaluate_point(manifold, point, checks))
-
-
-@pytest.mark.parametrize("shape", [(5000, 1, 1, 1), (2, 1, 1, 2500)], ids=["x1", "x4"])
-def test_a_scan_raises_each_axis_value_once_per_chunk(shape, monkeypatch):
-    # a line of 5000 points along the slowest axis, and along the fastest
-    # axis twice, in 20 chunks: a chunk raises each axis value it touches
-    # once, or its points' own coordinates where it crosses the end of the
-    # long axis, so the long axis is raised once per point and each other
-    # axis at most twice per chunk; raising every axis's whole values in
-    # each chunk would raise 5000 per chunk, axis and power
-    manifold = nonflat_parallel_manifold()
-    top = manifold.compiled.max_exponents
-    raised = []
-    scalar_pow = fields.scalar_pow
-
-    def counted(values, e):
-        raised.append(np.size(values))
-        return scalar_pow(values, e)
-
-    monkeypatch.setattr(fields, "scalar_pow", counted)
-    report = run_scan(manifold, ScanConfig(tuple(AxisSpec(0.3, 2.1, n) for n in shape)))
-    chunks = len(report.columns)
-    assert chunks == 5000 // CHUNK_SIZE + 1
-    powers = [max(int(t) - 1, 0) for t in top]  # scalar_pow calls per value, e = 2 .. top
-    long = int(np.argmax(shape))
-    assert sum(raised) <= 5000 * powers[long] + 2 * chunks * sum(powers)
 
 
 # tracemalloc peak bytes per point of run_scan plus render_report for a
