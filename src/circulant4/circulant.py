@@ -145,22 +145,21 @@ def inverse_metrics(triples):
     cube in the threshold are products, as the jets form powers; the
     arithmetic is elementwise, so each row equals its N = 1 result bit for
     bit.
-    ginv is a view of a (4, 4, N) array, the points last, as the geometry
-    pass reads it: `fields._points_last` gives it back without a copy.
+    The bars are divided into one (3, N) array; ginv is a view of a (4, 4,
+    N) array, the points last, as the geometry pass reads it:
+    `fields._points_last` gives it back without a copy.
     """
     a, b, c = np.asarray(triples, dtype=float).T
+    bars = np.empty((3, len(a)))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d = (a - c) * ((a + c) * (a + c) - 4.0 * b * b)
+        s, bb = a + c, 2.0 * b * b
+        d = (a - c) * (s * s - 4.0 * b * b)
         # written so that a NaN d (inf - inf) counts as degenerate; where d
         # overflows to inf, so does the threshold
         degenerate = ~(np.abs(d) > _thresholds(a, b, c))
-        bars = np.stack(
-            [
-                (a * (a + c) - 2.0 * b * b) / d,
-                (b * (c - a)) / d,
-                (2.0 * b * b - c * (a + c)) / d,
-            ]
-        )
+        np.divide(a * s - bb, d, out=bars[0])
+        np.divide(b * (c - a), d, out=bars[1])
+        np.divide(bb - c * s, d, out=bars[2])
     bars[:, degenerate] = np.nan
     return _points_first(bars[SLOT_FIELD]), d, degenerate
 

@@ -74,6 +74,11 @@ class DomainError(ValueError):
 # what a report record says where the parallel check's residuals overflow
 PARALLEL_NOT_FINITE = "parallel residuals are not finite"
 
+# why a point has no result where a jet is not finite, indexed by `Connection._non_finite`
+_NOT_FINITE_TEXTS = (None,) + tuple(
+    f"{jet}{name} is not finite" for jet in ("", "gradient of ", "Hessian of ") for name in "ABC"
+)
+
 
 def check_tolerance(tol: float, name: str = "tolerance") -> float:
     """tol as a float; ValueError unless it is positive and finite."""
@@ -221,7 +226,6 @@ class Connection:
         self._values = _points_last(values)
         self._gradients = _points_last(gradients)
         self._hessians = None if hessians is None else _points_last(hessians)
-        self._failures = {}  # order -> `failures(order)`
 
     @classmethod
     def at(cls, manifold: ManifoldSpec, p):
@@ -241,7 +245,7 @@ class Connection:
         result = cls(*manifold.jets(p[None], cls.jet_order))
         failure = result.failures(cls.jet_order)[0]
         if failure is not None:
-            singular = result.degenerate[0] and np.isfinite(result.values).all()
+            singular = failure not in _NOT_FINITE_TEXTS  # the degeneracy text
             raise (SingularMetricError if singular else ValueError)(failure)
         return result
 
@@ -250,24 +254,29 @@ class Connection:
 
         The first that applies: a field value is not finite, the metric is
         degenerate, a field's gradient (order >= 1), then its Hessian
-        (order 2), is not all finite. Each order is worked out once, from
-        the order below, so every jet is looked at once per pass.
+        (order 2), is not all finite. The texts are gathered from
+        `_non_finite`, and only degenerate rows format their own.
         """
-        if order not in self._failures:
-            if order == 0:
-                failures = [None] * len(self.values)
-                _name_non_finite(failures, self._values, "")
-                # a field value that is not finite makes d so too, and the point degenerate
-                for n in np.flatnonzero(self.degenerate).tolist():
-                    failures[n] = failures[n] or str(
-                        degeneracy_error(*self.values[n].tolist(), float(self.d[n]))
-                    )
-            else:
-                failures = self.failures(order - 1)  # a copy, extended here
-                name, jet = (("gradient", self._gradients), ("Hessian", self._hessians))[order - 1]
-                _name_non_finite(failures, jet, f"{name} of ")
-            self._failures[order] = failures
-        return list(self._failures[order])
+        codes = self._non_finite.tolist()
+        texts = _NOT_FINITE_TEXTS[: 4 + 3 * order] + (None,) * (6 - 3 * order)  # none above order
+        failures = list(map(texts.__getitem__, codes))
+        for n in np.flatnonzero(self.degenerate).tolist():
+            # a field value that is not finite makes d so too, and the point degenerate
+            if not 1 <= codes[n] <= 3:
+                failures[n] = str(degeneracy_error(*self.values[n].tolist(), float(self.d[n])))
+        return failures
+
+    @cached_property
+    def _non_finite(self) -> np.ndarray:
+        """Per point, the index in _NOT_FINITE_TEXTS of its first jet that is not all finite.
+
+        Each jet is tested by one np.isfinite, once per pass.
+        """
+        jets = [jet for jet in (self._values, self._gradients, self._hessians) if jet is not None]
+        # a leading row of True, so the first False row is 0 where every jet is finite
+        finite = [np.ones((1, self._values.shape[-1]), dtype=bool)]
+        finite += [np.isfinite(j).all(axis=tuple(range(1, j.ndim - 1))) for j in jets]
+        return np.concatenate(finite).argmin(axis=0)
 
     def finite_row(self, stage: str) -> np.ndarray:
         """The first point's row of a stage, for the per-point functions.
@@ -371,16 +380,6 @@ class Connection:
     )
 
 
-def _name_non_finite(failures: list, jet, prefix: str) -> None:
-    """Where failures[n] is None, name the first field whose jet at point n is not finite.
-
-    jet is (3, ..., N), the points last.
-    """
-    finite = np.isfinite(jet).all(axis=tuple(range(1, jet.ndim - 1)))
-    for f, n in zip(*np.nonzero(~finite)):
-        failures[n] = failures[n] or f"{prefix}{'ABC'[f]} is not finite"
-
-
 def _gradient_row(m: ManifoldSpec, p, stage: str) -> np.ndarray:
     """The row of a stage at p, for the views that read only the gradients.
 
@@ -389,11 +388,9 @@ def _gradient_row(m: ManifoldSpec, p, stage: str) -> np.ndarray:
     gradient is not finite, as `Connection.failures` does.
     """
     connection = Connection(*m.jets(as_point(p)[None], 1))
-    failures = [None]
-    _name_non_finite(failures, connection._values, "")
-    _name_non_finite(failures, connection._gradients, "gradient of ")
-    if failures[0] is not None:
-        raise ValueError(failures[0])
+    failure = _NOT_FINITE_TEXTS[connection._non_finite[0]]
+    if failure is not None:
+        raise ValueError(failure)
     return connection.finite_row(stage)
 
 

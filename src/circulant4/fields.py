@@ -501,19 +501,29 @@ def jets(compiled: CompiledField, points, order: int = 2):
     `__call__`, `gradient` and `hessian` of each field at each point.
 
     The fields are evaluated together, on one schedule, into one block
-    (F, slots, N) with the points last, contiguous; the three results are
-    views of it with the point axis moved first, so `_points_last` gives
-    the points-last layout back without a copy.
+    (F, slots, N) with the points last, contiguous (`_jet_block`); the
+    values and gradients are views of it with the point axis moved first
+    (`_jet_views`), so `_points_last` gives the points-last layout back
+    without a copy.
 
     The powers of each coordinate are a table of products (`_power_table`),
     as `__call__` forms them: no power function is called.
     """
+    return _jet_views(_jet_block(compiled, points, order), order)
+
+
+def _jet_block(compiled: CompiledField, points, order: int) -> np.ndarray:
+    """The block (F, slots, N) of `jets`: values, gradients, second partials up to order."""
     if order not in (0, 1, 2):
         raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
     points = _as_points(points)
     with np.errstate(over="ignore", invalid="ignore"):
         powers = [_power_table(x, int(top)) for x, top in zip(points.T, compiled.max_exponents)]
-        block = compiled.evaluate(powers, order)
+        return compiled.evaluate(powers, order)
+
+
+def _jet_views(block: np.ndarray, order: int):
+    """The results of `jets` from its block; the Hessians are gathered into a new array."""
     values = block[:, 0].T
     gradients = _points_first(block[:, 1 : 1 + _NVARS]) if order >= 1 else None
     hessians = _points_first(block[:, _HESSIAN_SLOTS]) if order == 2 else None

@@ -4,9 +4,9 @@ A manifold here is R^4 (minus excluded loci) carrying the circulant metric
 whose components at p are (A(p), B(p), C(p)). Validity of a point means it
 avoids the excluded loci, the triple is finite and it is ordered
 A > C > B > 0, which is sufficient for positive definiteness. Both the
-field jets (`ManifoldSpec.jets`) and validity (`ManifoldSpec.domain_reasons`)
-work on N points at once; `triple_at` and `domain_valid` are their N = 1
-views.
+field jets (`ManifoldSpec.jets`) and validity (`ManifoldSpec.domain_reasons`,
+a code per point into a tuple of reason texts) work on N points at once;
+`triple_at` and `domain_valid` are their N = 1 views.
 
 The built-in example uses
 
@@ -119,39 +119,38 @@ class ManifoldSpec:
     def metric_at(self, p):
         return metric_components(self.triple_at(p))
 
-    def domain_reasons(self, points, triples) -> list:
-        """Why each point is invalid, None where it is valid.
+    def domain_reasons(self, points, triples) -> tuple:
+        """Why each point is invalid, as (codes, reasons).
 
-        points is (N, 4) and triples the field values there, (N, 3). The
-        tests run in a fixed sequence (excluded loci, a non-finite
-        component, then A > C, C > B, B > 0), so the reason names the first
-        one that fails.
+        points is (N, 4) and triples the field values there, (N, 3).
+        codes is an (N,) intp array that indexes the tuple reasons, whose
+        entry 0 is None, the code of a valid point. The tests run in a
+        fixed sequence (excluded loci, a non-finite component, then A > C,
+        C > B, B > 0), and a point's code is the first one that fails.
         """
         points = np.asarray(points, dtype=float)
         a, b, c = np.asarray(triples, dtype=float).T
-        reasons = np.full(len(points), None, dtype=object)
-        pending = np.ones(len(points), dtype=bool)
-
-        def fail(mask, reason):
-            hit = pending & mask
-            reasons[hit] = reason
-            pending[hit] = False
-
-        for locus in self.excluded_loci:
-            fail(locus.contains_points(points), f"excluded locus {locus.label}")
-        for name, values in zip("ABC", (a, b, c)):
-            fail(~np.isfinite(values), f"{name} is not finite")
         with np.errstate(invalid="ignore"):
-            fail(~(a > c), "A > C violated")
-            fail(~(c > b), "C > B violated")
-            fail(~(b > 0.0), "B > 0 violated")
-        return reasons.tolist()
+            tests = [
+                *((locus.contains_points(points), f"excluded locus {locus.label}")
+                  for locus in self.excluded_loci),
+                *((~np.isfinite(v), f"{name} is not finite") for name, v in zip("ABC", (a, b, c))),
+                (~(a > c), "A > C violated"),
+                (~(c > b), "C > B violated"),
+                (~(b > 0), "B > 0 violated"),
+            ]
+        codes = np.zeros(len(points), dtype=np.intp)
+        # in reverse, so that the first test that fails is assigned last
+        for code, (failed, _) in reversed(list(enumerate(tests, 1))):
+            codes[failed] = code
+        return codes, (None, *(reason for _, reason in tests))
 
     def domain_valid(self, p) -> DomainStatus:
         """Pointwise validity, the N = 1 view of `domain_reasons`."""
         p = as_point(p)[None]
         values, _, _ = self.jets(p, order=0)
-        reason = self.domain_reasons(p, values)[0]
+        codes, reasons = self.domain_reasons(p, values)
+        reason = reasons[codes[0]]
         return DomainStatus(reason is None, reason)
 
 

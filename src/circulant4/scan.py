@@ -33,13 +33,15 @@ write each axis value's text once per report and gather it by the index.
 A one-point check is the grid of one value per axis, so it takes the
 same path.
 
-A chunk's result is columnar (`_Columns`): the axes and index, triples and
-reasons (a point is valid where its reason is None), and for each
-geometry check its pass flags, its two numbers and its error texts at
-the valid points, as arrays and lists. No record dict is built on the
-way to the report. `Report.points`, and the record `evaluate_point`
-returns, are built from those columns (`_records`) on first use, and the
-summary is counted from them (`_summarize`).
+A chunk's result is columnar (`_Columns`): the axes and index, triples,
+a reason code per point with the table of reason texts it indexes (from
+`ManifoldSpec.domain_reasons`: a point is valid where its code is 0, the
+reason None), and for each geometry check its pass flags, its two
+numbers and its error texts at the valid points, as arrays and lists.
+No record dict is built on the way to the report. `Report.points`, and
+the record `evaluate_point` returns, are built from those columns
+(`_records`) on first use, and the summary is counted from them
+(`_summarize`).
 
 Reports are plain mappings rendered to JSON or CSV. Rendering is
 deterministic: fixed key order, records in row-major grid order, floats in
@@ -49,11 +51,12 @@ the csv module give for the mapping. Both writers read the records from
 the columns, one chunk at a time, from columns of texts: the coordinates
 from the axes, the triples and check numbers with each distinct float of
 a long chunk written once (`_float_texts`), and valid and reason as one
-text per distinct reason. CSV joins each row's cells with commas; where
-no geometry check ran at a row, its cells from valid on are that one
-text, quoted by the csv module. JSON fills one record template per chunk
-with one `%`-template per outcome shape (null, validity, parallel or
-curvature results, error).
+text per reason of the table, gathered by code (`_per_reason`). CSV
+joins each row's cells with commas; where no geometry check ran at a
+row, its cells from valid on are that one text, quoted by the csv
+module. JSON fills one record template per chunk with one `%`-template
+per outcome shape (null, validity, parallel or curvature results,
+error).
 The JSON `meta` and `summary` are json.dumps(indent=2)'s own text,
 indented one level.
 """
@@ -76,7 +79,7 @@ import numpy as np
 from . import __version__
 from .connection import Connection, check_tolerance
 from .curvature import Geometry
-from .fields import _points_first, _points_last, as_point
+from .fields import _jet_block, _jet_views, as_point
 from .manifolds import ManifoldSpec
 
 __all__ = [
@@ -284,7 +287,8 @@ class _Columns(NamedTuple):
     axes: _Axes  # the grid's axes
     index: np.ndarray | tuple  # the points' index on each axis, as `_Axes` takes it
     values: np.ndarray  # (N, 3) the triples, reported as null where not finite
-    reasons: list  # (N,) why a point is invalid, None where it is valid
+    codes: np.ndarray  # (N,) intp, why a point is invalid, an index into reasons
+    reasons: tuple  # the reason texts of `domain_reasons`, None (valid) first
     checks: tuple  # the checks run, in CHECKS order
     outcomes: dict  # geometry check name -> _Outcomes, at the valid points
 
@@ -294,34 +298,25 @@ class _Columns(NamedTuple):
         return self.axes.points(self.index)
 
 
-def _valid_rows(reasons: list) -> list[int]:
-    return [n for n, reason in enumerate(reasons) if reason is None]
-
-
-def _at_rows(jet, rows: list):
-    """The rows of an (N, ...) jet, picked along its point axis, which stays last in memory.
-
-    `np.take` along the last axis gives a C-ordered (..., V) array. A fancy
-    index there would give points-first memory, and every einsum of the
-    pass would then walk strided operands.
-    """
-    return None if jet is None else _points_first(np.take(_points_last(jet), rows, axis=-1))
-
-
 def _evaluate_chunk(
     manifold: ManifoldSpec, axes: _Axes, index, checks, tolerance: float
 ) -> _Columns:
     """The columns of the N points of an index on axes, from one batched pass."""
     points = axes.points(index)
-    jets = manifold.jets(points, _jet_order(checks))
-    reasons = manifold.domain_reasons(points, jets[0])
+    order = _jet_order(checks)
+    block = _jet_block(manifold.compiled, points, order)
+    # the report keeps a copy of the values, not the block of every jet slot
+    values = np.ascontiguousarray(block[:, 0].T)
+    codes, reasons = manifold.domain_reasons(points, values)
     geometric = {name: _GEOMETRY_CHECKS[name] for name in checks if name != "validity"}
     outcomes = dict.fromkeys(geometric, _NO_OUTCOMES)
-    rows = _valid_rows(reasons) if geometric else []
-    if rows:
-        # the pass reads the jets of the valid rows; where every row is valid, uncopied
-        picked = jets if len(rows) == len(reasons) else (_at_rows(jet, rows) for jet in jets)
-        geometry = Geometry(*picked)
+    rows = np.flatnonzero(codes == 0) if geometric else ()
+    if len(rows):
+        # the pass reads the block at the valid rows, taken along its point
+        # axis, which stays last and contiguous; uncopied where all are valid
+        if len(rows) < len(codes):
+            block = np.take(block, rows, axis=-1)
+        geometry = Geometry(*_jet_views(block, order))
         # rows that get an error outcome may hold inf and NaN, without warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for name, check in geometric.items():
@@ -338,37 +333,36 @@ def _evaluate_chunk(
                     for error, a, b in zip(errors, first, second)
                 ]
                 outcomes[name] = _Outcomes(passed, numbers, errors)
-    # the values are a view of every jet slot; the report keeps only them
-    values = np.ascontiguousarray(jets[0])
-    return _Columns(axes, index, values, reasons, tuple(checks), outcomes)
+    return _Columns(axes, index, values, codes, reasons, tuple(checks), outcomes)
 
 
-def _at_points(reasons: list, outcomes: list, skipped: list) -> list:
+def _at_points(codes: np.ndarray, outcomes: list, skipped: list) -> list:
     """Per-point items of a chunk: outcomes at the valid points, skipped's elsewhere.
 
-    outcomes holds an item per valid point and skipped one per point; the
-    items of skipped at the valid points are replaced in place.
+    outcomes holds an item per valid point (code 0) and skipped one per
+    point; the items of skipped at the valid points are replaced in place.
     """
-    if len(outcomes) == len(reasons):
+    if len(outcomes) == len(codes):
         return outcomes
-    for n, outcome in zip(_valid_rows(reasons), outcomes):
+    for n, outcome in zip(np.flatnonzero(codes == 0).tolist(), outcomes):
         skipped[n] = outcome
     return skipped
 
 
 def _records(columns: _Columns) -> list[dict]:
     """The report records of a chunk, built from its columns."""
+    reasons = _per_reason(columns, lambda reason: reason)
     per_check = []
     for name in columns.checks:
         if name == "validity":
-            per_check.append([{"passed": reason is None} for reason in columns.reasons])
+            per_check.append([{"passed": reason is None} for reason in reasons])
             continue
         first, second = _GEOMETRY_CHECKS[name].keys
         o = columns.outcomes[name]
-        per_check.append(_at_points(columns.reasons, [
+        per_check.append(_at_points(columns.codes, [
             {"passed": p, first: a, second: b} if e is None else {"passed": False, "error": e}
             for p, a, b, e in zip(o.passed, *o.numbers.tolist(), o.errors)
-        ], [None] * len(columns.reasons)))
+        ], [None] * len(reasons)))
     triples = [
         {k: x if math.isfinite(x) else None for k, x in zip("ABC", triple)}
         for triple in columns.values.tolist()
@@ -382,7 +376,7 @@ def _records(columns: _Columns) -> list[dict]:
             "checks": dict(zip(columns.checks, outcomes)),
         }
         for point, triple, reason, *outcomes in zip(
-            columns.points.tolist(), triples, columns.reasons, *per_check
+            columns.points.tolist(), triples, reasons, *per_check
         )
     ]
 
@@ -403,8 +397,8 @@ def evaluate_point(
 
 def _summarize(chunks, checks) -> dict:
     """The summary of a report, counted from the columns of its chunks."""
-    points = sum(len(chunk.reasons) for chunk in chunks)
-    valid = sum(chunk.reasons.count(None) for chunk in chunks)
+    points = sum(len(chunk.codes) for chunk in chunks)
+    valid = points - int(sum(np.count_nonzero(chunk.codes) for chunk in chunks))
     per_check = {}
     for name in checks:
         if name == "validity":
@@ -588,10 +582,10 @@ def _float_cells(columns: _Columns, missing: str) -> list[list[str]]:
     return cells
 
 
-def _per_reason(reasons: list, text) -> list:
-    """text(reason) for each of a chunk's reasons, called once per distinct reason."""
-    texts = {reason: text(reason) for reason in set(reasons)}
-    return list(map(texts.__getitem__, reasons))
+def _per_reason(columns: _Columns, text) -> list:
+    """text(reason) for each point of a chunk, called once per reason and gathered by code."""
+    texts = [text(reason) for reason in columns.reasons]
+    return list(map(texts.__getitem__, columns.codes.tolist()))
 
 
 def _csv_quoted(text: str) -> str:
@@ -618,7 +612,7 @@ def _csv_chunk(columns: _Columns) -> str:
     validity-only scan.
     """
     cells = _float_cells(columns, "")
-    tails = _per_reason(columns.reasons, _csv_not_run)
+    tails = _per_reason(columns, _csv_not_run)
     if columns.outcomes:
         outcomes = []
         for name, check in _GEOMETRY_CHECKS.items():
@@ -634,7 +628,7 @@ def _csv_chunk(columns: _Columns) -> str:
             ])
         # valid, the empty reason cell and the two cells of each check
         ran = list(map(",".join, zip(repeat(_BOOL_TEXTS[True] + ","), *outcomes)))
-        tails = _at_points(columns.reasons, ran, tails)
+        tails = _at_points(columns.codes, ran, tails)
     cells.append(tails)
     rows = list(map(",".join, zip(*cells)))
     rows.append("")  # the last line break, and none without rows
@@ -680,17 +674,17 @@ def _json_valid_reason(reason) -> str:
 def _json_chunk(columns: _Columns) -> str:
     """The records of a chunk as JSON array items."""
     cells = _float_cells(columns, "null")
-    cells.append(_per_reason(columns.reasons, _json_valid_reason))
+    cells.append(_per_reason(columns, _json_valid_reason))
     for name in columns.checks:
         if name == "validity":
-            cells.append([_JSON_VALIDITY[reason is None] for reason in columns.reasons])
+            cells.append(_per_reason(columns, lambda reason: _JSON_VALIDITY[reason is None]))
             continue
         results = _JSON_RESULTS[name]
         o = columns.outcomes[name]
-        cells.append(_at_points(columns.reasons, [
+        cells.append(_at_points(columns.codes, [
             results % (_BOOL_TEXTS[p], a, b) if e is None else _JSON_ERROR % _json_str(e)
             for p, a, b, e in zip(o.passed, *_float_texts(o.numbers), o.errors)
-        ], ["null"] * len(columns.reasons)))
+        ], ["null"] * len(columns.codes)))
     template = _json_record_template(columns.checks)
     return ",\n    ".join(map(template.__mod__, zip(*cells)))
 

@@ -1,5 +1,6 @@
 """Christoffel symbols, nabla q and the gradient-condition systems."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from circulant4 import (
     SingularMetricError,
     christoffel,
     constant_manifold,
+    evaluate_point,
     example_manifold,
     full_system_residuals,
     gradient_condition_residuals,
@@ -20,8 +22,10 @@ from circulant4 import (
     nabla_q,
     parallelism_verdict,
     parse_field,
+    riemann,
 )
 from circulant4 import connection
+from circulant4.circulant import degeneracy_error
 from circulant4._oracles import exact_geometry
 from circulant4.connection import FULL_TERMS, REDUCED_TERMS, Connection
 from circulant4.curvature import Geometry
@@ -388,20 +392,91 @@ def test_inverse_metric_is_computed_once_and_only_where_read(monkeypatch):
     assert calls == [1]
 
 
-def test_an_all_check_chunk_names_each_non_finite_jet_once(monkeypatch):
-    calls = []
+def test_an_all_check_chunk_tests_each_jet_once(monkeypatch):
+    coded, tested = [], []
+    non_finite, isfinite = Connection.__dict__["_non_finite"], np.isfinite
+    code = non_finite.func
 
-    def counted(failures, jet, prefix):
-        calls.append(prefix)
-        name_non_finite(failures, jet, prefix)
+    def counted_code(pass_):
+        coded.append(len(pass_.values))
+        return code(pass_)
 
-    name_non_finite = connection._name_non_finite
-    monkeypatch.setattr(connection, "_name_non_finite", counted)
+    def counted_isfinite(x, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == connection.__name__:
+            tested.append(np.shape(x))
+        return isfinite(x, *args, **kwargs)
+
+    monkeypatch.setattr(non_finite, "func", counted_code)
+    monkeypatch.setattr(np, "isfinite", counted_isfinite)
     # two points, each its own index on axes of two values
     axes = _Axes(np.array([P0, (1.0, 0.2, 2.0, 0.3)]).T)
     columns = _evaluate_chunk(example_manifold(), axes, np.array([[0, 1]] * 4), CHECKS, 1e-8)
-    assert sorted(calls) == ["", "Hessian of ", "gradient of "]
+    # the code array once per pass, and one np.isfinite per jet: the values,
+    # the gradients and the Hessians, the points last
+    assert coded == [2]
+    assert sorted(tested) == [(3, 2), (3, 4, 2), (3, 4, 4, 2)]
     assert all(all(columns.outcomes[name].passed) for name in CHECKS[1:])
+
+
+def test_failures_take_the_first_reason_of_each_point():
+    # five copies of example's jets at P0; at each point but the last, two
+    # conditions or one: a later field's value beside an earlier field's
+    # gradient, a degenerate g beside a gradient, a later field's gradient
+    # beside an earlier field's Hessian, and a Hessian alone
+    jets = example_manifold().jets(np.array([P0] * 5))
+    values, gradients, hessians = (np.array(jet) for jet in jets)
+    values[0, 2] = np.inf
+    gradients[0, 0, 1] = np.nan
+    values[1] = (1.0, 0.25, 1.0)  # A = C, so d = 0
+    gradients[1, 1, 3] = np.inf
+    gradients[2, 2, 0] = -np.inf
+    hessians[2, 0, 1, 1] = np.nan
+    hessians[3, 1, 2, 3] = np.inf
+    failures = Connection(values, gradients, hessians).failures
+    first = ["C is not finite", str(degeneracy_error(1.0, 0.25, 1.0, 0.0))]
+    assert failures(0) == first + [None, None, None]
+    assert failures(1) == first + ["gradient of C is not finite", None, None]
+    assert failures(2) == first + ["gradient of C is not finite", "Hessian of B is not finite", None]
+
+
+# fields whose jets meet two conditions at one point, or one: (A, B, the
+# point, why it has no result at orders 1 and 2); C = 3
+_MIXED_CASES = [
+    # A and its gradient overflow
+    ("x1^300 + 10", "1", (10.7, 0.0, 0.0, 0.0), ["A is not finite"] * 2),
+    # the triple is about (3.9e307, 1, 3), d overflows, and so does A's gradient
+    (
+        "x1^300 - x2^300 + 10", "1", (10.6, 1.0, 0.0, 0.0),
+        ["circulant metric (3.9062459052046017e+307, 1.0, 3.0) has an overflowing "
+         "closed-form inverse (d = inf)"] * 2,
+    ),
+    # A's gradient and Hessian overflow
+    ("x1^300 - x2^300 + 10", "1", (10.6, 10.6, 0.0, 0.0), ["gradient of A is not finite"] * 2),
+    # B's Hessian alone
+    ("5", "x1^300 - x2^300 + 1", (10.5, 10.5, 0.0, 0.0), [None, "Hessian of B is not finite"]),
+]
+
+
+@pytest.mark.parametrize("a, b, point, expected", _MIXED_CASES)
+def test_failures_records_and_raises_give_one_text(a, b, point, expected):
+    m = ManifoldSpec("mixed", parse_field(a), parse_field(b), parse_field("3"))
+    values, gradients, hessians = m.jets(np.array([point]))
+    assert not np.isfinite(np.concatenate([gradients.ravel(), hessians.ravel()])).all()
+    geometry = Geometry(values, gradients, hessians)
+    assert [geometry.failures(order)[0] for order in (1, 2)] == expected
+    record = evaluate_point(m, point)
+    if record["valid"]:
+        errors = [record["checks"][name].get("error") for name in CHECKS[1:]]
+        assert errors == expected[:1] + expected[1:] * 2
+    else:
+        assert record["reason"] == expected[0] == expected[1]
+    for failure, view in zip(expected, (christoffel, riemann)):
+        if failure is None:
+            view(m, point)
+            continue
+        with pytest.raises(ValueError) as raised:
+            view(m, point)
+        assert str(raised.value) == failure
 
 
 def test_christoffel_stays_exact_on_fraction_jets():
