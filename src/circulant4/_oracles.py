@@ -11,9 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circulant import SLOT_FIELD, apply_affinor, inverse_metric
+from .circulant import apply_affinor, inverse_metric
 from .curvature import Geometry, contract_lowered, riemann_lowered
-from .fields import _points_first
 from .manifolds import ManifoldSpec
 
 
@@ -37,24 +36,15 @@ def exact_jets(fields, points) -> tuple:
     return block[..., 0], block[..., 1:5], block[..., 5:].reshape(*block.shape[:2], 4, 4)
 
 
-def exact_inverse(values) -> tuple:
-    """`inverse_metrics` in Fractions: the bars over d, d, and none degenerate (d = 0 raises)."""
-    a, b, c = np.asarray(values, dtype=object).T
-    d = (a - c) * ((a + c) ** 2 - 4 * b * b)
-    bars = np.array([a * (a + c) - 2 * b * b, b * (c - a), 2 * b * b - c * (a + c)]) / d
-    return _points_first(bars[SLOT_FIELD]), d, np.zeros(len(d), dtype=bool)
-
-
 def exact_geometry(manifold: ManifoldSpec, points) -> Geometry:
-    """The `Geometry` pass over Fractions at N points, with `exact_inverse` for its inverse.
+    """The `Geometry` pass over Fractions at N points, from `exact_jets`.
 
-    Every stage but the scales (1 + a Fraction) is exact. `failures` and
-    `finite_row` are not for it: their np.isfinite takes no object array.
+    The pass runs as it is, `inverse_metrics` too, so every stage but the
+    scales (1 + a Fraction) is exact; an exact d = 0 raises
+    ZeroDivisionError. `failures` and `finite_row` are not for it: their
+    np.isfinite takes no object array.
     """
-    jets = exact_jets((manifold.A, manifold.B, manifold.C), points)
-    geometry = Geometry(*jets)
-    geometry.__dict__["_inverse_metrics"] = exact_inverse(jets[0])
-    return geometry
+    return Geometry(*exact_jets((manifold.A, manifold.B, manifold.C), points))
 
 
 def leading_principal_minors(matrix) -> np.ndarray:

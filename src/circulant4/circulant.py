@@ -148,12 +148,19 @@ def inverse_metrics(triples):
     The bars are divided into one (3, N) array; ginv is a view of a (4, 4,
     N) array, the points last, as the geometry pass reads it:
     `fields._points_last` gives it back without a copy.
+
+    An object array of `fractions.Fraction` triples takes the same
+    operations and stays exact but for the thresholds (an exact d = 0 raises
+    ZeroDivisionError); any other dtype is cast to float.
     """
-    a, b, c = np.asarray(triples, dtype=float).T
-    bars = np.empty((3, len(a)))
+    triples = np.asarray(triples)
+    if triples.dtype != object:
+        triples = triples.astype(float, copy=False)
+    a, b, c = triples.T
+    bars = np.empty((3, len(a)), triples.dtype)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s, bb = a + c, 2.0 * b * b
-        d = (a - c) * (s * s - 4.0 * b * b)
+        s, bb = a + c, 2 * b * b
+        d = (a - c) * (s * s - 4 * b * b)
         # written so that a NaN d (inf - inf) counts as degenerate; where d
         # overflows to inf, so does the threshold
         degenerate = ~(np.abs(d) > _thresholds(a, b, c))

@@ -80,6 +80,11 @@ _NOT_FINITE_TEXTS = (None,) + tuple(
 )
 
 
+def _is_parallel(nabla_q_max: float, gradient_condition_max: float, tol: float) -> bool:
+    """The rule of `parallelism_verdict` and the parallel check: both maxima within tol."""
+    return nabla_q_max <= tol and gradient_condition_max <= tol
+
+
 def check_tolerance(tol: float, name: str = "tolerance") -> float:
     """tol as a float; ValueError unless it is positive and finite."""
     if not (math.isfinite(tol) and tol > 0):
@@ -447,7 +452,7 @@ def parallelism_verdict(m: ManifoldSpec, p, tol: float = 1e-8):
     connection = Connection.at(m, p)
     nq_max = float(connection.finite_row("nabla_q_max"))
     conditions = connection.finite_row("gradient_conditions").tolist()
-    verdict = nq_max <= tol and max(conditions) <= tol
+    verdict = _is_parallel(nq_max, max(conditions), tol)
     report = ResidualReport(
         tuple(zip(REDUCED_LABELS, conditions)) + (("max |nabla q|", nq_max),)
     )

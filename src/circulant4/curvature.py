@@ -71,8 +71,8 @@ the same slot. Each element goes through the same operations in the same
 order as in the out-of-place sums, so the bits are the same. The block
 takes the dtype of Gamma and the Hessians, and the halves, like Gamma,
 are taken by `/ 2`, so a pass over object arrays of `fractions.Fraction`,
-given an exact inverse, stays exact through the gaps; only the scales add
-the float 1.
+whose inverse `inverse_metrics` keeps exact, stays exact through the
+gaps; only the scales add the float 1.
 
 One block instead of a buffer per stage, term and gap is also what lets
 the allocator keep the memory between passes: glibc serves the first

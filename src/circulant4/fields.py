@@ -437,11 +437,13 @@ class CompiledField:
             for n in _ORDER_SLOTS
         )
 
-    def evaluate(self, powers, order: int = 2) -> np.ndarray:
+    def evaluate(self, points, order: int = 2) -> np.ndarray:
         """Slots 0 .. (1, 5, 15)[order] - 1 of each field at N points, (F, slots, N).
 
-        powers[k] is the table of x_{k+1}**e, shape (e_max + 1, N), with
-        row e the product of row e - 1 and x_{k+1}, as `jets` builds it.
+        points is (N, 4), finite; order is 0, 1 or 2 (ValueError otherwise).
+        The powers of each coordinate are a table of products (`_power_table`),
+        as `__call__` forms them: no power function is called. Overflows give
+        inf and NaN, without warnings.
 
         The points lie on the last axis throughout, so each gather, product
         and sum is one contiguous loop over the N points, and one gather per
@@ -450,19 +452,24 @@ class CompiledField:
         slot a sum from 0.0 of its terms in field order, one per row, as
         __call__ sums: the layout changes no bit.
         """
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+        points = _as_points(points)
         nterms, schedule = self._schedules[order]
         exps = self.exponents[:nterms]
-        n = powers[0].shape[1]
+        n = len(points)
         mono = np.empty((nterms + 1, n))
-        np.multiply(self.coefficients[:nterms, None], powers[0][exps[:, 0]], out=mono[:nterms])
-        for k in range(1, _NVARS):
-            mono[:nterms] *= powers[k][exps[:, k]]
-        mono[nterms] = 0.0
-        # adding the zero padding leaves every partial sum unchanged: a sum
-        # from 0.0 is never -0.0
-        out = np.zeros((schedule.shape[1], n))
-        for row in schedule:
-            out += mono[row]
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = [_power_table(x, int(top)) for x, top in zip(points.T, self.max_exponents)]
+            np.multiply(self.coefficients[:nterms, None], powers[0][exps[:, 0]], out=mono[:nterms])
+            for k in range(1, _NVARS):
+                mono[:nterms] *= powers[k][exps[:, k]]
+            mono[nterms] = 0.0
+            # adding the zero padding leaves every partial sum unchanged: a sum
+            # from 0.0 is never -0.0
+            out = np.zeros((schedule.shape[1], n))
+            for row in schedule:
+                out += mono[row]
         return out.reshape(len(self.counts), _ORDER_SLOTS[order], n)
 
 
@@ -501,25 +508,12 @@ def jets(compiled: CompiledField, points, order: int = 2):
     `__call__`, `gradient` and `hessian` of each field at each point.
 
     The fields are evaluated together, on one schedule, into one block
-    (F, slots, N) with the points last, contiguous (`_jet_block`); the
-    values and gradients are views of it with the point axis moved first
-    (`_jet_views`), so `_points_last` gives the points-last layout back
-    without a copy.
-
-    The powers of each coordinate are a table of products (`_power_table`),
-    as `__call__` forms them: no power function is called.
+    (F, slots, N) with the points last, contiguous (`CompiledField.evaluate`);
+    the values and gradients are views of it with the point axis moved
+    first (`_jet_views`), so `_points_last` gives the points-last layout
+    back without a copy.
     """
-    return _jet_views(_jet_block(compiled, points, order), order)
-
-
-def _jet_block(compiled: CompiledField, points, order: int) -> np.ndarray:
-    """The block (F, slots, N) of `jets`: values, gradients, second partials up to order."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-    points = _as_points(points)
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = [_power_table(x, int(top)) for x, top in zip(points.T, compiled.max_exponents)]
-        return compiled.evaluate(powers, order)
+    return _jet_views(compiled.evaluate(points, order), order)
 
 
 def _jet_views(block: np.ndarray, order: int):

@@ -246,11 +246,12 @@ _CONFIG_CACHE_SIZE = 4
 # ConfigError and UnicodeDecodeError propagate and are not cached
 @lru_cache(maxsize=_CONFIG_CACHE_SIZE)
 def _parsed_config(data: bytes, stem: str) -> ManifoldSpec:
-    return manifold_from_config(data.decode("utf-8"), name=stem)
+    # a byte order mark, as some editors save one, is not part of the text
+    return manifold_from_config(data.decode("utf-8-sig"), name=stem)
 
 
 def load_manifold(path) -> ManifoldSpec:
-    """The manifold of a UTF-8 config file of at most MAX_CONFIG_BYTES bytes.
+    """The manifold of a UTF-8 config file of at most MAX_CONFIG_BYTES bytes, BOM or not.
 
     The file is read in pieces of at most 64 KiB, and a longer file is
     refused with ConfigError after reading one byte past the bound, so a

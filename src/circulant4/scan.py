@@ -51,12 +51,12 @@ the csv module give for the mapping. Both writers read the records from
 the columns, one chunk at a time, from columns of texts: the coordinates
 from the axes, the triples and check numbers with each distinct float of
 a long chunk written once (`_float_texts`), and valid and reason as one
-text per reason of the table, gathered by code (`_per_reason`). CSV
-joins each row's cells with commas; where no geometry check ran at a
-row, its cells from valid on are that one text, quoted by the csv
-module. JSON fills one record template per chunk with one `%`-template
-per outcome shape (null, validity, parallel or curvature results,
-error).
+text per reason that occurs in the chunk, gathered by code
+(`_per_reason`). CSV joins each row's cells with commas; where no
+geometry check ran at a row, its cells from valid on are that one text,
+quoted by the csv module. JSON fills one record template per chunk with
+one `%`-template per outcome shape (null, validity, parallel or curvature
+results, error).
 The JSON `meta` and `summary` are json.dumps(indent=2)'s own text,
 indented one level.
 """
@@ -77,9 +77,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .connection import Connection, check_tolerance
+from .connection import Connection, _is_parallel, check_tolerance
 from .curvature import Geometry
-from .fields import _jet_block, _jet_views, as_point
+from .fields import _jet_views, as_point
 from .manifolds import ManifoldSpec
 
 __all__ = [
@@ -228,7 +228,7 @@ _GEOMETRY_CHECKS = {
         Connection,
         ("nabla_q_max", "gradient_condition_max"),
         lambda g: (g.nabla_q_max, g.gradient_condition_max),
-        lambda nq, gm, tol: nq <= tol and gm <= tol,
+        _is_parallel,
         max,
     ),
     "curvature31": _curvature_check("q_invariance_gap", "q_invariance_scale"),
@@ -304,7 +304,7 @@ def _evaluate_chunk(
     """The columns of the N points of an index on axes, from one batched pass."""
     points = axes.points(index)
     order = _jet_order(checks)
-    block = _jet_block(manifold.compiled, points, order)
+    block = manifold.compiled.evaluate(points, order)
     # the report keeps a copy of the values, not the block of every jet slot
     values = np.ascontiguousarray(block[:, 0].T)
     codes, reasons = manifold.domain_reasons(points, values)
@@ -317,16 +317,18 @@ def _evaluate_chunk(
         if len(rows) < len(codes):
             block = np.take(block, rows, axis=-1)
         geometry = Geometry(*_jet_views(block, order))
+        # the checks of one jet order share its failures
+        orders = {check.stage.jet_order for check in geometric.values()}
+        failures = {o: geometry.failures(o) for o in orders}
         # rows that get an error outcome may hold inf and NaN, without warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for name, check in geometric.items():
-                failures = geometry.failures(check.stage.jet_order)
                 numbers = np.array(check.numbers(geometry))
                 first, second = numbers.tolist()
                 errors = [
                     failure
                     or (None if math.isfinite(a) and math.isfinite(b) else check.stage.not_finite)
-                    for failure, a, b in zip(failures, first, second)
+                    for failure, a, b in zip(failures[check.stage.jet_order], first, second)
                 ]
                 passed = [
                     error is None and check.passes(a, b, tolerance)
@@ -381,18 +383,11 @@ def _records(columns: _Columns) -> list[dict]:
     ]
 
 
-def _point_columns(manifold: ManifoldSpec, point, checks: tuple, tolerance: float) -> _Columns:
-    """The columns of one point, a (4,) array: the grid of one value per axis."""
-    axes = _Axes(point[:, None])
-    return _evaluate_chunk(manifold, axes, (slice(None),) * 4, checks, tolerance)
-
-
 def evaluate_point(
     manifold: ManifoldSpec, point, checks=CHECKS, tolerance: float = 1e-8
 ) -> dict:
     """One record of the report: triple, validity and check outcomes at point."""
-    checks, tolerance = _canonical_checks(checks), check_tolerance(tolerance)
-    return _records(_point_columns(manifold, as_point(point), checks, tolerance))[0]
+    return run_check(manifold, point, checks, tolerance).points[0]
 
 
 def _summarize(chunks, checks) -> dict:
@@ -481,7 +476,8 @@ def run_check(
     """Evaluate the checks at a single point and wrap them as a report."""
     checks, tolerance = _canonical_checks(checks), check_tolerance(tolerance)
     point = as_point(point)
-    columns = _point_columns(manifold, point, checks, tolerance)
+    axes = _Axes(point[:, None])  # the grid of one value per axis
+    columns = _evaluate_chunk(manifold, axes, (slice(None),) * 4, checks, tolerance)
     meta = _meta(manifold, "check", checks, tolerance)
     meta["point"] = point.tolist()
     return Report(meta, (columns,), _summarize((columns,), columns.checks))
@@ -583,8 +579,9 @@ def _float_cells(columns: _Columns, missing: str) -> list[list[str]]:
 
 
 def _per_reason(columns: _Columns, text) -> list:
-    """text(reason) for each point of a chunk, called once per reason and gathered by code."""
-    texts = [text(reason) for reason in columns.reasons]
+    """text(reason) for each point of a chunk, once per reason the chunk has, gathered by code."""
+    counts = np.bincount(columns.codes, minlength=len(columns.reasons)).tolist()
+    texts = [text(reason) if n else None for reason, n in zip(columns.reasons, counts)]
     return list(map(texts.__getitem__, columns.codes.tolist()))
 
 

@@ -212,6 +212,32 @@ def _oracle_csv_cells(record):
     return cells
 
 
+def oracle_summary(records, checks):
+    """The summary of a report, recounted from its record dicts."""
+    per_check = {}
+    for check in checks:
+        outcomes = [record["checks"][check] for record in records]
+        passed = sum(o is not None and o["passed"] for o in outcomes)
+        if check == "validity":
+            per_check[check] = {"passed": passed, "failed": len(records) - passed}
+            continue
+        ran = [o for o in outcomes if o is not None]
+        per_check[check] = {
+            "passed": passed,
+            "failed": len(ran) - passed,
+            "skipped": len(records) - len(ran),
+            "max_residual": max(
+                (ORACLE_RESIDUALS[check](o) for o in ran if "error" not in o), default=None
+            ),
+        }
+    return {
+        "points": len(records),
+        "valid_points": sum(record["valid"] for record in records),
+        "checks": per_check,
+        "all_passed": not any(counts["failed"] for counts in per_check.values()),
+    }
+
+
 def oracle_render(report, fmt):
     """The text of a report, written from its record dicts."""
     if fmt == "json":

@@ -11,7 +11,6 @@ from helpers import run_python
 
 ORACLES = (
     "exact_jets",
-    "exact_inverse",
     "exact_geometry",
     "leading_principal_minors",
     "raise_index",

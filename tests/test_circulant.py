@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from circulant4 import (
     metric_determinant,
 )
 from circulant4._oracles import leading_principal_minors
-from circulant4.circulant import inverse_metrics
+from circulant4.circulant import SLOT_FIELD, inverse_metrics
 
 T312 = CirculantTriple(3.0, 1.0, 2.0)
 
@@ -252,3 +253,23 @@ def test_batched_inverse_matches_scalar_formula_bitwise(triples):
         else:
             assert np.array_equal(row.view(np.int64), expected.view(np.int64))
             assert np.array_equal(inverse_metric(CirculantTriple(*triple)), row)
+
+
+def test_inverse_metrics_is_exact_over_fractions():
+    rng = np.random.default_rng(11)
+    numerators, denominators = rng.integers(-40, 41, (20, 3)), rng.integers(1, 13, (20, 3))
+    triples = np.array(
+        [list(map(Fraction, *row)) for row in zip(numerators.tolist(), denominators.tolist())],
+        dtype=object,
+    )
+    ginv, d, degenerate = inverse_metrics(triples)
+    assert not degenerate.any()
+    identity = np.eye(4, dtype=int)
+    for triple, inverse, dk in zip(triples, ginv, d):
+        assert all(type(x) is Fraction for x in (*inverse.flat, dk))
+        assert (triple[SLOT_FIELD].dot(inverse) == identity).all()
+
+
+def test_inverse_metrics_raises_on_an_exact_zero_determinant():
+    with pytest.raises(ZeroDivisionError):
+        inverse_metrics(np.array([[Fraction(2), Fraction(1, 3), Fraction(2)]], dtype=object))

@@ -483,7 +483,25 @@ def test_christoffel_stays_exact_on_fraction_jets():
     # halving by `/ 2`, not `0.5 *`, keeps a Fraction a Fraction
     m = nonflat_parallel_manifold()
     points = sample_valid_points(m, 2, np.random.default_rng(3), low=-1.0, high=1.0)
-    gamma = exact_geometry(m, points).christoffel
-    assert all(type(x) is Fraction for x in gamma.flat)
+    geometry = exact_geometry(m, points)
+    # no inverse is set on the pass: it forms its own, `inverse_metrics`, on first use
+    assert "_inverse_metrics" not in geometry.__dict__
+    gamma = geometry.christoffel
+    assert all(type(x) is Fraction for x in (*gamma.flat, *geometry.inverse.flat))
     floats = Connection(*m.jets(np.array(points), 1))
     assert np.allclose(floats.christoffel, gamma.astype(float), rtol=1e-14, atol=1e-15)
+
+
+def test_an_all_check_chunk_gathers_failures_once_per_jet_order(monkeypatch):
+    orders = []
+    failures = Connection.failures
+
+    def counted(pass_, order):
+        orders.append(order)
+        return failures(pass_, order)
+
+    monkeypatch.setattr(Connection, "failures", counted)
+    axes = _Axes(np.array(P0)[:, None])
+    _evaluate_chunk(example_manifold(), axes, (slice(None),) * 4, CHECKS, 1e-8)
+    # parallel reads order 1, both curvature checks order 2
+    assert sorted(orders) == [1, 2]

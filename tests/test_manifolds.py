@@ -1,5 +1,6 @@
 """Manifold specs, domain validity and the config file format."""
 
+import codecs
 import pickle
 from pathlib import Path
 
@@ -224,6 +225,16 @@ def test_load_manifold_keeps_the_name_of_each_file_stem(tmp_path, parse_calls):
     assert (left.name, right.name) == ("left", "right")
     assert (left.A, left.B, left.C) == (right.A, right.B, right.C)
     assert load_manifold(tmp_path / "left.cfg") is left
+
+
+def test_load_manifold_skips_a_byte_order_mark(tmp_path):
+    # the first key is where a mark left in the text would show
+    text = "name = disc\nA = x1^2 + 2\nB = 1/2\nC = x1\n".encode()
+    (tmp_path / "plain.cfg").write_bytes(text)
+    (tmp_path / "marked.cfg").write_bytes(codecs.BOM_UTF8 + text)
+    marked = load_manifold(tmp_path / "marked.cfg")
+    assert marked == load_manifold(tmp_path / "plain.cfg")
+    assert marked.name == "disc"
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import json
 import os
 import platform
+import struct
 import tracemalloc
 import warnings
 
@@ -29,6 +30,7 @@ from circulant4 import (
     riemann,
     riemann_lowered,
 )
+from circulant4 import scan
 from circulant4.cli import main
 from circulant4.fields import MAX_EXPONENT
 from circulant4.manifolds import MAX_CONFIG_BYTES
@@ -46,8 +48,10 @@ from circulant4.scan import (
 )
 
 from helpers import (
-    REPO_ROOT, grid_points, near_singular_manifold, nonflat_parallel_manifold, run_cli, run_python,
+    REPO_ROOT, grid_points, near_singular_manifold, nonflat_parallel_manifold, oracle_summary,
+    run_cli, run_python,
 )
+from test_reports import _SHAPES
 
 P0 = (1.0, 0.1, 2.0, 0.2)
 CUBIC = os.path.join(REPO_ROOT, "perfbench", "manifolds", "cubic.cfg")
@@ -230,6 +234,34 @@ def test_scan_mixed_grid_counts():
     assert not report.all_passed
     reasons = [r["reason"] for r in report.points]
     assert reasons == ["C > B violated"] * 4 + ["B > 0 violated"] * 2 + [None] * 2
+
+
+def _bits(value):
+    """value with each float as its bits, so that -0.0 is not 0.0."""
+    if isinstance(value, dict):
+        return [(key, _bits(item)) for key, item in value.items()]
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+# every report shape but the bare Report(), whose summary nothing counted
+@pytest.mark.parametrize("name", sorted(set(_SHAPES) - {"empty"}))
+def test_summary_matches_the_record_count(name):
+    report = _SHAPES[name]()
+    expected = oracle_summary(report.points, report.meta["checks"])
+    assert _bits(report.summary) == _bits(expected)
+
+
+def test_a_one_point_report_formats_only_the_reason_it_has(monkeypatch):
+    reasons = []
+    valid_reason = scan._json_valid_reason
+
+    def counted(reason):
+        reasons.append(reason)
+        return valid_reason(reason)
+
+    monkeypatch.setattr(scan, "_json_valid_reason", counted)
+    render_report(run_check(example_manifold(), P0))
+    assert reasons == [None]
 
 
 def test_scan_without_validity_ignores_invalid_points():
