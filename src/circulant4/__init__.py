@@ -40,7 +40,6 @@ from .curvature import (
     christoffel_partials,
     contract_lowered,
     curvature_q_commutation_residual,
-    lower_index,
     max_curvature_q_invariance_residual,
     riemann,
     riemann_lowered,
@@ -101,7 +100,6 @@ __all__ = [
     "inverse_metric",
     "is_positive_definite_ordered",
     "load_manifold",
-    "lower_index",
     "manifold_from_config",
     "max_curvature_q_invariance_residual",
     "metric_components",

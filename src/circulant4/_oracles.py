@@ -2,8 +2,8 @@
 
 `exact_geometry` is the `Geometry` pass itself over Fractions, the exact
 reference for the float pass. The others recompute something by another
-method: positive definiteness by generic minors, raising an index, and
-the slot-transfer identity one basis 4-tuple at a time.
+method: positive definiteness by generic minors, lowering and raising an
+index, and the slot-transfer identity one basis 4-tuple at a time.
 """
 
 import math
@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circulant import apply_affinor, inverse_metric
+from .circulant import apply_affinor, inverse_metric, metric_components
 from .curvature import Geometry, contract_lowered, riemann_lowered
 from .manifolds import ManifoldSpec
 
@@ -57,6 +57,11 @@ def leading_principal_minors(matrix) -> np.ndarray:
     if matrix.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {matrix.shape}")
     return np.array([np.linalg.det(matrix[:k, :k]) for k in range(1, 5)])
+
+
+def lower_index(t, r13: np.ndarray) -> np.ndarray:
+    """r4[h, k, j, i] = g_lh r13[l, k, j, i] for the metric value t."""
+    return np.einsum("lh,lkji->hkji", metric_components(t), r13)
 
 
 def raise_index(t, r4: np.ndarray) -> np.ndarray:

@@ -50,7 +50,7 @@ from .circulant import (
     inverse_metrics,
 )
 from .fields import _points_first, _points_last, as_point
-from .manifolds import ManifoldSpec
+from .manifolds import _NOT_FINITE_TEXTS, ManifoldSpec
 
 __all__ = [
     "PARALLEL_NOT_FINITE",
@@ -73,11 +73,6 @@ class DomainError(ValueError):
 
 # what a report record says where the parallel check's residuals overflow
 PARALLEL_NOT_FINITE = "parallel residuals are not finite"
-
-# why a point has no result where a jet is not finite, indexed by `Connection._non_finite`
-_NOT_FINITE_TEXTS = (None,) + tuple(
-    f"{jet}{name} is not finite" for jet in ("", "gradient of ", "Hessian of ") for name in "ABC"
-)
 
 
 def _is_parallel(nabla_q_max: float, gradient_condition_max: float, tol: float) -> bool:

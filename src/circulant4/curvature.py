@@ -92,7 +92,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circulant import SLOT_FIELD, metric_components
+from .circulant import SLOT_FIELD
 from .connection import Connection, _stage_view
 from .manifolds import ManifoldSpec
 
@@ -102,7 +102,6 @@ __all__ = [
     "christoffel_partials",
     "riemann",
     "riemann_lowered",
-    "lower_index",
     "contract_lowered",
     "max_curvature_q_invariance_residual",
     "curvature_q_commutation_residual",
@@ -270,11 +269,6 @@ def christoffel_partials(m: ManifoldSpec, p) -> np.ndarray:
 def riemann(m: ManifoldSpec, p) -> np.ndarray:
     """The (1,3) curvature r[l, k, j, i], antisymmetric in (j, i)."""
     return Geometry.at(m, p).finite_row("riemann")
-
-
-def lower_index(t, r13: np.ndarray) -> np.ndarray:
-    """r4[h, k, j, i] = g_lh r13[l, k, j, i] for the metric value t."""
-    return np.einsum("lh,lkji->hkji", metric_components(t), r13)
 
 
 def riemann_lowered(m: ManifoldSpec, p) -> np.ndarray:

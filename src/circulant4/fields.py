@@ -11,11 +11,13 @@ terms evaluated exactly, over Fractions, in the private module
 The geometry pipeline evaluates fields through their compiled form
 (`CompiledField`): flat exponent and coefficient arrays for several fields
 and their 14 distinct partials each, evaluated for N points at once by
-`jets`. It reproduces `ScalarField.__call__`, `gradient` and `hessian` bit
-for bit, which stay as the per-point reference. Both form x**e by repeated
-multiplication, ((x * x) * x) ..., in IEEE arithmetic, so the bits do not
-depend on the host's power function. A `ManifoldSpec` keeps the compiled
-form of its three fields.
+`jets`. Each partial is the polynomial `ScalarField.partial` gives, so
+there is one differentiation rule, and the compiled form reproduces
+`ScalarField.__call__`, `gradient` and `hessian` bit for bit, which stay
+as the per-point reference. Both form x**e by repeated multiplication,
+((x * x) * x) ..., in IEEE arithmetic, so the bits do not depend on the
+host's power function. A `ManifoldSpec` keeps the compiled form of its
+three fields.
 
 Fields can be built programmatically (`ScalarField.coordinate`, arithmetic
 operators) or parsed from a small expression grammar:
@@ -79,12 +81,6 @@ MAX_TERMS = 10_000
 # jet slots of a compiled field: 0 is the value, 1 + i the partial d_i and
 # 5 + k the second partial d_i d_j, i <= j, of the k-th pair below
 _SECOND_PAIRS = tuple((i, j) for i in range(_NVARS) for j in range(i, _NVARS))
-_SLOT_FIRST = np.array([-1] + list(range(_NVARS)) + [i for i, _ in _SECOND_PAIRS])
-_SLOT_SECOND = np.array([-1] * (1 + _NVARS) + [j for _, j in _SECOND_PAIRS])
-# derivative counts per variable, [slot, var]
-_SLOT_DERIVATIVES = (np.arange(_NVARS) == _SLOT_FIRST[:, None]).astype(np.int64) + (
-    np.arange(_NVARS) == _SLOT_SECOND[:, None]
-)
 _HESSIAN_SLOTS = np.empty((_NVARS, _NVARS), dtype=np.intp)
 for _k, (_i, _j) in enumerate(_SECOND_PAIRS):
     _HESSIAN_SLOTS[_i, _j] = _HESSIAN_SLOTS[_j, _i] = 1 + _NVARS + _k
@@ -380,46 +376,32 @@ class CompiledField:
     """Fields and their 14 distinct partials as flat exponent/coefficient arrays.
 
     Slot 0 of a field holds the field, slots 1-4 its first partials and
-    slots 5-14 the second partials d_i d_j, i <= j. The terms of all the
-    fields are listed slot by slot, and field by field within a slot, so
-    the terms of the slots up to an order are a prefix and one schedule
-    sums every field. Lowering one exponent of every term keeps the
-    canonical term order, so each slot of a field lists its terms in the
-    field's order, with the coefficients `ScalarField.partial` computes
-    (c * e_i, then times e_j). `evaluate` multiplies and sums in the order
-    of `ScalarField.__call__`, so the results agree with `__call__`,
-    `gradient` and `hessian` bit for bit.
+    slots 5-14 the second partials d_i d_j, i <= j. Each slot is the
+    polynomial `ScalarField.partial` gives, d_i for a first partial and
+    d_i then d_j for a second, as `gradient` and `hessian` form them, with
+    its terms in canonical order. The terms of all the fields are listed
+    slot by slot, and field by field within a slot, so the terms of the
+    slots up to an order are a prefix and one schedule sums every field.
+    `evaluate` multiplies and sums in the order of `ScalarField.__call__`,
+    so the results agree with `__call__`, `gradient` and `hessian` bit for
+    bit.
     """
 
     __slots__ = ("exponents", "coefficients", "counts", "max_exponents", "_schedules")
 
     def __init__(self, fields):
-        fields = tuple(fields)
-        exps = np.array([e for f in fields for e in f._terms], dtype=np.int64).reshape(-1, _NVARS)
-        coeffs = np.array([c for f in fields for c in f._terms.values()], dtype=float)
-        field_of = np.repeat(np.arange(len(fields)), [len(f._terms) for f in fields])
-        lowered = exps[None, :, :] - _SLOT_DERIVATIVES[:, None, :]  # [slot, term, var]
-        keep = np.all(lowered >= 0, axis=2)
-        # the exponents a slot's coefficient is multiplied by, first d_i,
-        # then d_j of the lowered term; 1, an exact no-op, where it has none
-        first = np.where(_SLOT_FIRST[:, None] < 0, 1, exps[:, _SLOT_FIRST].T)
-        second = np.where(
-            _SLOT_SECOND[:, None] < 0,
-            1,
-            exps[:, _SLOT_SECOND].T - (_SLOT_FIRST == _SLOT_SECOND)[:, None],
-        )
-        # slot-major; the terms field by field, each field's in its order
-        slot_of, term_of = np.nonzero(keep)
-        self.exponents = lowered[slot_of, term_of]
-        # a huge coefficient times an exponent gives inf, as in `partial`
-        with np.errstate(over="ignore"):
-            self.coefficients = (
-                coeffs[term_of] * first[slot_of, term_of] * second[slot_of, term_of]
-            )
-        self.max_exponents = exps.max(axis=0, initial=0)
+        # per field, its slots: itself, its first partials, then firsts[i].partial(j + 1)
+        slots = []
+        for f in fields:
+            firsts = [f.partial(i + 1) for i in range(_NVARS)]
+            slots.append([f, *firsts, *(firsts[i].partial(j + 1) for i, j in _SECOND_PAIRS)])
+        # slot-major; the terms field by field, each slot's in its canonical order
+        terms = [t for slot in zip(*slots) for s in slot for t in s._terms.items()]
+        self.exponents = np.array([e for e, _ in terms], dtype=np.int64).reshape(-1, _NVARS)
+        self.coefficients = np.array([c for _, c in terms], dtype=float)
         # counts[f, s]: the number of terms of slot s of field f
-        counts = self.counts = np.zeros((len(fields), len(_SLOT_FIRST)), dtype=np.int64)
-        np.add.at(counts, (field_of[term_of], slot_of), 1)
+        counts = self.counts = np.array([[len(s._terms) for s in field] for field in slots])
+        self.max_exponents = self.exponents[: counts[:, 0].sum()].max(axis=0, initial=0)
         # start[f, s]: where the terms of slot s of field f begin
         start = (np.cumsum(counts.T) - counts.T.ravel()).reshape(counts.T.shape).T
         depth = np.arange(counts.max(initial=0))[:, None, None]
@@ -432,7 +414,7 @@ class CompiledField:
                 int(counts[:, :n].sum()),
                 np.ascontiguousarray(
                     schedule[: counts[:, :n].max(initial=0), :, :n]
-                ).reshape(-1, len(fields) * n),
+                ).reshape(-1, len(slots) * n),
             )
             for n in _ORDER_SLOTS
         )

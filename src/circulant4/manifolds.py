@@ -51,6 +51,13 @@ __all__ = [
     "load_manifold",
 ]
 
+# why a point has no result where a jet is not finite: entries 1-3 the
+# values of A, B, C, then their gradients and Hessians; indexed by
+# `Connection._non_finite`
+_NOT_FINITE_TEXTS = (None,) + tuple(
+    f"{jet}{name} is not finite" for jet in ("", "gradient of ", "Hessian of ") for name in "ABC"
+)
+
 
 @dataclass(frozen=True)
 class SignLineLocus:
@@ -111,9 +118,9 @@ class ManifoldSpec:
         is not finite (`A is not finite`).
         """
         values, _, _ = self.jets(as_point(p)[None], order=0)
-        for name, value in zip("ABC", values[0].tolist()):
+        for reason, value in zip(_NOT_FINITE_TEXTS[1:], values[0].tolist()):
             if not math.isfinite(value):
-                raise ValueError(f"{name} is not finite")
+                raise ValueError(reason)
         return CirculantTriple(*values[0].tolist())
 
     def metric_at(self, p):
@@ -134,7 +141,7 @@ class ManifoldSpec:
             tests = [
                 *((locus.contains_points(points), f"excluded locus {locus.label}")
                   for locus in self.excluded_loci),
-                *((~np.isfinite(v), f"{name} is not finite") for name, v in zip("ABC", (a, b, c))),
+                *((~np.isfinite(v), reason) for reason, v in zip(_NOT_FINITE_TEXTS[1:], (a, b, c))),
                 (~(a > c), "A > C violated"),
                 (~(c > b), "C > B violated"),
                 (~(b > 0), "B > 0 violated"),

@@ -1,14 +1,6 @@
-import os
-import sys
-
 import pytest
 
-# make the suite runnable straight from a checkout, installed or not
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
-
-from circulant4 import manifolds  # noqa: E402
+from circulant4 import manifolds
 
 try:
     from hypothesis import HealthCheck, settings

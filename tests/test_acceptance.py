@@ -24,7 +24,6 @@ from circulant4 import (
     gradient_condition_residuals,
     inner,
     inverse_metric,
-    lower_index,
     max_curvature_q_invariance_residual,
     metric_components,
     metric_determinant,
@@ -33,7 +32,7 @@ from circulant4 import (
     riemann,
     riemann_lowered,
 )
-from circulant4._oracles import curvature_q_invariance_residual, exact_geometry
+from circulant4._oracles import curvature_q_invariance_residual, exact_geometry, lower_index
 from circulant4.cli import main
 from circulant4.scan import AxisSpec, ScanConfig, run_check, run_scan
 

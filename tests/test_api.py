@@ -13,6 +13,7 @@ ORACLES = (
     "exact_jets",
     "exact_geometry",
     "leading_principal_minors",
+    "lower_index",
     "raise_index",
     "curvature_q_invariance_residual",
 )

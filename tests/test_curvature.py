@@ -19,14 +19,18 @@ from circulant4 import (
     evaluate_point,
     example_manifold,
     load_manifold,
-    lower_index,
     max_curvature_q_invariance_residual,
     nabla_q,
     riemann,
     riemann_lowered,
     scan,
 )
-from circulant4._oracles import curvature_q_invariance_residual, exact_geometry, raise_index
+from circulant4._oracles import (
+    curvature_q_invariance_residual,
+    exact_geometry,
+    lower_index,
+    raise_index,
+)
 
 from helpers import (
     REPO_ROOT,

@@ -337,6 +337,8 @@ def _reference_fields():
         "x1^4 x2": x1**4 * x2 - 3 * x3**2 * x4**3,
         # two odd exponents in one term: (c * 3) * 3 and c * 9 round apart
         "odd exponents": parse_field("0.1*x1^3*x2^3 - 1/3*x3^5*x4^3 + 0.7*x1^3*x4^5"),
+        # finite coefficients whose partials overflow: c * e is inf in some slots
+        "overflowing partials": parse_field("1.7e308*x1^2 - 1e308*x3^4*x4"),
     }
     for name in "ABC":
         fields[f"example {name}"] = getattr(example, name)
