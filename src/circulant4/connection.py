@@ -75,13 +75,15 @@ class DomainError(ValueError):
 PARALLEL_NOT_FINITE = "parallel residuals are not finite"
 
 
-def _is_parallel(nabla_q_max: float, gradient_condition_max: float, tol: float) -> bool:
+def _is_parallel(nabla_q_max, gradient_condition_max, tol: float):
     """The rule of `parallelism_verdict` and the parallel check: both maxima within tol."""
-    return nabla_q_max <= tol and gradient_condition_max <= tol
+    return (nabla_q_max <= tol) & (gradient_condition_max <= tol)
 
 
 def check_tolerance(tol: float, name: str = "tolerance") -> float:
-    """tol as a float; ValueError unless it is positive and finite."""
+    """tol as a float; ValueError unless it is positive and finite, and not a bool."""
+    if isinstance(tol, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a number, not a bool, got {tol}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"{name} must be positive and finite, got {tol}")
     return float(tol)
@@ -203,7 +205,7 @@ class Connection:
     first use, so the stages that read only the gradients never invert g.
     Points where the metric is numerically degenerate are flagged in
     `degenerate`; their rows of every derived array are NaN.
-    `failures` says which points have no result, and why.
+    `failures` says which points have no result, and why, as text.
 
     The pass keeps the points on the last axis, as the module docstring
     says. Each stage is an array (..., N), named after its public attribute
@@ -243,10 +245,10 @@ class Connection:
                     f"{locus.label}"
                 )
         result = cls(*manifold.jets(p[None], cls.jet_order))
-        failure = result.failures(cls.jet_order)[0]
-        if failure is not None:
-            singular = failure not in _NOT_FINITE_TEXTS  # the degeneracy text
-            raise (SingularMetricError if singular else ValueError)(failure)
+        (code,), texts = result._failures(cls.jet_order)
+        if code:
+            singular = code >= len(_NOT_FINITE_TEXTS)  # a degeneracy text
+            raise (SingularMetricError if singular else ValueError)(texts[code])
         return result
 
     def failures(self, order: int) -> list:
@@ -254,17 +256,20 @@ class Connection:
 
         The first that applies: a field value is not finite, the metric is
         degenerate, a field's gradient (order >= 1), then its Hessian
-        (order 2), is not all finite. The texts are gathered from
-        `_non_finite`, and only degenerate rows format their own.
+        (order 2), is not all finite. `at` raises, and a scan records, the
+        same texts, by the codes of `_failures`.
         """
-        codes = self._non_finite.tolist()
-        texts = _NOT_FINITE_TEXTS[: 4 + 3 * order] + (None,) * (6 - 3 * order)  # none above order
-        failures = list(map(texts.__getitem__, codes))
-        for n in np.flatnonzero(self.degenerate).tolist():
-            # a field value that is not finite makes d so too, and the point degenerate
-            if not 1 <= codes[n] <= 3:
-                failures[n] = str(degeneracy_error(*self.values[n].tolist(), float(self.d[n])))
-        return failures
+        codes, texts = self._failures(order)
+        return list(map(texts.__getitem__, codes.tolist()))
+
+    def _failures(self, order: int) -> tuple:
+        """`failures` as (N,) codes into `_NOT_FINITE_TEXTS` plus each degenerate point's text."""
+        codes = np.where(self._non_finite <= 3 + 3 * order, self._non_finite, 0)
+        # a field value that is not finite makes d so too, and the point degenerate
+        degenerate = np.flatnonzero(self.degenerate & ((codes == 0) | (codes > 3)))
+        codes[degenerate] = len(_NOT_FINITE_TEXTS) + np.arange(len(degenerate))
+        rows = zip(self.values[degenerate].tolist(), self.d[degenerate].tolist())
+        return codes, _NOT_FINITE_TEXTS + tuple(str(degeneracy_error(*t, d)) for t, d in rows)
 
     @cached_property
     def _non_finite(self) -> np.ndarray:
@@ -388,9 +393,9 @@ def _gradient_row(m: ManifoldSpec, p, stage: str) -> np.ndarray:
     gradient is not finite, as `Connection.failures` does.
     """
     connection = Connection(*m.jets(as_point(p)[None], 1))
-    failure = _NOT_FINITE_TEXTS[connection._non_finite[0]]
-    if failure is not None:
-        raise ValueError(failure)
+    code = connection._non_finite[0]
+    if code:
+        raise ValueError(_NOT_FINITE_TEXTS[code])
     return connection.finite_row(stage)
 
 

@@ -395,6 +395,8 @@ class CompiledField:
         for f in fields:
             firsts = [f.partial(i + 1) for i in range(_NVARS)]
             slots.append([f, *firsts, *(firsts[i].partial(j + 1) for i, j in _SECOND_PAIRS)])
+        if not slots:
+            raise ValueError("CompiledField needs at least one field")
         # slot-major; the terms field by field, each slot's in its canonical order
         terms = [t for slot in zip(*slots) for s in slot for t in s._terms.items()]
         self.exponents = np.array([e for e, _ in terms], dtype=np.int64).reshape(-1, _NVARS)

@@ -36,12 +36,11 @@ same path.
 A chunk's result is columnar (`_Columns`): the axes and index, triples,
 a reason code per point with the table of reason texts it indexes (from
 `ManifoldSpec.domain_reasons`: a point is valid where its code is 0, the
-reason None), and for each geometry check its pass flags, its two
-numbers and its error texts at the valid points, as arrays and lists.
-No record dict is built on the way to the report. `Report.points`, and
-the record `evaluate_point` returns, are built from those columns
-(`_records`) on first use, and the summary is counted from them
-(`_summarize`).
+reason None), and for each geometry check an outcome code per point
+(`_outcomes`) and its two numbers. No record dict is built on the way to
+the report. `Report.points`, and the record `evaluate_point` returns, are
+built from those columns (`_records`) on first use, and the summary is
+counted from them (`_summarize`).
 
 Reports are plain mappings rendered to JSON or CSV. Rendering is
 deterministic: fixed key order, records in row-major grid order, floats in
@@ -52,11 +51,11 @@ the columns, one chunk at a time, from columns of texts: the coordinates
 from the axes, the triples and check numbers with each distinct float of
 a long chunk written once (`_float_texts`), and valid and reason as one
 text per reason that occurs in the chunk, gathered by code
-(`_per_reason`). CSV joins each row's cells with commas; where no
-geometry check ran at a row, its cells from valid on are that one text,
-quoted by the csv module. JSON fills one record template per chunk with
-one `%`-template per outcome shape (null, validity, parallel or curvature
-results, error).
+(`_per_code`), and so each skipped or error outcome, with results
+formed only where a check passed or failed (`_per_outcome`). CSV joins
+each row's cells with commas, quoted by the csv module. JSON fills one
+record template per chunk with one `%`-template per outcome shape (null,
+validity, parallel or curvature results, error).
 The JSON `meta` and `summary` are json.dumps(indent=2)'s own text,
 indented one level.
 """
@@ -208,7 +207,7 @@ class _GeometryCheck(NamedTuple):
     stage: type[Connection]  # the pass class: jet_order and not_finite
     keys: tuple[str, str]  # the two numbers of an outcome with results
     numbers: Callable[[Geometry], tuple]  # both, (N,) each, at the points of the pass
-    passes: Callable[[float, float, float], bool]  # of the two numbers and tol
+    passes: Callable  # of the two numbers, (N,) each, and tol: (N,) bool
     residual: Callable[[float, float], float]  # of the summary and CSV
 
 
@@ -241,20 +240,34 @@ def _jet_order(checks) -> int:
     return max((_GEOMETRY_CHECKS[c].stage.jet_order for c in checks if c != "validity"), default=0)
 
 
-class _Outcomes(NamedTuple):
-    """One geometry check at the V valid points of a chunk, in order.
-
-    The outcome at the k-th valid point has the numbers (numbers[0][k],
-    numbers[1][k]) where errors[k] is None, and failed with errors[k]
-    elsewhere. At invalid points the check did not run.
-    """
-
-    passed: list  # (V,) bool, false where the outcome is an error
-    numbers: np.ndarray  # (2, V) float, the two `keys`
-    errors: list  # (V,) str or None
+# The outcome of a geometry check at a point is a code: skipped (at an
+# invalid point), passed, failed, or an error, which indexes the chunk's
+# error texts: _ERROR_TEXTS, with the checks' overflow errors, and past
+# them the table of `Connection._failures`.
+_SKIPPED, _PASSED, _FAILED = range(3)
+_ERROR_TEXTS = (None, None, None, Connection.not_finite, Geometry.not_finite)
 
 
-_NO_OUTCOMES = _Outcomes([], np.zeros((2, 0)), [])
+def _outcomes(names, block: np.ndarray, order: int, tolerance: float) -> tuple:
+    """The outcome codes (C, V), numbers (C, 2, V) and error texts of C checks at V points."""
+    checks = [_GEOMETRY_CHECKS[name] for name in names]
+    geometry = Geometry(*_jet_views(block, order))  # the pass, at the points of the jets block
+    # points that get an error outcome may hold inf and NaN, without warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        numbers = np.array([check.numbers(geometry) for check in checks])
+        codes = _FAILED - np.array([c.passes(*n, tolerance) for c, n in zip(checks, numbers)])
+    # the numbers of every check in one test, and no error text unless a point errs
+    finite = np.isfinite(numbers)
+    if finite.all() and not np.count_nonzero(geometry._non_finite | geometry.degenerate):
+        return codes, numbers, _ERROR_TEXTS
+    failures = {o: geometry._failures(o) for o in {check.stage.jet_order for check in checks}}
+    for check, row, finite_row in zip(checks, codes, finite.all(axis=1)):
+        row[~finite_row] = _ERROR_TEXTS.index(check.stage.not_finite)
+        failed, texts = failures[check.stage.jet_order]
+        np.copyto(row, len(_ERROR_TEXTS) + failed, where=failed > 0)
+    np.copyto(numbers, -np.inf, where=(codes > _FAILED)[:, None])
+    # the degenerate points, and so the tables, are the same at every order
+    return codes, numbers, _ERROR_TEXTS + texts
 
 
 class _Axes:
@@ -290,12 +303,10 @@ class _Columns(NamedTuple):
     codes: np.ndarray  # (N,) intp, why a point is invalid, an index into reasons
     reasons: tuple  # the reason texts of `domain_reasons`, None (valid) first
     checks: tuple  # the checks run, in CHECKS order
-    outcomes: dict  # geometry check name -> _Outcomes, at the valid points
-
-    @property
-    def points(self) -> np.ndarray:
-        """The (N, 4) points, from the axes and index."""
-        return self.axes.points(self.index)
+    geometric: tuple  # the C geometry checks among them
+    outcomes: np.ndarray  # (C, N) intp, the outcome code of each
+    numbers: np.ndarray  # (C, 2, N) the two numbers of each where it passed or failed, else -inf
+    errors: tuple  # the texts of the error codes, _ERROR_TEXTS first
 
 
 def _evaluate_chunk(
@@ -308,63 +319,40 @@ def _evaluate_chunk(
     # the report keeps a copy of the values, not the block of every jet slot
     values = np.ascontiguousarray(block[:, 0].T)
     codes, reasons = manifold.domain_reasons(points, values)
-    geometric = {name: _GEOMETRY_CHECKS[name] for name in checks if name != "validity"}
-    outcomes = dict.fromkeys(geometric, _NO_OUTCOMES)
+    geometric = tuple(name for name in checks if name != "validity")
     rows = np.flatnonzero(codes == 0) if geometric else ()
-    if len(rows):
+    if 0 < len(rows) == len(codes):
+        # every point is valid, and the pass reads the block uncopied
+        outcomes, numbers, errors = _outcomes(geometric, block, order, tolerance)
+    else:
+        outcomes = np.zeros((len(geometric), len(codes)), np.intp)  # _SKIPPED
+        numbers = np.full((len(geometric), 2, len(codes)), -np.inf)
+        errors = _ERROR_TEXTS
+    if 0 < len(rows) < len(codes):
         # the pass reads the block at the valid rows, taken along its point
-        # axis, which stays last and contiguous; uncopied where all are valid
-        if len(rows) < len(codes):
-            block = np.take(block, rows, axis=-1)
-        geometry = Geometry(*_jet_views(block, order))
-        # the checks of one jet order share its failures
-        orders = {check.stage.jet_order for check in geometric.values()}
-        failures = {o: geometry.failures(o) for o in orders}
-        # rows that get an error outcome may hold inf and NaN, without warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            for name, check in geometric.items():
-                numbers = np.array(check.numbers(geometry))
-                first, second = numbers.tolist()
-                errors = [
-                    failure
-                    or (None if math.isfinite(a) and math.isfinite(b) else check.stage.not_finite)
-                    for failure, a, b in zip(failures[check.stage.jet_order], first, second)
-                ]
-                passed = [
-                    error is None and check.passes(a, b, tolerance)
-                    for error, a, b in zip(errors, first, second)
-                ]
-                outcomes[name] = _Outcomes(passed, numbers, errors)
-    return _Columns(axes, index, values, codes, reasons, tuple(checks), outcomes)
-
-
-def _at_points(codes: np.ndarray, outcomes: list, skipped: list) -> list:
-    """Per-point items of a chunk: outcomes at the valid points, skipped's elsewhere.
-
-    outcomes holds an item per valid point (code 0) and skipped one per
-    point; the items of skipped at the valid points are replaced in place.
-    """
-    if len(outcomes) == len(codes):
-        return outcomes
-    for n, outcome in zip(np.flatnonzero(codes == 0).tolist(), outcomes):
-        skipped[n] = outcome
-    return skipped
+        # axis, which stays last and contiguous, and frees the rest
+        block = np.take(block, rows, axis=-1)
+        decided = _outcomes(geometric, block, order, tolerance)
+        outcomes[:, rows], numbers[..., rows], errors = decided
+    return _Columns(
+        axes, index, values, codes, reasons, tuple(checks), geometric, outcomes, numbers, errors
+    )
 
 
 def _records(columns: _Columns) -> list[dict]:
     """The report records of a chunk, built from its columns."""
-    reasons = _per_reason(columns, lambda reason: reason)
+    reasons = _per_code(columns.codes, columns.reasons, lambda reason: reason)
     per_check = []
-    for name in columns.checks:
-        if name == "validity":
-            per_check.append([{"passed": reason is None} for reason in reasons])
-            continue
+    if "validity" in columns.checks:
+        per_check.append([{"passed": reason is None} for reason in reasons])
+    for name, codes, numbers in zip(columns.geometric, columns.outcomes, columns.numbers):
         first, second = _GEOMETRY_CHECKS[name].keys
-        o = columns.outcomes[name]
-        per_check.append(_at_points(columns.codes, [
-            {"passed": p, first: a, second: b} if e is None else {"passed": False, "error": e}
-            for p, a, b, e in zip(o.passed, *o.numbers.tolist(), o.errors)
-        ], [None] * len(reasons)))
+        per_check.append([
+            None if code == _SKIPPED
+            else {"passed": code == _PASSED, first: a, second: b} if code <= _FAILED
+            else {"passed": False, "error": columns.errors[code]}
+            for code, a, b in zip(codes.tolist(), *numbers.tolist())
+        ])
     triples = [
         {k: x if math.isfinite(x) else None for k, x in zip("ABC", triple)}
         for triple in columns.values.tolist()
@@ -378,7 +366,7 @@ def _records(columns: _Columns) -> list[dict]:
             "checks": dict(zip(columns.checks, outcomes)),
         }
         for point, triple, reason, *outcomes in zip(
-            columns.points.tolist(), triples, reasons, *per_check
+            columns.axes.points(columns.index).tolist(), triples, reasons, *per_check
         )
     ]
 
@@ -390,31 +378,25 @@ def evaluate_point(
     return run_check(manifold, point, checks, tolerance).points[0]
 
 
-def _summarize(chunks, checks) -> dict:
-    """The summary of a report, counted from the columns of its chunks."""
+def _summarize(chunks) -> dict:
+    """The summary of a report, counted from the columns of its chunks (of the same checks)."""
     points = sum(len(chunk.codes) for chunk in chunks)
     valid = points - int(sum(np.count_nonzero(chunk.codes) for chunk in chunks))
     per_check = {}
-    for name in checks:
-        if name == "validity":
-            per_check[name] = {"passed": valid, "failed": points - valid}
-            continue
-        residual = _GEOMETRY_CHECKS[name].residual
-        outcomes = [chunk.outcomes[name] for chunk in chunks]
-        passed = sum(o.passed.count(True) for o in outcomes)
+    if "validity" in chunks[0].checks:
+        per_check["validity"] = {"passed": valid, "failed": points - valid}
+    # per check over the chunks, and the largest of each number; -inf is that of no point
+    passed, maxima = [0] * len(chunks[0].geometric), -np.inf
+    for chunk in chunks:
+        passed = [n + codes.count(_PASSED) for n, codes in zip(passed, chunk.outcomes.tolist())]
+        maxima = np.maximum(maxima, chunk.numbers.max(axis=2))
+    for name, n, largest in zip(chunks[0].geometric, passed, maxima.tolist()):
+        residual = _GEOMETRY_CHECKS[name].residual(*largest)
         per_check[name] = {
-            "passed": passed,
-            "failed": valid - passed,
+            "passed": n,
+            "failed": valid - n,
             "skipped": points - valid,
-            "max_residual": max(
-                (
-                    residual(a, b)
-                    for o in outcomes
-                    for a, b, e in zip(*o.numbers.tolist(), o.errors)
-                    if e is None
-                ),
-                default=None,
-            ),
+            "max_residual": None if residual == -math.inf else residual,
         }
     return {
         "points": points,
@@ -480,7 +462,7 @@ def run_check(
     columns = _evaluate_chunk(manifold, axes, (slice(None),) * 4, checks, tolerance)
     meta = _meta(manifold, "check", checks, tolerance)
     meta["point"] = point.tolist()
-    return Report(meta, (columns,), _summarize((columns,), columns.checks))
+    return Report(meta, (columns,), _summarize((columns,)))
 
 
 def _grid_chunks(shape: tuple, size: int):
@@ -505,7 +487,7 @@ def run_scan(manifold: ManifoldSpec, config: ScanConfig) -> Report:
     meta["box"] = [
         {"start": a.start, "stop": a.stop, "count": a.count} for a in config.axes
     ]
-    return Report(meta, chunks, _summarize(chunks, config.checks))
+    return Report(meta, chunks, _summarize(chunks))
 
 
 def _distinct_bits(values: np.ndarray):
@@ -578,11 +560,11 @@ def _float_cells(columns: _Columns, missing: str) -> list[list[str]]:
     return cells
 
 
-def _per_reason(columns: _Columns, text) -> list:
-    """text(reason) for each point of a chunk, once per reason the chunk has, gathered by code."""
-    counts = np.bincount(columns.codes, minlength=len(columns.reasons)).tolist()
-    texts = [text(reason) if n else None for reason, n in zip(columns.reasons, counts)]
-    return list(map(texts.__getitem__, columns.codes.tolist()))
+def _per_code(codes: np.ndarray, table, text) -> list:
+    """text(entry) for each code, an index into table, once per entry that occurs."""
+    counts = np.bincount(codes, minlength=len(table)).tolist()
+    texts = [text(entry) if n else None for entry, n in zip(table, counts)]
+    return list(map(texts.__getitem__, codes.tolist()))
 
 
 def _csv_quoted(text: str) -> str:
@@ -592,41 +574,48 @@ def _csv_quoted(text: str) -> str:
     return buffer.getvalue()[:-1]
 
 
-def _csv_not_run(reason) -> str:
-    """The cells from valid on of a row where no geometry check ran, as one.
+def _per_outcome(columns: _Columns, error, results) -> list[list]:
+    """A text per point of each geometry check of a chunk, a list per check.
 
-    The two cells of each geometry check are "," then, as in _csv_chunk.
+    error(text) is that of a skipped (text None) or error outcome, formed
+    once per code that occurs, and results(name, codes, numbers) those of
+    the points that passed or failed, from their codes and (2, R) numbers.
     """
-    reason_cell = "" if reason is None else _csv_quoted(reason)
-    return ",".join([_BOOL_TEXTS[reason is None], reason_cell, *[","] * len(_GEOMETRY_CHECKS)])
+    lists = columns.outcomes.tolist()
+    if all({*codes} <= {_PASSED, _FAILED} for codes in lists):
+        return list(map(results, columns.geometric, lists, columns.numbers))
+    cells = []
+    for name, codes, numbers in zip(columns.geometric, columns.outcomes, columns.numbers):
+        cells.append(_per_code(codes, columns.errors, error))
+        rows = np.flatnonzero((codes == _PASSED) | (codes == _FAILED))
+        for n, text in zip(rows.tolist(), results(name, codes[rows].tolist(), numbers[:, rows])):
+            cells[-1][n] = text
+    return cells
+
+
+def _csv_results(name: str, codes: list, numbers: np.ndarray) -> list:
+    """The two cells of a geometry check that passed or failed, as one, per point."""
+    residuals = map(_GEOMETRY_CHECKS[name].residual, *numbers.tolist())
+    texts = zip(codes, map(float.__repr__, residuals))
+    return [_BOOL_TEXTS[code == _PASSED] + "," + residual for code, residual in texts]
 
 
 def _csv_chunk(columns: _Columns) -> str:
     """The CSV rows of a chunk.
 
-    The cells from valid on are one text per reason, written once, where
-    no geometry check ran: at each invalid point, and at every point of a
-    validity-only scan.
+    The valid and reason cells are one text, and so are the two of each
+    geometry check ("," where it did not run); without a geometry check,
+    the cells from valid on are.
     """
     cells = _float_cells(columns, "")
-    tails = _per_reason(columns, _csv_not_run)
-    if columns.outcomes:
-        outcomes = []
-        for name, check in _GEOMETRY_CHECKS.items():
-            # the two cells of a check as one, so absent it is ","
-            if name not in columns.outcomes:
-                outcomes.append(repeat(","))
-                continue
-            o = columns.outcomes[name]
-            outcomes.append([
-                _BOOL_TEXTS[p] + "," + float.__repr__(check.residual(a, b))
-                if e is None else "false,"
-                for p, a, b, e in zip(o.passed, *o.numbers.tolist(), o.errors)
-            ])
-        # valid, the empty reason cell and the two cells of each check
-        ran = list(map(",".join, zip(repeat(_BOOL_TEXTS[True] + ","), *outcomes)))
-        tails = _at_points(columns.codes, ran, tails)
-    cells.append(tails)
+    per_check = _per_outcome(columns, lambda text: "false," if text else ",", _csv_results)
+    outcomes = dict(zip(columns.geometric, per_check))
+    tail = "" if outcomes else ",," * len(_GEOMETRY_CHECKS)
+    def valid_reason(reason):
+        return ("true," if reason is None else "false," + _csv_quoted(reason)) + tail
+    cells.append(_per_code(columns.codes, columns.reasons, valid_reason))
+    if outcomes:
+        cells += [outcomes.get(name, repeat(",")) for name in _GEOMETRY_CHECKS]
     rows = list(map(",".join, zip(*cells)))
     rows.append("")  # the last line break, and none without rows
     return "\n".join(rows)
@@ -668,20 +657,23 @@ def _json_valid_reason(reason) -> str:
     return '"valid": %s,\n      "reason": %s' % (_BOOL_TEXTS[reason is None], reason_text)
 
 
+def _json_results(name: str, codes: list, numbers: np.ndarray) -> list:
+    """A geometry check's outcome with results, per point."""
+    results = _JSON_RESULTS[name]
+    texts = zip(codes, *_float_texts(numbers))
+    return [results % (_BOOL_TEXTS[code == _PASSED], a, b) for code, a, b in texts]
+
+
 def _json_chunk(columns: _Columns) -> str:
     """The records of a chunk as JSON array items."""
     cells = _float_cells(columns, "null")
-    cells.append(_per_reason(columns, _json_valid_reason))
-    for name in columns.checks:
-        if name == "validity":
-            cells.append(_per_reason(columns, lambda reason: _JSON_VALIDITY[reason is None]))
-            continue
-        results = _JSON_RESULTS[name]
-        o = columns.outcomes[name]
-        cells.append(_at_points(columns.codes, [
-            results % (_BOOL_TEXTS[p], a, b) if e is None else _JSON_ERROR % _json_str(e)
-            for p, a, b, e in zip(o.passed, *_float_texts(o.numbers), o.errors)
-        ], ["null"] * len(columns.codes)))
+    cells.append(_per_code(columns.codes, columns.reasons, _json_valid_reason))
+    if "validity" in columns.checks:
+        validity = _per_code(columns.codes, columns.reasons, lambda r: _JSON_VALIDITY[r is None])
+        cells.append(validity)
+    cells += _per_outcome(
+        columns, lambda text: _JSON_ERROR % _json_str(text) if text else "null", _json_results
+    )
     template = _json_record_template(columns.checks)
     return ",\n    ".join(map(template.__mod__, zip(*cells)))
 

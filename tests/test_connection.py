@@ -24,7 +24,7 @@ from circulant4 import (
     parse_field,
     riemann,
 )
-from circulant4 import connection
+from circulant4 import connection, scan
 from circulant4.circulant import degeneracy_error
 from circulant4._oracles import exact_geometry
 from circulant4.connection import FULL_TERMS, REDUCED_TERMS, Connection
@@ -415,7 +415,8 @@ def test_an_all_check_chunk_tests_each_jet_once(monkeypatch):
     # the gradients and the Hessians, the points last
     assert coded == [2]
     assert sorted(tested) == [(3, 2), (3, 4, 2), (3, 4, 4, 2)]
-    assert all(all(columns.outcomes[name].passed) for name in CHECKS[1:])
+    # every check passed at both points
+    assert columns.outcomes.tolist() == [[scan._PASSED] * 2] * len(CHECKS[1:])
 
 
 def test_failures_take_the_first_reason_of_each_point():
@@ -492,16 +493,24 @@ def test_christoffel_stays_exact_on_fraction_jets():
     assert np.allclose(floats.christoffel, gamma.astype(float), rtol=1e-14, atol=1e-15)
 
 
-def test_an_all_check_chunk_gathers_failures_once_per_jet_order(monkeypatch):
-    orders = []
-    failures = Connection.failures
+def test_an_all_check_chunk_decides_its_codes_without_failure_texts(monkeypatch):
+    coded = []
+    non_finite = Connection.__dict__["_non_finite"]
+    code = non_finite.func
 
-    def counted(pass_, order):
-        orders.append(order)
-        return failures(pass_, order)
+    def counted_code(pass_):
+        coded.append(len(pass_.values))
+        return code(pass_)
 
-    monkeypatch.setattr(Connection, "failures", counted)
+    def no_texts(pass_, order):
+        raise AssertionError("the chunk formed the failure texts")
+
+    monkeypatch.setattr(non_finite, "func", counted_code)
+    monkeypatch.setattr(Connection, "failures", no_texts)
     axes = _Axes(np.array(P0)[:, None])
-    _evaluate_chunk(example_manifold(), axes, (slice(None),) * 4, CHECKS, 1e-8)
-    # parallel reads order 1, both curvature checks order 2
-    assert sorted(orders) == [1, 2]
+    columns = _evaluate_chunk(example_manifold(), axes, (slice(None),) * 4, CHECKS, 1e-8)
+    # one code array for the pass, and a code column of [passed] per check
+    assert coded == [1]
+    assert columns.geometric == CHECKS[1:]
+    assert [row.tolist() for row in columns.outcomes] == [[scan._PASSED]] * 3
+    assert columns.errors == scan._ERROR_TEXTS

@@ -419,11 +419,13 @@ def test_example_sample_has_no_false_failure_and_perturbed_fails_everywhere():
     example = _checks_at(example_manifold(), points)
     valid = example.codes == 0
     assert sum(valid) == 1223
-    for name, outcomes in example.outcomes.items():
-        assert all(outcomes.passed) and len(outcomes.passed) == 1223, name
+    # every check passed at each valid point, and was skipped at the others
+    for name, codes in zip(example.geometric, example.outcomes):
+        assert (codes[valid] == scan._PASSED).all() and not codes[~valid].any(), name
     r4 = Geometry(*example_manifold().jets(points[valid])).riemann_lowered
     assert np.max(np.abs(r4)) <= 1e-10
     perturbed = _checks_at(load_manifold(PERTURBED), points[valid])
     assert not perturbed.codes.any() and len(perturbed.codes) == 1223
-    assert not any(perturbed.outcomes["parallel"].passed)
-    assert perturbed.outcomes["parallel"].errors == [None] * 1223
+    # parallel failed at every point, with results and no error
+    assert perturbed.geometric[0] == "parallel"
+    assert (perturbed.outcomes[0] == scan._FAILED).all()

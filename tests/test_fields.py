@@ -395,6 +395,14 @@ def test_compiled_jets_match_reference_bitwise(name):
         )
 
 
+def test_compiled_field_refuses_no_fields():
+    # its tables hold a row per field, so with none there is nothing to compile
+    with pytest.raises(ValueError, match="^CompiledField needs at least one field$"):
+        CompiledField([])
+    with pytest.raises(ValueError, match="at least one field"):
+        CompiledField(iter(()))
+
+
 def test_jets_of_several_fields_and_orders():
     m = example_manifold()
     points = _reference_points()[:10]

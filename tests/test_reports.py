@@ -4,18 +4,29 @@ import dataclasses
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
-from circulant4 import example_manifold, load_manifold, scan
+from circulant4 import ManifoldSpec, example_manifold, load_manifold, scan
 from circulant4.cli import main
+from circulant4.connection import PARALLEL_NOT_FINITE
+from circulant4.curvature import CURVATURE_NOT_FINITE, Geometry
+from circulant4.fields import parse_field
 from circulant4.scan import AxisSpec, Report, ScanConfig, render_report, run_check, run_scan
 
-from helpers import REPO_ROOT, oracle_render
+from helpers import REPO_ROOT, near_singular_manifold, oracle_render
 
 GOLDEN_DIR = os.path.join(REPO_ROOT, "tests", "data", "golden")
 CUBIC = os.path.join(REPO_ROOT, "perfbench", "manifolds", "cubic.cfg")
 PERTURBED = os.path.join(REPO_ROOT, "perfbench", "manifolds", "perturbed.cfg")
 STEEP = os.path.join(REPO_ROOT, "tests", "data", "steep.cfg")
+# example under a name json must escape: a line break, quotes, a
+# backslash, a non-ASCII and a control character
+ESCAPED = dataclasses.replace(example_manifold(), name='a\n"b" \\ é \x01')
+# valid at the origin, where A1 - C3 = 1e308 - (-1e308) overflows
+OVERFLOW = ManifoldSpec(
+    "overflow", parse_field("1e308*x1 + 10"), parse_field("1"), parse_field("-1e308*x3 + 3")
+)
 # a grid through both excluded lines of example, with every ordering
 # failure and two valid points
 EXAMPLE_BOX = "--box=-1:1:3,-1:1:3,-1:2:4,-1:1:3"
@@ -132,11 +143,8 @@ _SHAPES = {
     "check-valid": lambda: run_check(example_manifold(), (1.0, 0.1, 2.0, 0.2)),
     "check-invalid": lambda: run_check(example_manifold(), (1.0, 1.0, 1.0, 1.0)),
     "check-steep-errors": lambda: run_check(load_manifold(STEEP), (10.5, 10.5, 0.0, 0.0)),
-    # a meta string json must escape: a line break, quotes, a backslash,
-    # a non-ASCII and a control character, through the indented meta
-    "check-escaped-name": lambda: run_check(
-        dataclasses.replace(example_manifold(), name='a\n"b" \\ é \x01'), (1.0, 0.1, 2.0, 0.2)
-    ),
+    # a meta string json must escape, through the indented meta
+    "check-escaped-name": lambda: run_check(ESCAPED, (1.0, 0.1, 2.0, 0.2)),
     "cubic-all": lambda: _scan(load_manifold(CUBIC), "-1:1:3,-1:1:3,-1:1:2,-1:1:2", _ALL),
     "example-invalid": lambda: _scan(example_manifold(), EXAMPLE_BOX[6:], _ALL),
     "example-null-triple": lambda: _scan(example_manifold(), "-1e200:1:3,0:1:3,0:1:2,0:1:2", _ALL),
@@ -164,8 +172,25 @@ _SHAPES = {
     "example-negative-zero-axis": lambda: _scan(
         example_manifold(), "-1:-0.0:3,-1:1:3,0.5:2:2,-0.0:-0.0:2", ("validity",)
     ),
+    # d is finite and below the cutoff at every point: each point's own
+    # degeneracy text, for every check
+    "near-singular": lambda: _scan(near_singular_manifold(), "0.5:1:2,0:1:2,0:0:1,0:1:2", _ALL),
+    # finite values and gradients whose relations and curvature overflow
+    "overflow": lambda: _scan(OVERFLOW, "0:0:1,0:1:2,0:0:1,0:1:2", _ALL),
+    # curvature31 alone: results, invalid points, overflowing inverses and
+    # gradients, and curvature that is not finite
+    "steep-curvature31": lambda: _scan(
+        load_manifold(STEEP), "1:10.6:3,1:10.6:3,0:1:2,0:0:1", ("curvature31",)
+    ),
     "empty": Report,
 }
+
+# the error texts of a check outcome, by family: a jet that is not finite,
+# a degenerate metric, and the check's own overflow
+_ERROR_FAMILIES = (
+    "gradient of", "Hessian of", "is numerically degenerate",
+    "has an overflowing closed-form inverse", PARALLEL_NOT_FINITE, CURVATURE_NOT_FINITE,
+)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -176,7 +201,8 @@ def test_writers_match_the_record_dict_oracle(name, fmt):
 
 
 def test_oracle_reports_hold_every_record_shape():
-    # the reports above are not vacuous: every outcome shape occurs
+    # the reports above are not vacuous: every outcome shape occurs, and
+    # every family of error text under each check that can give it
     shapes = set()
     for name, build in _SHAPES.items():
         for record in build().points:
@@ -186,13 +212,51 @@ def test_oracle_reports_hold_every_record_shape():
                 if outcome is None:
                     shapes.add((check, "skipped"))
                 elif "error" in outcome:
-                    shapes.add((check, "error"))
+                    (family,) = [f for f in _ERROR_FAMILIES if f in outcome["error"]]
+                    shapes.add((check, family))
                 else:
                     shapes.add((check, outcome["passed"]))
+    degenerate = {"is numerically degenerate", "has an overflowing closed-form inverse"}
     for check in _ALL[1:]:
-        assert {(check, "skipped"), (check, "error"), (check, True), (check, False)} <= shapes
+        assert {(check, "skipped"), (check, True), (check, False)} <= shapes
+        errors = {"gradient of", *degenerate}
+        if check == "parallel":
+            errors.add(PARALLEL_NOT_FINITE)
+        else:
+            errors |= {"Hessian of", CURVATURE_NOT_FINITE}
+        assert {(check, family) for family in errors} <= shapes, check
     assert {("validity", True), ("validity", False)} <= shapes
     assert {("reason", True), ("null triple", True)} <= shapes
+
+
+# the manifolds of the reports above, by the name in their meta
+_SHAPE_MANIFOLDS = {
+    m.name: m
+    for m in (
+        example_manifold(), ESCAPED, load_manifold(CUBIC), load_manifold(PERTURBED),
+        load_manifold(STEEP), near_singular_manifold(), OVERFLOW,
+    )
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(_SHAPES) - {"empty"}))
+def test_records_give_the_failures_of_the_pass(name):
+    # at the valid points of a report, a check's error is the text of
+    # `Geometry.failures` where that gives one, and else none or the
+    # check's own overflow
+    report = _SHAPES[name]()
+    manifold = _SHAPE_MANIFOLDS[report.meta["manifold"]]
+    records = [record for record in report.points if record["valid"]]
+    geometric = [check for check in report.meta["checks"] if check != "validity"]
+    if not (records and geometric):
+        return
+    geometry = Geometry(*manifold.jets(np.array([record["point"] for record in records])))
+    for check in geometric:
+        stage = scan._GEOMETRY_CHECKS[check].stage
+        failures = geometry.failures(stage.jet_order)
+        for record, failure in zip(records, failures):
+            error = record["checks"][check].get("error")
+            assert error == failure if failure else error in (None, stage.not_finite), check
 
 
 def test_reports_compare_by_content_and_refuse_record_dicts():

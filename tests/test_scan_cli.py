@@ -133,6 +133,17 @@ def test_int_bounds_and_tolerance_are_written_as_floats():
     assert '"tolerance": 1.0,' in render_report(run_check(example_manifold(), P0, tolerance=1))
 
 
+@pytest.mark.parametrize("tol", [True, np.True_])
+def test_a_bool_is_not_a_tolerance(tol):
+    # a bool is an int, and True ran the checks at a tolerance of 1
+    with pytest.raises(ValueError, match="^tolerance must be a number, not a bool, got True$"):
+        run_check(example_manifold(), P0, tolerance=tol)
+    with pytest.raises(ValueError, match="^tolerance must be a number, not a bool, got True$"):
+        ScanConfig(GOOD_AXES, tolerance=tol)
+    with pytest.raises(ValueError, match="not a bool"):
+        parallelism_verdict(example_manifold(), P0, tol)
+
+
 def test_scan_config_normalizes_checks():
     config = ScanConfig(GOOD_AXES, checks=("parallel", "validity"))
     assert config.checks == ("validity", "parallel")
