@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import repeat
+from itertools import repeat, zip_longest
 from operator import add
 
 import numpy as np
@@ -89,10 +89,12 @@ _ORDER_SLOTS = (1, 1 + _NVARS, 1 + _NVARS + len(_SECOND_PAIRS))
 
 
 def as_point(p) -> np.ndarray:
-    """Coerce to a float array of shape (4,), rejecting non-finite input."""
+    """Coerce to a float array of shape (4,), rejecting bools and non-finite input."""
     q = np.asarray(p, dtype=float)
     if q.shape != (_NVARS,):
         raise ValueError(f"expected 4 coordinates, got shape {q.shape}")
+    if q is not p and any(isinstance(x, (bool, np.bool_)) for x in p):
+        raise ValueError(f"point coordinates must be numbers, not bools, got {list(p)}")
     if not np.all(np.isfinite(q)):
         raise ValueError("point coordinates must be finite")
     return q
@@ -379,15 +381,16 @@ class CompiledField:
     slots 5-14 the second partials d_i d_j, i <= j. Each slot is the
     polynomial `ScalarField.partial` gives, d_i for a first partial and
     d_i then d_j for a second, as `gradient` and `hessian` form them, with
-    its terms in canonical order. The terms of all the fields are listed
-    slot by slot, and field by field within a slot, so the terms of the
-    slots up to an order are a prefix and one schedule sums every field.
-    `evaluate` multiplies and sums in the order of `ScalarField.__call__`,
-    so the results agree with `__call__`, `gradient` and `hessian` bit for
-    bit.
+    its terms in canonical order. Each distinct (exponents, coefficient)
+    term of the slots is one row, numbered where it first occurs, slot by
+    slot and field by field within a slot, so the rows of the slots up to
+    an order are a prefix and one schedule sums every field. No canonical
+    coefficient is zero, so c and -c never share a row. `evaluate` forms
+    and sums the terms as `ScalarField.__call__` does, so the results agree
+    with `__call__`, `gradient` and `hessian` bit for bit.
     """
 
-    __slots__ = ("exponents", "coefficients", "counts", "max_exponents", "_schedules")
+    __slots__ = ("exponents", "coefficients", "max_exponents", "_schedules")
 
     def __init__(self, fields):
         # per field, its slots: itself, its first partials, then firsts[i].partial(j + 1)
@@ -397,29 +400,21 @@ class CompiledField:
             slots.append([f, *firsts, *(firsts[i].partial(j + 1) for i, j in _SECOND_PAIRS)])
         if not slots:
             raise ValueError("CompiledField needs at least one field")
-        # slot-major; the terms field by field, each slot's in its canonical order
-        terms = [t for slot in zip(*slots) for s in slot for t in s._terms.items()]
-        self.exponents = np.array([e for e, _ in terms], dtype=np.int64).reshape(-1, _NVARS)
-        self.coefficients = np.array([c for _, c in terms], dtype=float)
-        # counts[f, s]: the number of terms of slot s of field f
-        counts = self.counts = np.array([[len(s._terms) for s in field] for field in slots])
-        self.max_exponents = self.exponents[: counts[:, 0].sum()].max(axis=0, initial=0)
-        # start[f, s]: where the terms of slot s of field f begin
-        start = (np.cumsum(counts.T) - counts.T.ravel()).reshape(counts.T.shape).T
-        depth = np.arange(counts.max(initial=0))[:, None, None]
-        # schedule[j, f, s]: the j-th term of slot s of field f; past its
-        # last term, -1, the zero row that evaluate() appends
-        schedule = np.where(depth < counts, start + depth, -1)
-        # per order: (terms used, schedule[j, (f, s)] of the slots used)
-        self._schedules = tuple(
-            (
-                int(counts[:, :n].sum()),
-                np.ascontiguousarray(
-                    schedule[: counts[:, :n].max(initial=0), :, :n]
-                ).reshape(-1, len(slots) * n),
-            )
-            for n in _ORDER_SLOTS
-        )
+        # row[(exponents, coefficient)]: a distinct term's row, in the order terms first occur
+        terms = (t for slot in zip(*slots) for s in slot for t in s._terms.items())
+        row = {t: k for k, t in enumerate(dict.fromkeys(terms))}
+        self.exponents = np.array([e for e, _ in row], dtype=np.int64).reshape(-1, _NVARS)
+        self.coefficients = np.array([c for _, c in row], dtype=float)
+        self.max_exponents = self.exponents.max(axis=0, initial=0)
+        # schedule[j, f, s]: the row of the j-th term of slot s of field f; past
+        # its last term, -1, the zero row evaluate() appends. No partial has more
+        # terms than its field, so the fields set the depth of every order.
+        columns = ([row[t] for t in s._terms.items()] for field in slots for s in field)
+        schedule = np.array(list(zip_longest(*columns, fillvalue=-1)), dtype=np.intp)
+        schedule = schedule.reshape(-1, len(slots), _ORDER_SLOTS[-1])
+        # per order: (the rows its slots use, a prefix, and the schedule of its slots)
+        orders = [np.ascontiguousarray(schedule[..., :n]) for n in _ORDER_SLOTS]
+        self._schedules = [(int(part.max(initial=-1)) + 1, part) for part in orders]
 
     def evaluate(self, points, order: int = 2) -> np.ndarray:
         """Slots 0 .. (1, 5, 15)[order] - 1 of each field at N points, (F, slots, N).
@@ -432,9 +427,9 @@ class CompiledField:
         The points lie on the last axis throughout, so each gather, product
         and sum is one contiguous loop over the N points, and one gather per
         coordinate and one add per schedule row serve every field at once.
-        Each term is still (c * x1^e1) * x2^e2 * x3^e3 * x4^e4, and each
-        slot a sum from 0.0 of its terms in field order, one per row, as
-        __call__ sums: the layout changes no bit.
+        Each distinct term is formed once, (c * x1^e1) * x2^e2 * x3^e3 * x4^e4,
+        and each slot is a sum from 0.0 of its terms in canonical order, one
+        per row, as __call__ sums: neither sharing nor layout changes a bit.
         """
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
@@ -451,10 +446,10 @@ class CompiledField:
             mono[nterms] = 0.0
             # adding the zero padding leaves every partial sum unchanged: a sum
             # from 0.0 is never -0.0
-            out = np.zeros((schedule.shape[1], n))
+            out = np.zeros((*schedule.shape[1:], n))
             for row in schedule:
                 out += mono[row]
-        return out.reshape(len(self.counts), _ORDER_SLOTS[order], n)
+        return out
 
 
 def _power_table(column: np.ndarray, top: int) -> np.ndarray:

@@ -156,7 +156,7 @@ class AxisSpec:
     An axis of count 1 is its start alone, as np.linspace gives it: a
     start of -0.0 as 0.0, at any count. The bounds are kept as floats and
     the count as an int, whatever real and integer types they came as; a
-    bool is not a count.
+    bool is neither a bound nor a count.
     """
 
     start: float
@@ -164,6 +164,8 @@ class AxisSpec:
     count: int
 
     def __post_init__(self):
+        if any(isinstance(bound, (bool, np.bool_)) for bound in (self.start, self.stop)):
+            raise ValueError(f"axis bounds must not be bools, got {self.start}:{self.stop}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ValueError("axis bounds must be finite")
         object.__setattr__(self, "start", float(self.start))
@@ -193,6 +195,7 @@ class ScanConfig:
     tolerance: float = 1e-8
 
     def __post_init__(self):
+        object.__setattr__(self, "axes", tuple(self.axes))
         if len(self.axes) != 4 or not all(isinstance(a, AxisSpec) for a in self.axes):
             raise ValueError("exactly four AxisSpec axes are required")
         # canonical order, so equivalent configs report identically

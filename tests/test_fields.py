@@ -19,6 +19,7 @@ from circulant4 import (
     example_manifold,
     load_manifold,
     parse_field,
+    run_check,
 )
 from circulant4._oracles import exact_jets
 from circulant4.fields import MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, CompiledField, jets
@@ -297,6 +298,12 @@ def test_as_point():
         as_point([1, 2, 3, float("nan")])
     with pytest.raises(ValueError):
         as_point([1, 2, 3, float("inf")])
+    # a bool is an int, and True was taken as the coordinate 1.0
+    for p in ([True, 0.1, 2.0, 0.2], (0.1, np.True_, 2.0, 0.2), np.ones(4, dtype=bool)):
+        with pytest.raises(ValueError, match="^point coordinates must be numbers, not bools"):
+            as_point(p)
+        with pytest.raises(ValueError, match="not bools"):
+            run_check(example_manifold(), p)
 
 
 _exponents = st.tuples(*[st.integers(0, 3)] * 4)

@@ -4,7 +4,8 @@ The pass keeps the points on the last axis, from the jets to the gaps.
 `_points_first_pass` below is the same formulas with the points first,
 einsum for einsum: the test pins every stage of the points-last pass to
 it bit for bit, by int64 views, so a zero changing sign or an inf turning
-into a NaN shows. The joint jets are pinned to each field's `__call__`,
+into a NaN shows. The joint jets, which multiply each distinct term of
+the fields' slots once, are pinned to each field's `__call__`,
 `gradient` and `hessian`, and the stages' layout, also on the valid rows
 of a scan chunk, to the points last, contiguous.
 """
@@ -159,6 +160,9 @@ def _joint_cases():
             parse_field("x2"),
             parse_field("x1^2*x2^2 - x3^3*x4 + 0.1*x1 + x2 - 1/7"),
         ),
+        # every term shared, and every term also with the opposite sign: c
+        # and -c must not share a row
+        "shared and negated terms": (cubic.A, cubic.A, -cubic.A),
     }
 
 
@@ -188,6 +192,23 @@ def test_joint_jets_match_each_field_bitwise(case, count):
                 continue
             assert got[k].shape == expected[k].shape
             assert np.array_equal(_bits(got[k]), _bits(expected[k])), (order, k)
+
+
+@pytest.mark.parametrize(
+    "name, rows", [("cubic", (43, 51, 52)), ("example", (10, 18, 20)), ("perturbed", (11, 19, 20))]
+)
+def test_compiled_fields_multiply_each_distinct_term_once(name, rows):
+    # the slots list 53, 145 and 225 terms on cubic, 10, 26 and 36 on
+    # example and 11, 28 and 38 on perturbed at orders 0, 1 and 2
+    m = _manifold(name)
+    compiled = CompiledField((m.A, m.B, m.C))
+    for order, count in enumerate(rows):
+        used, schedule = compiled._schedules[order]
+        assert used == count
+        # the rows multiplied are a prefix, and every one of them is summed
+        assert np.array_equal(np.unique(schedule[schedule >= 0]), np.arange(count))
+    keys = {(tuple(e), c) for e, c in zip(compiled.exponents, _bits(compiled.coefficients))}
+    assert len(keys) == len(compiled.coefficients) == rows[2]
 
 
 def test_the_stages_keep_the_points_last_and_contiguous(monkeypatch):

@@ -85,6 +85,10 @@ def test_axis_spec():
     # bool is an int, but not a count
     with pytest.raises(ValueError, match="positive integer"):
         AxisSpec(0.0, 1.0, True)
+    # nor a bound: True made a start of 1.0
+    for bounds in ((True, 2.0), (np.True_, 2.0), (-1.0, False)):
+        with pytest.raises(ValueError, match="^axis bounds must not be bools, got "):
+            AxisSpec(*bounds, 3)
     with pytest.raises(ValueError):
         AxisSpec(float("nan"), 1.0, 2)
     # the span overflows, so linspace would give inf and NaN
@@ -155,6 +159,10 @@ def test_scan_config_normalizes_checks():
         ScanConfig(GOOD_AXES, tolerance=0.0)
     with pytest.raises(ValueError):
         ScanConfig(GOOD_AXES[:3])
+    # a list of axes made the config unhashable, and unequal to the same axes as a tuple
+    config = ScanConfig(list(GOOD_AXES))
+    assert config.axes == GOOD_AXES and config == ScanConfig(GOOD_AXES)
+    assert hash(config) == hash(ScanConfig(GOOD_AXES))
 
 
 def test_grid_points_are_row_major():
