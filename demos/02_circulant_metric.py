@@ -10,16 +10,11 @@ import numpy as np
 
 from circulant4 import (
     AFFINOR,
-    CirculantTriple,
+    Geometry,
     SingularMetricError,
     affinor_power,
     apply_affinor,
-    degeneracy_threshold,
-    inner,
-    inverse_metric,
-    is_positive_definite_ordered,
-    metric_components,
-    metric_determinant,
+    constant_manifold,
 )
 from circulant4._oracles import leading_principal_minors
 
@@ -35,32 +30,36 @@ v = np.array([1.0, 2.0, 3.0, 4.0])
 for k in range(1, 4):
     print(f"q^{k} v =", apply_affinor(k, v))
 
-t = CirculantTriple(3.0, 1.0, 2.0)
-g = metric_components(t)
+# the pass at a point of the manifold whose (A, B, C) is constantly (3, 1, 2)
+origin = (0.0, 0.0, 0.0, 0.0)
+m = constant_manifold(3.0, 1.0, 2.0)
+at = Geometry.at(m, origin)
+g = at.finite_row("metric")
 print("g(3,1,2) =")
 print(g)
 
-# closed form against the generic LU-based routines
-print(f"det: closed form {metric_determinant(t)}, numpy {np.linalg.det(g):.15f}")
-gap = np.max(np.abs(inverse_metric(t) - np.linalg.inv(g)))
+# closed form against the generic LU-based routines: det g = (a - c) d
+a, b, c = at.values[0]
+print(f"det: closed form {(a - c) * at.d[0]}, numpy {np.linalg.det(g):.15f}")
+gap = np.max(np.abs(at.inverse[0] - np.linalg.inv(g)))
 print(f"inverse gap vs numpy: {gap:.2e}")
 
-# positivity is an ordering condition on the triple
+# positivity is an ordering condition on the triple, A > C > B > 0; it is
+# sufficient, not necessary: g(30,24,22) has eigenvalues 100, 8, 8 and 4
 print("minors of g(3,1,2):", leading_principal_minors(g))
-print("(3,1,2) positive definite:", is_positive_definite_ordered(t))
-print("(30,24,22) positive definite:", is_positive_definite_ordered(CirculantTriple(30, 24, 22)))
+codes, reasons = m.domain_reasons(np.zeros((2, 4)), [(3, 1, 2), (30, 24, 22)])
+for name, code in zip(("(3,1,2)", "(30,24,22)"), codes):
+    print(f"{name}: {reasons[code] or 'A > C > B > 0'}")
 
 # the shift is an isometry of every circulant metric
 u = np.array([0.5, -1.0, 2.0, 0.25])
 for k in range(1, 4):
-    lhs = inner(t, apply_affinor(k, u), apply_affinor(k, v))
-    print(f"g(q^{k} u, q^{k} v) - g(u, v) = {lhs - inner(t, u, v):+.2e}")
+    lhs = apply_affinor(k, u) @ g @ apply_affinor(k, v)
+    print(f"g(q^{k} u, q^{k} v) - g(u, v) = {lhs - u @ g @ v:+.2e}")
 
-# a == c collapses the determinant; the constructor accepts the triple
-# but the inverse refuses it with the scale-aware threshold
-bad = CirculantTriple(1.0, 0.25, 1.0)
-print(f"degeneracy threshold near (1, 0.25, 1): {degeneracy_threshold(bad):.2e}")
+# a == c collapses the determinant; the manifold takes the triple, but the
+# pass at a point refuses its inverse below a scale-aware threshold
 try:
-    inverse_metric(bad)
+    Geometry.at(constant_manifold(1.0, 0.25, 1.0), origin)
 except SingularMetricError as err:
     print("refused:", err)

@@ -10,12 +10,10 @@ import numpy as np
 
 from circulant4 import (
     DomainError,
+    Geometry,
     ScalarField,
-    christoffel,
     example_manifold,
-    full_system_residuals,
     gradient_condition_residuals,
-    nabla_q,
     parallelism_verdict,
 )
 
@@ -26,14 +24,16 @@ print("  B =", m.B)
 print("  C =", m.C)
 
 p = (1.0, 0.1, 2.0, 0.2)
-status = m.domain_valid(p)
-print(f"\nat {p}: valid={status.valid} triple={m.triple_at(p)}")
+# the pass at p; finite_row reads one stage's row there
+at = Geometry.at(m, p)
+codes, _ = m.domain_reasons([p], at.values)
+print(f"\nat {p}: valid={codes[0] == 0} triple={tuple(at.values[0].tolist())}")
 
-gamma = christoffel(m, p)
+gamma = at.finite_row("christoffel")
 print("Gamma shape:", gamma.shape, " Gamma^1_11 =", gamma[0, 0, 0])
 
 # criterion one: the covariant derivative itself
-print(f"max |nabla q| = {np.max(np.abs(nabla_q(m, p))):.3e}")
+print(f"max |nabla q| = {np.max(np.abs(at.finite_row('nabla_q'))):.3e}")
 
 # criterion two: the reduced first-order system on the field gradients
 report = gradient_condition_residuals(m, p)
@@ -42,7 +42,7 @@ for label, value in report.entries:
     print(f"  {label:<18} {value:.3e}")
 
 # the sixteen-relation expansion tells the same story
-print(f"full system max residual: {full_system_residuals(m, p).max_residual:.3e}")
+print(f"full system max residual: {at.finite_row('full_system').max():.3e}")
 
 verdict, combined = parallelism_verdict(m, p)
 print("verdict at tol 1e-8:", verdict)
@@ -56,6 +56,6 @@ print(f"\nperturbed A -> verdict {verdict}, worst residual {worst[0]} = {worst[1
 # the diagonal x1 = x2 = x3 = x4 is excluded by construction: A - C
 # factors through it and the metric degenerates there
 try:
-    christoffel(m, (1.0, 1.0, 1.0, 1.0))
+    Geometry.at(m, (1.0, 1.0, 1.0, 1.0))
 except DomainError as err:
     print("excluded:", err)

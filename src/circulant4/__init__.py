@@ -12,42 +12,17 @@ curvature identities that transfer q between tensor slots.
 # set before the submodules are imported: scan stamps it into every report
 __version__ = "0.1.0"
 
-from .circulant import (
-    AFFINOR,
-    CirculantTriple,
-    SingularMetricError,
-    affinor_power,
-    apply_affinor,
-    degeneracy_threshold,
-    inner,
-    inverse_metric,
-    is_positive_definite_ordered,
-    metric_components,
-    metric_determinant,
-)
+from .circulant import AFFINOR, SingularMetricError, affinor_power, apply_affinor
 from .connection import (
     DomainError,
     ResidualReport,
-    christoffel,
-    full_system_residuals,
     gradient_condition_residuals,
-    metric_partials,
-    nabla_q,
     parallelism_verdict,
 )
-from .curvature import (
-    Geometry,
-    christoffel_partials,
-    contract_lowered,
-    curvature_q_commutation_residual,
-    max_curvature_q_invariance_residual,
-    riemann,
-    riemann_lowered,
-)
+from .curvature import Geometry
 from .fields import ParseError, ScalarField, as_point, parse_field
 from .manifolds import (
     ConfigError,
-    DomainStatus,
     ManifoldSpec,
     SignLineLocus,
     constant_manifold,
@@ -70,10 +45,8 @@ __all__ = [
     "AFFINOR",
     "CHECKS",
     "AxisSpec",
-    "CirculantTriple",
     "ConfigError",
     "DomainError",
-    "DomainStatus",
     "Geometry",
     "ManifoldSpec",
     "ParseError",
@@ -86,31 +59,15 @@ __all__ = [
     "affinor_power",
     "apply_affinor",
     "as_point",
-    "christoffel",
-    "christoffel_partials",
     "constant_manifold",
-    "contract_lowered",
-    "curvature_q_commutation_residual",
-    "degeneracy_threshold",
     "evaluate_point",
     "example_manifold",
-    "full_system_residuals",
     "gradient_condition_residuals",
-    "inner",
-    "inverse_metric",
-    "is_positive_definite_ordered",
     "load_manifold",
     "manifold_from_config",
-    "max_curvature_q_invariance_residual",
-    "metric_components",
-    "metric_determinant",
-    "metric_partials",
-    "nabla_q",
     "parallelism_verdict",
     "parse_field",
     "render_report",
-    "riemann",
-    "riemann_lowered",
     "run_check",
     "run_scan",
     "__version__",

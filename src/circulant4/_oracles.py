@@ -3,7 +3,8 @@
 `exact_geometry` is the `Geometry` pass itself over Fractions, the exact
 reference for the float pass. The others recompute something by another
 method: positive definiteness by generic minors, lowering and raising an
-index, and the slot-transfer identity one basis 4-tuple at a time.
+index, and the slot-transfer identity at given vectors, through
+`contract_lowered`.
 """
 
 import math
@@ -11,8 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circulant import apply_affinor, inverse_metric, metric_components
-from .curvature import Geometry, contract_lowered, riemann_lowered
+from .circulant import SLOT_FIELD, apply_affinor, inverse_metrics
+from .curvature import Geometry
 from .manifolds import ManifoldSpec
 
 
@@ -59,19 +60,24 @@ def leading_principal_minors(matrix) -> np.ndarray:
     return np.array([np.linalg.det(matrix[:k, :k]) for k in range(1, 5)])
 
 
-def lower_index(t, r13: np.ndarray) -> np.ndarray:
-    """r4[h, k, j, i] = g_lh r13[l, k, j, i] for the metric value t."""
-    return np.einsum("lh,lkji->hkji", metric_components(t), r13)
+def lower_index(triple, r13: np.ndarray) -> np.ndarray:
+    """r4[h, k, j, i] = g_lh r13[l, k, j, i] for the metric value (a, b, c)."""
+    return np.einsum("lh,lkji->hkji", np.asarray(triple)[SLOT_FIELD], r13)
 
 
-def raise_index(t, r4: np.ndarray) -> np.ndarray:
-    """Inverse of lower_index, contracting with the inverse metric."""
-    return np.einsum("hl,hkji->lkji", inverse_metric(t), r4)
+def raise_index(triple, r4: np.ndarray) -> np.ndarray:
+    """Inverse of lower_index, contracting with the inverse metric (NaN where it is degenerate)."""
+    return np.einsum("hl,hkji->lkji", inverse_metrics([triple])[0][0], r4)
+
+
+def contract_lowered(r4: np.ndarray, x, y, z, u) -> float:
+    """R(x, y, z, u) from the (0,4) component array."""
+    return float(np.einsum("hkji,j,i,k,h->", r4, x, y, z, u))
 
 
 def curvature_q_invariance_residual(m: ManifoldSpec, p, x, y, z, u) -> float:
     """|R(x, y, z, qu) - R(x, y, q^3 z, u)| at p."""
-    r4 = riemann_lowered(m, p)
+    r4 = Geometry.at(m, p).finite_row("riemann_lowered")
     lhs = contract_lowered(r4, x, y, z, apply_affinor(1, u))
     rhs = contract_lowered(r4, x, y, apply_affinor(3, z), u)
     return abs(lhs - rhs)

@@ -4,8 +4,8 @@ A metric value here is a symmetric circulant 4x4 matrix determined by three
 numbers (a, b, c), first row (a, b, c, b). Its determinant and inverse have
 closed forms in the triple, which this module uses directly; generic LU
 routines serve only as test oracles. The inverse is computed for N triples
-at once (`inverse_metrics`); `inverse_metric` is its N = 1 view. The
-affinor q is the cyclic forward shift, a (1,1) tensor with q^4 = id and
+at once (`inverse_metrics`), and det g is (a - c) times its d. The affinor
+q is the cyclic forward shift, a (1,1) tensor with q^4 = id and
 q^2 != +-id, acting on vector components as (qv)^j = q_i^{.j} v^i, i.e.
 qv = (v4, v1, v2, v3).
 """
@@ -13,14 +13,12 @@ qv = (v4, v1, v2, v3).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fields import _points_first
 
 __all__ = [
-    "CirculantTriple",
     "SingularMetricError",
     "AFFINOR",
     "AFFINOR_NEXT",
@@ -28,35 +26,13 @@ __all__ = [
     "SLOT_FIELD",
     "affinor_power",
     "apply_affinor",
-    "metric_components",
-    "metric_determinant",
-    "degeneracy_threshold",
-    "inverse_metric",
     "inverse_metrics",
     "degeneracy_error",
-    "is_positive_definite_ordered",
-    "inner",
 ]
 
 
 class SingularMetricError(ValueError):
     """The triple is (numerically) degenerate, no inverse metric exists."""
-
-
-@dataclass(frozen=True)
-class CirculantTriple:
-    """The three independent components of a circulant metric value."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"component {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
 
 
 # the triple component (0 = a, 1 = b, 2 = c) in slot (i, j) of the matrix,
@@ -105,25 +81,11 @@ def apply_affinor(k: int, v) -> np.ndarray:
     return np.roll(_as_vector(v), k % 4)
 
 
-def metric_components(t: CirculantTriple) -> np.ndarray:
-    return np.array([t.a, t.b, t.c])[SLOT_FIELD]
-
-
-def metric_determinant(t: CirculantTriple) -> float:
-    """det g = (a - c)^2 ((a + c)^2 - 4 b^2), exact in the triple; inf past the float range."""
-    return (t.a - t.c) * (t.a - t.c) * ((t.a + t.c) * (t.a + t.c) - 4.0 * t.b * t.b)
-
-
 def _thresholds(a, b, c) -> np.ndarray:
     s = 1.0 + np.abs(a) + np.abs(b) + np.abs(c)
     # a cube past the float range is inf, and so is the threshold
     with np.errstate(over="ignore"):
         return 1e-12 * (s * s * s)
-
-
-def degeneracy_threshold(t: CirculantTriple) -> float:
-    """Scale-aware cutoff below which the inverse is refused."""
-    return float(_thresholds(*np.array([[t.a], [t.b], [t.c]]))[0])
 
 
 def degeneracy_error(a: float, b: float, c: float, d: float) -> SingularMetricError:
@@ -169,23 +131,3 @@ def inverse_metrics(triples):
         np.divide(bb - c * s, d, out=bars[2])
     bars[:, degenerate] = np.nan
     return _points_first(bars[SLOT_FIELD]), d, degenerate
-
-
-def inverse_metric(t: CirculantTriple) -> np.ndarray:
-    """The inverse at one triple; raises SingularMetricError where it is degenerate."""
-    ginv, d, degenerate = inverse_metrics([[t.a, t.b, t.c]])
-    if degenerate[0]:
-        raise degeneracy_error(t.a, t.b, t.c, float(d[0]))
-    return ginv[0]
-
-
-def is_positive_definite_ordered(t: CirculantTriple) -> bool:
-    """Sufficient ordering test a > c > b > 0 for positive definiteness."""
-    return t.a > t.c > t.b > 0.0
-
-
-def inner(t: CirculantTriple, u, v) -> float:
-    """g(u, v) for the metric value t."""
-    u = _as_vector(u)
-    v = _as_vector(v)
-    return float(u @ metric_components(t) @ v)

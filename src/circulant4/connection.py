@@ -7,21 +7,21 @@ slot (a, j) of the circulant metric is A, B or C according to the offset
 
 The affinor q is constant, hence nabla_i q^s_j = Gamma^s_ik q^k_j
 - Gamma^k_ij q^s_k. Vanishing of this tensor is equivalent to a linear
-first-order system on the coefficient gradients; both the expanded
-16-relation form and the reduced 8-relation form are exposed as labeled
-residual reports, and `parallelism_verdict` requires the differential and
-algebraic criteria to agree.
+first-order system on the coefficient gradients; the residuals of the
+expanded 16-relation form and of the reduced 8-relation form are stages
+of the pass, the reduced one also a labeled report, and
+`parallelism_verdict` requires the differential and algebraic criteria to
+agree.
 
-Every quantity is computed for N points at once by `Connection`, the only
-batch API, each stage once, on first use. Every per-point function
-(`christoffel`, `nabla_q`, `metric_partials`, the residual reports) is an
-N = 1 view that reads the pass through `Connection.finite_row`; it raises
-the reason that `Connection.failures` gives for a point with no result,
-and PARALLEL_NOT_FINITE where a residual overflows, as scan records
-report. The views that read only the gradients (`metric_partials` and the
-two residual reports) need no inverse, so a degenerate metric or an
-excluded locus does not stop them; a field value or gradient that is not
-finite does. `check_tolerance` is the one rule for a usable tolerance.
+Every quantity is computed for N points at once by `Connection`, each
+stage once, on first use. The pass at one point is `Connection.at(m, p)`,
+and `finite_row(stage)` reads a stage's row there: `at` raises the reason
+that `Connection.failures` gives for a point with no result, and
+`finite_row` PARALLEL_NOT_FINITE where the row overflows, as scan records
+report. `gradient_condition_residuals` reads only the gradients, so a
+degenerate metric or an excluded locus does not stop it; a field value or
+gradient that is not finite does. `check_tolerance` is the one rule for a
+usable tolerance.
 
 The pass keeps the points on the last axis, contiguous, from the jets to
 the per-point maxima: each stage is an array (..., N) and its public
@@ -58,11 +58,7 @@ __all__ = [
     "ResidualReport",
     "Connection",
     "check_tolerance",
-    "metric_partials",
-    "christoffel",
-    "nabla_q",
     "gradient_condition_residuals",
-    "full_system_residuals",
     "parallelism_verdict",
 ]
 
@@ -239,7 +235,7 @@ class Connection:
         """
         p = as_point(p)
         for locus in manifold.excluded_loci:
-            if locus.contains(p):
+            if locus.contains_points(p[None])[0]:
                 raise DomainError(
                     f"point {tuple(float(x) for x in p)} lies on excluded locus "
                     f"{locus.label}"
@@ -284,7 +280,7 @@ class Connection:
         return np.concatenate(finite).argmin(axis=0)
 
     def finite_row(self, stage: str) -> np.ndarray:
-        """The first point's row of a stage, for the per-point functions.
+        """The first point's row of a stage, as `at` gives the pass at one point.
 
         It is computed without numpy warnings, and ValueError(not_finite),
         the text a report record gives, is raised where it is not all finite.
@@ -386,10 +382,11 @@ class Connection:
 
 
 def _gradient_row(m: ManifoldSpec, p, stage: str) -> np.ndarray:
-    """The row of a stage at p, for the views that read only the gradients.
+    """The row at p of a stage that reads only the gradients.
 
-    Degenerate metrics and excluded loci still have residuals, as these
-    stages need no inverse. ValueError names the field whose value or
+    Those are `metric_partials`, `gradient_conditions` and `full_system`.
+    Degenerate metrics and excluded loci still have them, as these stages
+    need no inverse. ValueError names the field whose value or
     gradient is not finite, as `Connection.failures` does.
     """
     connection = Connection(*m.jets(as_point(p)[None], 1))
@@ -399,27 +396,6 @@ def _gradient_row(m: ManifoldSpec, p, stage: str) -> np.ndarray:
     return connection.finite_row(stage)
 
 
-def metric_partials(m: ManifoldSpec, p) -> np.ndarray:
-    """dg[i, a, j] = d_i g_aj at p."""
-    return _gradient_row(m, p, "metric_partials")
-
-
-def christoffel(m: ManifoldSpec, p) -> np.ndarray:
-    """Gamma[s, i, j] = Gamma^s_ij at p, symmetric in (i, j).
-
-    Raises DomainError on an excluded locus, SingularMetricError when the
-    metric is numerically degenerate there, ValueError naming the field
-    whose value or gradient is not finite and ValueError(PARALLEL_NOT_FINITE)
-    where Gamma overflows.
-    """
-    return Connection.at(m, p).finite_row("christoffel")
-
-
-def nabla_q(m: ManifoldSpec, p) -> np.ndarray:
-    """nq[i, s, j] = nabla_i q^s_j; identically zero iff q is parallel at p."""
-    return Connection.at(m, p).finite_row("nabla_q")
-
-
 def gradient_condition_residuals(m: ManifoldSpec, p) -> ResidualReport:
     """The reduced system on the coefficient gradients, eight residuals.
 
@@ -427,17 +403,6 @@ def gradient_condition_residuals(m: ManifoldSpec, p) -> ResidualReport:
     """
     residuals = _gradient_row(m, p, "gradient_conditions")
     return ResidualReport(tuple(zip(REDUCED_LABELS, residuals.tolist())))
-
-
-def full_system_residuals(m: ManifoldSpec, p) -> ResidualReport:
-    """The expanded 16-relation form of the same conditions.
-
-    Each expression is a signed combination of the reduced relations with
-    coefficient sums at most 8, so its residual is bounded by 8 times the
-    largest reduced residual.
-    """
-    residuals = _gradient_row(m, p, "full_system")
-    return ResidualReport(tuple(zip(FULL_LABELS, residuals.tolist())))
 
 
 def parallelism_verdict(m: ManifoldSpec, p, tol: float = 1e-8):

@@ -24,9 +24,9 @@ terms of the size of |Gamma|^2 and |d g^{-1}| |t| that cancel: on
 `example`, which is flat, the largest |r4| over the 1 223 valid points of
 a seeded sample of [0.5, 2]^4 was 5.8e-8 that way and is 2.6e-12 this way.
 
-d Gamma stays a stage for its `christoffel_partials` view, by the same
-product rule, d_m Gamma^s_ij = g^{as} (dt[m, a, i, j] / 2 - d_m g_ab
-Gamma^b_ij) with dt[m, a, i, j] = d_m t[a, i, j]; the checks never form it.
+d Gamma stays a stage, `christoffel_partials`, by the same product rule,
+d_m Gamma^s_ij = g^{as} (dt[m, a, i, j] / 2 - d_m g_ab Gamma^b_ij) with
+dt[m, a, i, j] = d_m t[a, i, j]; the checks never form it.
 The tests compare every stage with the same pass in Fractions, kept in the
 private `circulant4._oracles`, and d Gamma and R with exact central
 differences of the exact Gamma.
@@ -39,10 +39,9 @@ by which they fail are zero up to roundoff when they hold.
 
 `Geometry` extends the batched `Connection` pass with d Gamma, R, the
 lowered R and both gaps, each computed once for N points. The scan checks
-read the gaps from it; `christoffel_partials`, `riemann`, `riemann_lowered`,
-`max_curvature_q_invariance_residual` and `curvature_q_commutation_residual`
-are its N = 1 views. Like the report records, they raise
-ValueError(CURVATURE_NOT_FINITE) where a value overflows.
+read the gaps from it, and `Geometry.at(m, p).finite_row(stage)` reads any
+stage at one point; like the report records, it raises
+ValueError(CURVATURE_NOT_FINITE) where the row overflows.
 
 Like `Connection`, `Geometry` keeps the points on the last axis (see the
 `connection` module): d Gamma and R are (4, 4, 4, 4, N), their einsums
@@ -94,18 +93,8 @@ import numpy as np
 
 from .circulant import SLOT_FIELD
 from .connection import Connection, _stage_view
-from .manifolds import ManifoldSpec
 
-__all__ = [
-    "CURVATURE_NOT_FINITE",
-    "Geometry",
-    "christoffel_partials",
-    "riemann",
-    "riemann_lowered",
-    "contract_lowered",
-    "max_curvature_q_invariance_residual",
-    "curvature_q_commutation_residual",
-]
+__all__ = ["CURVATURE_NOT_FINITE", "Geometry"]
 
 
 # what a report record says where a curvature check's tensor or residual overflows
@@ -255,37 +244,3 @@ def _gap_and_scale(r, blocks, d) -> tuple:
     gap = np.abs(d, d).max(axis=axes)
     scale = 1.0 + np.abs(r, d).max(axis=axes)
     return gap, scale
-
-
-def christoffel_partials(m: ManifoldSpec, p) -> np.ndarray:
-    """dgamma[m, s, i, j] = d_m Gamma^s_ij, fully analytic.
-
-    Like `riemann` and `riemann_lowered`, this raises the errors of
-    `Geometry.at`, and ValueError(CURVATURE_NOT_FINITE) where it overflows.
-    """
-    return Geometry.at(m, p).finite_row("christoffel_partials")
-
-
-def riemann(m: ManifoldSpec, p) -> np.ndarray:
-    """The (1,3) curvature r[l, k, j, i], antisymmetric in (j, i)."""
-    return Geometry.at(m, p).finite_row("riemann")
-
-
-def riemann_lowered(m: ManifoldSpec, p) -> np.ndarray:
-    """The (0,4) curvature with the classical pair symmetries."""
-    return Geometry.at(m, p).finite_row("riemann_lowered")
-
-
-def contract_lowered(r4: np.ndarray, x, y, z, u) -> float:
-    """R(x, y, z, u) from the (0,4) component array."""
-    return float(np.einsum("hkji,j,i,k,h->", r4, x, y, z, u))
-
-
-def max_curvature_q_invariance_residual(m: ManifoldSpec, p) -> float:
-    """The slot-transfer residual maximized over all basis 4-tuples."""
-    return float(Geometry.at(m, p).finite_row("q_invariance_gap"))
-
-
-def curvature_q_commutation_residual(m: ManifoldSpec, p) -> float:
-    """Largest entry of the commutator of q with the endomorphisms R(e_j, e_i)."""
-    return float(Geometry.at(m, p).finite_row("q_commutation_gap"))

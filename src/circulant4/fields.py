@@ -88,12 +88,17 @@ for _k, (_i, _j) in enumerate(_SECOND_PAIRS):
 _ORDER_SLOTS = (1, 1 + _NVARS, 1 + _NVARS + len(_SECOND_PAIRS))
 
 
+def _holds_bool(given) -> bool:
+    """Whether array-like input holds a bool, which `np.asarray` would take as 0 or 1."""
+    return any(isinstance(x, (bool, np.bool_)) for x in np.asarray(given, dtype=object).flat)
+
+
 def as_point(p) -> np.ndarray:
     """Coerce to a float array of shape (4,), rejecting bools and non-finite input."""
     q = np.asarray(p, dtype=float)
     if q.shape != (_NVARS,):
         raise ValueError(f"expected 4 coordinates, got shape {q.shape}")
-    if q is not p and any(isinstance(x, (bool, np.bool_)) for x in p):
+    if q is not p and _holds_bool(p):
         raise ValueError(f"point coordinates must be numbers, not bools, got {list(p)}")
     if not np.all(np.isfinite(q)):
         raise ValueError("point coordinates must be finite")
@@ -101,10 +106,16 @@ def as_point(p) -> np.ndarray:
 
 
 def _as_points(points) -> np.ndarray:
-    """Coerce to a float array of shape (N, 4), rejecting non-finite input."""
+    """Coerce to a float array of shape (N, 4), rejecting bools and non-finite input.
+
+    A float array is taken as it is; only input that `np.asarray` converts
+    is searched for bools, as `as_point` does.
+    """
     q = np.asarray(points, dtype=float)
     if q.ndim != 2 or q.shape[1] != _NVARS:
         raise ValueError(f"expected points of shape (N, 4), got shape {q.shape}")
+    if q is not points and _holds_bool(points):
+        raise ValueError("point coordinates must be numbers, not bools")
     if not np.all(np.isfinite(q)):
         raise ValueError("point coordinates must be finite")
     return q
@@ -419,7 +430,8 @@ class CompiledField:
     def evaluate(self, points, order: int = 2) -> np.ndarray:
         """Slots 0 .. (1, 5, 15)[order] - 1 of each field at N points, (F, slots, N).
 
-        points is (N, 4), finite; order is 0, 1 or 2 (ValueError otherwise).
+        points is (N, 4), finite, not bools; order is 0, 1 or 2, not a bool
+        (ValueError otherwise).
         The powers of each coordinate are a table of products (`_power_table`),
         as `__call__` forms them: no power function is called. Overflows give
         inf and NaN, without warnings.
@@ -431,7 +443,7 @@ class CompiledField:
         and each slot is a sum from 0.0 of its terms in canonical order, one
         per row, as __call__ sums: neither sharing nor layout changes a bit.
         """
-        if order not in (0, 1, 2):
+        if isinstance(order, (bool, np.bool_)) or order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
         points = _as_points(points)
         nterms, schedule = self._schedules[order]

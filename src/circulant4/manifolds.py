@@ -5,8 +5,7 @@ whose components at p are (A(p), B(p), C(p)). Validity of a point means it
 avoids the excluded loci, the triple is finite and it is ordered
 A > C > B > 0, which is sufficient for positive definiteness. Both the
 field jets (`ManifoldSpec.jets`) and validity (`ManifoldSpec.domain_reasons`,
-a code per point into a tuple of reason texts) work on N points at once;
-`triple_at` and `domain_valid` are their N = 1 views.
+a code per point into a tuple of reason texts) work on N points at once.
 
 The built-in example uses
 
@@ -29,19 +28,16 @@ Keys are name, A, B, C; the three field expressions are required.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .circulant import CirculantTriple, metric_components
-from .fields import CompiledField, ParseError, ScalarField, as_point, jets, parse_field
+from .fields import CompiledField, ParseError, ScalarField, jets, parse_field
 
 __all__ = [
     "SignLineLocus",
-    "DomainStatus",
     "ManifoldSpec",
     "ConfigError",
     "MAX_CONFIG_BYTES",
@@ -66,22 +62,10 @@ class SignLineLocus:
     label: str
     signs: tuple[int, int, int, int]
 
-    def contains(self, p) -> bool:
-        return bool(self.contains_points(as_point(p)[None])[0])
-
     def contains_points(self, points) -> np.ndarray:
         """Membership of each row of an (N, 4) array of points."""
         v = np.asarray(points, dtype=float) * np.asarray(self.signs)
         return (v[:, 0] == v[:, 1]) & (v[:, 1] == v[:, 2]) & (v[:, 2] == v[:, 3])
-
-
-@dataclass(frozen=True)
-class DomainStatus:
-    valid: bool
-    reason: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.valid
 
 
 @dataclass(frozen=True)
@@ -111,21 +95,6 @@ class ManifoldSpec:
         """
         return jets(self.compiled, points, order)
 
-    def triple_at(self, p) -> CirculantTriple:
-        """The field values at p.
-
-        Raises ValueError with the reason `domain_reasons` gives where one
-        is not finite (`A is not finite`).
-        """
-        values, _, _ = self.jets(as_point(p)[None], order=0)
-        for reason, value in zip(_NOT_FINITE_TEXTS[1:], values[0].tolist()):
-            if not math.isfinite(value):
-                raise ValueError(reason)
-        return CirculantTriple(*values[0].tolist())
-
-    def metric_at(self, p):
-        return metric_components(self.triple_at(p))
-
     def domain_reasons(self, points, triples) -> tuple:
         """Why each point is invalid, as (codes, reasons).
 
@@ -151,14 +120,6 @@ class ManifoldSpec:
         for code, (failed, _) in reversed(list(enumerate(tests, 1))):
             codes[failed] = code
         return codes, (None, *(reason for _, reason in tests))
-
-    def domain_valid(self, p) -> DomainStatus:
-        """Pointwise validity, the N = 1 view of `domain_reasons`."""
-        p = as_point(p)[None]
-        values, _, _ = self.jets(p, order=0)
-        codes, reasons = self.domain_reasons(p, values)
-        reason = reasons[codes[0]]
-        return DomainStatus(reason is None, reason)
 
 
 def example_manifold() -> ManifoldSpec:

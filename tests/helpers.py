@@ -24,11 +24,15 @@ PERTURBED_BASE_POINT = (1.0, 0.1, 2.0, 0.2)
 
 
 def sample_valid_points(manifold, count, rng, low=-3.0, high=3.0, max_draws=100_000):
-    """Rejection-sample `count` domain-valid points from the box [low, high]^4."""
+    """Rejection-sample `count` domain-valid points from the box [low, high]^4.
+
+    One draw of 4 coordinates at a time, kept where `domain_reasons` gives code 0.
+    """
     points = []
     for _ in range(max_draws):
         p = rng.uniform(low, high, size=4)
-        if manifold.domain_valid(p):
+        values, _, _ = manifold.jets(p[None], 0)
+        if manifold.domain_reasons(p[None], values)[0][0] == 0:
             points.append(p)
             if len(points) == count:
                 return points

@@ -12,28 +12,18 @@ import numpy as np
 
 from circulant4 import (
     AFFINOR,
-    CirculantTriple,
+    Geometry,
     affinor_power,
     apply_affinor,
-    christoffel_partials,
     constant_manifold,
-    contract_lowered,
-    curvature_q_commutation_residual,
     example_manifold,
-    full_system_residuals,
     gradient_condition_residuals,
-    inner,
-    inverse_metric,
-    max_curvature_q_invariance_residual,
-    metric_components,
-    metric_determinant,
-    nabla_q,
     parse_field,
-    riemann,
-    riemann_lowered,
 )
-from circulant4._oracles import curvature_q_invariance_residual, exact_geometry, lower_index
+from circulant4._oracles import contract_lowered, exact_geometry, lower_index
+from circulant4.circulant import SLOT_FIELD, inverse_metrics
 from circulant4.cli import main
+from circulant4.connection import Connection
 from circulant4.scan import AxisSpec, ScanConfig, run_check, run_scan
 
 from helpers import (
@@ -53,7 +43,7 @@ def _ordered_triple(rng):
     b = rng.uniform(0.05, 2.0)
     c = b + rng.uniform(0.05, 2.0)
     a = c + rng.uniform(0.05, 2.0)
-    return CirculantTriple(a, b, c)
+    return a, b, c
 
 
 def _nondegenerate_triple(rng):
@@ -64,7 +54,7 @@ def _nondegenerate_triple(rng):
             and abs(a + c - 2 * b) >= 1.0
             and abs(a + c + 2 * b) >= 1.0
         ):
-            return CirculantTriple(a, b, c)
+            return a, b, c
 
 
 def test_1_affinor_algebra(report_line):
@@ -87,13 +77,13 @@ def test_2_isometry(report_line):
     ok = True
     worst = 0.0
     for _ in range(1000):
-        t = _ordered_triple(rng)
+        g = np.asarray(_ordered_triple(rng))[SLOT_FIELD]
         u = rng.uniform(-3, 3, size=4)
         v = rng.uniform(-3, 3, size=4)
-        base = inner(t, u, v)
+        base = float(u @ g @ v)
         tol = 1e-12 * (1 + abs(base))
         for k in (1, 2, 3):
-            err = abs(inner(t, apply_affinor(k, u), apply_affinor(k, v)) - base)
+            err = abs(float(apply_affinor(k, u) @ g @ apply_affinor(k, v)) - base)
             worst = max(worst, err / tol)
             ok = ok and err <= tol
     report_line(
@@ -105,14 +95,16 @@ def test_2_isometry(report_line):
 
 def test_3_closed_forms(report_line):
     rng = np.random.default_rng(20260803)
+    triples = np.array([_nondegenerate_triple(rng) for _ in range(1000)])
+    # det g = (a - c) d, with d and the inverse from the closed forms
+    inverses, d, _ = inverse_metrics(triples)
     ok = True
     worst_det = worst_inv = 0.0
-    for _ in range(1000):
-        t = _nondegenerate_triple(rng)
-        g = metric_components(t)
+    for t, ginv, dk in zip(triples, inverses, d):
+        g = t[SLOT_FIELD]
         brute = np.linalg.det(g)
-        det_err = abs(metric_determinant(t) - brute) / (1 + abs(brute))
-        inv_err = float(np.max(np.abs(g @ inverse_metric(t) - np.eye(4))))
+        det_err = abs((t[0] - t[2]) * dk - brute) / (1 + abs(brute))
+        inv_err = float(np.max(np.abs(g @ ginv - np.eye(4))))
         worst_det = max(worst_det, det_err)
         worst_inv = max(worst_inv, inv_err)
         ok = ok and det_err <= 1e-10 and inv_err <= 1e-10
@@ -128,11 +120,12 @@ def test_4_example_parallelism(report_line):
     rng = np.random.default_rng(20260804)
     worst_nq = worst_reduced = worst_full = 0.0
     for p in sample_valid_points(m, 100, rng):
-        worst_nq = max(worst_nq, float(np.max(np.abs(nabla_q(m, p)))))
+        connection = Connection.at(m, p)
+        worst_nq = max(worst_nq, float(np.max(np.abs(connection.finite_row("nabla_q")))))
         worst_reduced = max(
             worst_reduced, gradient_condition_residuals(m, p).max_residual
         )
-        worst_full = max(worst_full, full_system_residuals(m, p).max_residual)
+        worst_full = max(worst_full, float(connection.finite_row("full_system").max()))
     ok = worst_nq <= 1e-8 and worst_reduced <= 1e-9 and worst_full <= 1e-8
     report_line(
         f"[4/9] {'PASS' if ok else 'FAIL'} example parallelism: 100 valid points, "
@@ -156,7 +149,7 @@ def test_5_criterion_equivalence(report_line):
     agree = in_band = True
     for m in corpus:
         for p in sample_valid_points(m, 6, rng, max_draws=40_000):
-            nq = float(np.max(np.abs(nabla_q(m, p))))
+            nq = float(np.max(np.abs(Connection.at(m, p).finite_row("nabla_q"))))
             grad = gradient_condition_residuals(m, p).max_residual
             agree = agree and ((nq <= tol) == (grad <= tol))
             # a pass on one side must not sit orders of magnitude from a
@@ -177,15 +170,16 @@ def test_6_curvature_oracles(report_line):
     flat_ok = True
     for triple in [(3, 1, 2), (6, 1, 3)]:
         m = constant_manifold(*triple)
-        flat_ok = flat_ok and float(
-            np.max(np.abs(riemann(m, (0.3, -1.0, 2.0, 0.7))))
-        ) <= 1e-14
+        r = Geometry.at(m, (0.3, -1.0, 2.0, 0.7)).finite_row("riemann")
+        flat_ok = flat_ok and float(np.max(np.abs(r))) <= 1e-14
 
     m = example_manifold()
     points = [P0, (0.5, -0.3, 2.0, 0.8), (-1.5, 0.2, 0.5, -2.0)]
     exact = exact_geometry(m, points).christoffel_partials
     exact_err = max(
-        float(np.max(np.abs(christoffel_partials(m, p) - dgamma.astype(float))))
+        float(np.max(np.abs(
+            Geometry.at(m, p).finite_row("christoffel_partials") - dgamma.astype(float)
+        )))
         for p, dgamma in zip(points, exact)
     )
     exact_ok = exact_err <= 1e-14
@@ -194,8 +188,9 @@ def test_6_curvature_oracles(report_line):
     nf = nonflat_parallel_manifold()
     rng = np.random.default_rng(20260806)
     for p in sample_valid_points(nf, 3, rng, low=-2.0, high=2.0):
-        r13 = riemann(nf, p)
-        r4 = lower_index(nf.triple_at(p), r13)
+        geometry = Geometry.at(nf, p)
+        r13 = geometry.finite_row("riemann")
+        r4 = lower_index(geometry.values[0], r13)
         scale = 1.0 + float(np.max(np.abs(r4)))
         gaps = [
             np.max(np.abs(r4 + r4.transpose(0, 1, 3, 2))),
@@ -226,22 +221,23 @@ def test_7_structure_identities(report_line):
     ok = True
     worst = 0.0
     for p in sample_valid_points(m, 20, rng):
-        r4 = riemann_lowered(m, p)
+        geometry = Geometry.at(m, p)
+        r4 = geometry.finite_row("riemann_lowered")
         scale = 1.0 + float(np.max(np.abs(r4)))
         for _ in range(100):
             x, y, z, u = rng.uniform(-1, 1, size=(4, 4))
             lhs = contract_lowered(r4, x, y, z, apply_affinor(1, u))
             rhs = contract_lowered(r4, x, y, apply_affinor(3, z), u)
             worst = max(worst, abs(lhs - rhs) / scale)
-        ok = ok and max_curvature_q_invariance_residual(m, p) <= 1e-8 * scale
-        r13_scale = 1.0 + float(np.max(np.abs(riemann(m, p))))
-        ok = ok and curvature_q_commutation_residual(m, p) <= 1e-8 * r13_scale
+        ok = ok and geometry.finite_row("q_invariance_gap") <= 1e-8 * scale
+        r13_scale = 1.0 + float(np.max(np.abs(geometry.finite_row("riemann"))))
+        ok = ok and geometry.finite_row("q_commutation_gap") <= 1e-8 * r13_scale
     ok = ok and worst <= 1e-8
 
     # the identities must have teeth: break parallelism and they fail
-    bad = perturbed_example_fixed()
-    broken31 = max_curvature_q_invariance_residual(bad, P0)
-    broken32 = curvature_q_commutation_residual(bad, P0)
+    bad = Geometry.at(perturbed_example_fixed(), P0)
+    broken31 = float(bad.finite_row("q_invariance_gap"))
+    broken32 = float(bad.finite_row("q_commutation_gap"))
     ok = ok and broken31 > 1e-3 and broken32 > 1e-3
     report_line(
         f"[7/9] {'PASS' if ok else 'FAIL'} structure identities: 20 points x 100 "
@@ -259,12 +255,11 @@ def test_8_example_validity(report_line):
         ((-1, 1, -1, 1), False, "excluded locus (-x,x,-x,x)"),
         ((1, 2, 3, 4), False, "C > B violated"),
     ]
-    ok = True
-    for point, valid, reason in cases:
-        status = m.domain_valid(point)
-        ok = ok and status.valid == valid and status.reason == reason
-    t = m.triple_at((1, 2, 3, 4))
-    ok = ok and (t.a, t.b, t.c) == (30.0, 24.0, 22.0)
+    points = np.array([point for point, _, _ in cases], dtype=float)
+    values, _, _ = m.jets(points, 0)
+    codes, reasons = m.domain_reasons(points, values)
+    ok = [(code == 0, reasons[code]) for code in codes] == [case[1:] for case in cases]
+    ok = ok and values[3].tolist() == [30.0, 24.0, 22.0]
     report_line(
         f"[8/9] {'PASS' if ok else 'FAIL'} example validity: "
         "stated points and reasons, (A,B,C) = (30,24,22) at (1,2,3,4)"

@@ -15,6 +15,7 @@ ORACLES = (
     "leading_principal_minors",
     "lower_index",
     "raise_index",
+    "contract_lowered",
     "curvature_q_invariance_residual",
 )
 
@@ -24,6 +25,48 @@ MODULES = ["circulant4"] + [
     for info in pkgutil.iter_modules(circulant4.__path__)
     if info.name != "__main__"
 ]
+
+
+PUBLIC = {
+    "AFFINOR", "CHECKS", "AxisSpec", "ConfigError", "DomainError", "Geometry", "ManifoldSpec",
+    "ParseError", "Report", "ResidualReport", "ScalarField", "ScanConfig", "SignLineLocus",
+    "SingularMetricError", "affinor_power", "apply_affinor", "as_point", "constant_manifold",
+    "evaluate_point", "example_manifold", "gradient_condition_residuals", "load_manifold",
+    "manifold_from_config", "parallelism_verdict", "parse_field", "render_report", "run_check",
+    "run_scan", "__version__",
+}
+
+# N = 1 views of the pass, of `inverse_metrics` and of `domain_reasons`,
+# which stay out: a point is read through `Geometry.at(m, p).finite_row(stage)`
+REMOVED = (
+    "CirculantTriple", "metric_components", "metric_determinant", "degeneracy_threshold",
+    "inverse_metric", "is_positive_definite_ordered", "inner", "metric_partials", "christoffel",
+    "nabla_q", "full_system_residuals", "christoffel_partials", "riemann", "riemann_lowered",
+    "max_curvature_q_invariance_residual", "curvature_q_commutation_residual", "DomainStatus",
+)
+
+
+def test_the_public_api_is_pinned():
+    assert set(circulant4.__all__) == PUBLIC and len(circulant4.__all__) == len(PUBLIC)
+    for name in MODULES:
+        module = importlib.import_module(name)
+        for removed in REMOVED:
+            assert not hasattr(module, removed), f"{name}.{removed}"
+    for removed in ("triple_at", "metric_at", "domain_valid"):
+        assert not hasattr(circulant4.ManifoldSpec, removed), removed
+    assert not hasattr(circulant4.SignLineLocus, "contains")
+    # a test oracle now
+    assert not hasattr(circulant4, "contract_lowered")
+    assert not hasattr(importlib.import_module("circulant4.curvature"), "contract_lowered")
+
+
+def test_the_names_the_benchmark_imports_resolve():
+    # perfbench/tests imports these from the package, and its tracer calls
+    # scan.evaluate_point and counts ScalarField.partial
+    for name in ("example_manifold", "gradient_condition_residuals", "load_manifold"):
+        assert callable(getattr(circulant4, name))
+    assert callable(importlib.import_module("circulant4.scan").evaluate_point)
+    assert callable(circulant4.ScalarField.partial)
 
 
 @pytest.mark.parametrize("name", MODULES)

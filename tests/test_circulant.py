@@ -10,21 +10,18 @@ from hypothesis import given, strategies as st
 
 from circulant4 import (
     AFFINOR,
-    CirculantTriple,
     SingularMetricError,
     affinor_power,
     apply_affinor,
-    degeneracy_threshold,
-    inner,
-    inverse_metric,
-    is_positive_definite_ordered,
-    metric_components,
-    metric_determinant,
+    constant_manifold,
 )
 from circulant4._oracles import leading_principal_minors
-from circulant4.circulant import SLOT_FIELD, inverse_metrics
+from circulant4.circulant import SLOT_FIELD, _thresholds, inverse_metrics
+from circulant4.connection import Connection
 
-T312 = CirculantTriple(3.0, 1.0, 2.0)
+T312 = (3.0, 1.0, 2.0)
+G312 = np.asarray(T312)[SLOT_FIELD]
+ORIGIN = (0.0, 0.0, 0.0, 0.0)
 
 _coords = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 
@@ -38,16 +35,12 @@ def _nondegenerate(tri):
     )
 
 
-nondegenerate_triples = (
-    st.tuples(_coords, _coords, _coords)
-    .filter(_nondegenerate)
-    .map(lambda tri: CirculantTriple(*tri))
-)
+nondegenerate_triples = st.tuples(_coords, _coords, _coords).filter(_nondegenerate)
 
 # a > c > b > 0 built from three positive gaps
 ordered_triples = st.tuples(
     st.floats(0.1, 2.0), st.floats(0.1, 2.0), st.floats(0.1, 2.0)
-).map(lambda g: CirculantTriple(g[0] + g[1] + g[2], g[0], g[0] + g[1]))
+).map(lambda g: (g[0] + g[1] + g[2], g[0], g[0] + g[1]))
 
 vectors = st.tuples(*[st.floats(-3.0, 3.0)] * 4).map(np.array)
 
@@ -100,7 +93,7 @@ def test_apply_affinor():
 
 
 def test_metric_components_layout():
-    g = metric_components(T312)
+    g = Connection.at(constant_manifold(*T312), ORIGIN).finite_row("metric")
     # circulant with first row (a, b, c, b)
     expected = np.array(
         [
@@ -113,31 +106,26 @@ def test_metric_components_layout():
     )
     assert np.array_equal(g, expected)
     assert np.array_equal(g, g.T)
-
-
-def test_triple_validation():
-    t = CirculantTriple(3, 1, 2)
-    assert isinstance(t.a, float)
-    with pytest.raises(ValueError):
-        CirculantTriple(float("nan"), 1.0, 2.0)
-    with pytest.raises(ValueError):
-        CirculantTriple(1.0, float("inf"), 2.0)
+    assert np.array_equal(g, G312)
 
 
 def test_determinant_closed_form():
-    assert metric_determinant(T312) == 21.0
-    assert metric_determinant(CirculantTriple(2, 0, 2)) == 0.0
-    assert metric_determinant(CirculantTriple(3, 2, 1)) == 0.0
+    # det g = (a - c)^2 ((a + c)^2 - 4 b^2), and d of `inverse_metrics` is
+    # (a - c)((a + c)^2 - 4 b^2)
+    triples = np.array([T312, (2, 0, 2), (3, 2, 1)], dtype=float)
+    _, d, _ = inverse_metrics(triples)
+    assert ((triples[:, 0] - triples[:, 2]) * d).tolist() == [21.0, 0.0, 0.0]
 
 
 @given(nondegenerate_triples)
 def test_determinant_matches_brute_force(t):
-    brute = np.linalg.det(metric_components(t))
-    assert abs(metric_determinant(t) - brute) <= 1e-10 * (1 + abs(brute))
+    brute = np.linalg.det(np.asarray(t)[SLOT_FIELD])
+    _, (d,), _ = inverse_metrics([t])
+    assert abs((t[0] - t[2]) * d - brute) <= 1e-10 * (1 + abs(brute))
 
 
 def test_inverse_closed_form():
-    ginv = inverse_metric(T312)
+    (ginv,), _, _ = inverse_metrics([T312])
     expected = (
         np.array(
             [
@@ -151,51 +139,57 @@ def test_inverse_closed_form():
         / 21.0
     )
     assert np.allclose(ginv, expected, rtol=0, atol=1e-14)
-    assert np.allclose(metric_components(T312) @ ginv, np.eye(4), atol=1e-14)
+    assert np.allclose(G312 @ ginv, np.eye(4), atol=1e-14)
+    # the pass at a point of the constant manifold reads the same inverse
+    assert np.array_equal(Connection.at(constant_manifold(*T312), ORIGIN).inverse[0], ginv)
 
 
 @given(nondegenerate_triples)
 def test_inverse_matches_lu(t):
-    g = metric_components(t)
-    ginv = inverse_metric(t)
+    g = np.asarray(t)[SLOT_FIELD]
+    (ginv,), _, _ = inverse_metrics([t])
     assert np.max(np.abs(g @ ginv - np.eye(4))) <= 1e-10
     assert np.allclose(ginv, np.linalg.inv(g), rtol=0, atol=1e-10)
 
 
 def test_singular_triples_raise():
-    for t in [(2, 0, 2), (1, 1, 1), (3, 2, 1), (1 + 1e-13, 0.25, 1)]:
-        with pytest.raises(SingularMetricError):
-            inverse_metric(CirculantTriple(*t))
+    triples = [(2, 0, 2), (1, 1, 1), (3, 2, 1), (1 + 1e-13, 0.25, 1)]
+    assert inverse_metrics(triples)[2].all()
+    for t in triples:
+        with pytest.raises(SingularMetricError, match="is numerically degenerate"):
+            Connection.at(constant_manifold(*t), ORIGIN)
 
 
 def test_an_overflowing_cube_gives_an_infinite_threshold_without_a_warning():
     # 1 + |a| + |b| + |c| cubed is past the float range, and so are d and
     # det g: the inverse is refused as overflowing, not as degenerate
-    t = CirculantTriple(1e200, 1.0, 3.0)
+    t = (1e200, 1.0, 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert degeneracy_threshold(t) == math.inf
-        assert metric_determinant(t) == math.inf
+        assert _thresholds(*np.array([t]).T).tolist() == [math.inf]
+        _, (d,), (degenerate,) = inverse_metrics([t])
+        assert (t[0] - t[2]) * d == math.inf and degenerate
         with pytest.raises(SingularMetricError, match="overflowing closed-form inverse"):
-            inverse_metric(t)
+            Connection.at(constant_manifold(*t), ORIGIN)
 
 
 def test_degeneracy_threshold_scales_with_size():
-    t = CirculantTriple(3, 1, 2)
-    assert degeneracy_threshold(t) == pytest.approx(1e-12 * 7.0**3)
-    big = CirculantTriple(300, 100, 200)
-    assert degeneracy_threshold(big) > degeneracy_threshold(t)
+    small, big = _thresholds(*np.array([T312, (300, 100, 200)]).T)
+    assert small == pytest.approx(1e-12 * 7.0**3)
+    assert big > small
 
 
 def test_ordering_test():
-    assert is_positive_definite_ordered(T312)
-    assert not is_positive_definite_ordered(CirculantTriple(30, 24, 22))
-    assert not is_positive_definite_ordered(CirculantTriple(3, 2.5, 2))
-    assert not is_positive_definite_ordered(CirculantTriple(-3, -2, -1))
+    # positivity is code 0 of `domain_reasons`; the origin is on no locus of a constant manifold
+    triples = np.array([T312, (30, 24, 22), (3, 2.5, 2), (-3, -2, -1)])
+    codes, reasons = constant_manifold(*T312).domain_reasons(np.zeros((4, 4)), triples)
+    assert [reasons[code] for code in codes] == [
+        None, "C > B violated", "C > B violated", "A > C violated"
+    ]
 
 
 def test_leading_principal_minors():
-    minors = leading_principal_minors(metric_components(T312))
+    minors = leading_principal_minors(G312)
     assert np.allclose(minors, [3, 8, 13, 21], rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         leading_principal_minors(np.eye(3))
@@ -203,23 +197,27 @@ def test_leading_principal_minors():
 
 @given(ordered_triples)
 def test_ordered_triples_are_positive_definite(t):
-    assert is_positive_definite_ordered(t)
-    g = metric_components(t)
+    codes, _ = constant_manifold(*t).domain_reasons([ORIGIN], [t])
+    assert codes.tolist() == [0]
+    g = np.asarray(t)[SLOT_FIELD]
     assert np.all(leading_principal_minors(g) > 0)
     assert np.all(np.linalg.eigvalsh(g) > 0)
 
 
 def test_inner_values():
-    assert inner(CirculantTriple(1, 0, 0), [1, 2, 3, 4], [1, 2, 3, 4]) == 30.0
-    assert inner(T312, np.ones(4), np.ones(4)) == 28.0
+    # g(u, v) = u @ g @ v, with g the metric of the pass at a point
+    g = Connection.at(constant_manifold(1, 0, 0), ORIGIN).metric[0]
+    assert np.arange(1.0, 5.0) @ g @ np.arange(1.0, 5.0) == 30.0
+    assert np.ones(4) @ G312 @ np.ones(4) == 28.0
 
 
 @given(ordered_triples, vectors, vectors)
 def test_isometry_of_affinor_powers(t, u, v):
-    base = inner(t, u, v)
-    assert inner(t, v, u) == pytest.approx(base, abs=1e-12 * (1 + abs(base)))
+    g = np.asarray(t)[SLOT_FIELD]
+    base = float(u @ g @ v)
+    assert float(v @ g @ u) == pytest.approx(base, abs=1e-12 * (1 + abs(base)))
     for k in (1, 2, 3):
-        moved = inner(t, apply_affinor(k, u), apply_affinor(k, v))
+        moved = float(apply_affinor(k, u) @ g @ apply_affinor(k, v))
         assert abs(moved - base) <= 1e-12 * (1 + abs(base))
 
 
@@ -232,7 +230,7 @@ def _scalar_inverse(a, b, c):
     abar = (a * (a + c) - 2.0 * b * b) / d
     bbar = (b * (c - a)) / d
     cbar = (2.0 * b * b - c * (a + c)) / d
-    return metric_components(CirculantTriple(abar, bbar, cbar))
+    return np.array([abar, bbar, cbar])[SLOT_FIELD]
 
 
 @given(st.lists(st.tuples(_coords, _coords, _coords), max_size=12))
@@ -245,14 +243,13 @@ def test_batched_inverse_matches_scalar_formula_bitwise(triples):
     assert ginv.shape == (len(triples), 4, 4)
     for row, flag, triple in zip(ginv, degenerate, triples):
         expected = _scalar_inverse(*triple)
-        assert flag == (expected is None)
+        (alone,), _, (alone_flag,) = inverse_metrics([triple])
+        assert flag == alone_flag == (expected is None)
         if flag:
-            assert np.all(np.isnan(row))
-            with pytest.raises(SingularMetricError):
-                inverse_metric(CirculantTriple(*triple))
+            assert np.all(np.isnan(row)) and np.all(np.isnan(alone))
         else:
             assert np.array_equal(row.view(np.int64), expected.view(np.int64))
-            assert np.array_equal(inverse_metric(CirculantTriple(*triple)), row)
+            assert np.array_equal(alone.view(np.int64), row.view(np.int64))
 
 
 def test_inverse_metrics_is_exact_over_fractions():

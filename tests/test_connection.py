@@ -12,22 +12,17 @@ from circulant4 import (
     ResidualReport,
     ScalarField,
     SingularMetricError,
-    christoffel,
     constant_manifold,
     evaluate_point,
     example_manifold,
-    full_system_residuals,
     gradient_condition_residuals,
-    metric_partials,
-    nabla_q,
     parallelism_verdict,
     parse_field,
-    riemann,
 )
 from circulant4 import connection, scan
 from circulant4.circulant import degeneracy_error
 from circulant4._oracles import exact_geometry
-from circulant4.connection import FULL_TERMS, REDUCED_TERMS, Connection
+from circulant4.connection import FULL_LABELS, FULL_TERMS, REDUCED_TERMS, Connection, _gradient_row
 from circulant4.curvature import Geometry
 from circulant4.scan import CHECKS, _Axes, _evaluate_chunk
 
@@ -66,7 +61,7 @@ def _coordinate_manifold():
 
 def test_metric_partials_layout():
     m = example_manifold()
-    dg = metric_partials(m, P0)
+    dg = Connection.at(m, P0).finite_row("metric_partials")
     assert dg.shape == (4, 4, 4)
     # slot (0,0) holds A, slot (0,1) holds B, slot (0,2) holds C
     assert np.array_equal(dg[:, 0, 0], m.A.gradient(P0))
@@ -89,16 +84,18 @@ def test_metric_partials_match_finite_differences():
     # exact metric is its exact partials, at any step
     m = example_manifold()
     differences = exact_central_difference(lambda points: exact_geometry(m, points).metric, P0)
-    assert np.max(np.abs(metric_partials(m, P0) - differences.astype(float))) <= 1e-15
+    dg = Connection.at(m, P0).finite_row("metric_partials")
+    assert np.max(np.abs(dg - differences.astype(float))) <= 1e-15
 
 
 def test_christoffel_constant_manifold_is_zero():
-    gamma = christoffel(constant_manifold(3, 1, 2), (0.5, -1.0, 2.0, 7.0))
+    connection = Connection.at(constant_manifold(3, 1, 2), (0.5, -1.0, 2.0, 7.0))
+    gamma = connection.finite_row("christoffel")
     assert not np.any(gamma)
 
 
 def test_christoffel_symmetry():
-    gamma = christoffel(example_manifold(), P0)
+    gamma = Connection.at(example_manifold(), P0).finite_row("christoffel")
     assert np.array_equal(gamma, np.swapaxes(gamma, 1, 2))
 
 
@@ -106,9 +103,8 @@ def test_christoffel_defining_relation():
     # g_ls Gamma^l_ij must reproduce the half-sum of metric partials
     m = example_manifold()
     for p in [P0, (0.3, -0.4, 1.7, 0.9), (-2.0, 0.5, 1.0, -0.5)]:
-        g = m.metric_at(p)
-        dg = metric_partials(m, p)
-        gamma = christoffel(m, p)
+        connection = Connection.at(m, p)
+        g, dg, gamma = map(connection.finite_row, ("metric", "metric_partials", "christoffel"))
         lowered = np.einsum("ls,lij->sij", g, gamma)
         expected = 0.5 * (
             np.einsum("isj->sij", dg) + np.einsum("jsi->sij", dg) - dg
@@ -119,15 +115,15 @@ def test_christoffel_defining_relation():
 def test_christoffel_domain_errors():
     m = example_manifold()
     with pytest.raises(DomainError) as err:
-        christoffel(m, (1, 1, 1, 1))
+        Connection.at(m, (1, 1, 1, 1))
     assert "excluded locus (x,x,x,x)" in str(err.value)
     # an ordering violation is not a geometric obstruction: (1,2,3,4) has an
     # indefinite but invertible metric, so the connection still exists there
-    gamma = christoffel(m, (1, 2, 3, 4))
+    gamma = Connection.at(m, (1, 2, 3, 4)).finite_row("christoffel")
     assert np.all(np.isfinite(gamma))
     # where a field overflows the error names it; the metric is not singular
     with pytest.raises(ValueError, match="^A is not finite$") as err:
-        christoffel(m, (1e200, 0.1, 2.0, 0.2))
+        Connection.at(m, (1e200, 0.1, 2.0, 0.2))
     assert not isinstance(err.value, SingularMetricError)
 
 
@@ -135,11 +131,11 @@ def test_gradient_views_give_residuals_on_the_excluded_loci():
     # the loci are excluded for the inverse, which these views do not need
     m = example_manifold()
     for p in [(1, 1, 1, 1), (-1, 1, -1, 1)]:
-        assert np.isfinite(metric_partials(m, p)).all()
-        for view in (gradient_condition_residuals, full_system_residuals):
-            assert np.isfinite(list(view(m, p).as_dict().values())).all()
+        for stage in ("metric_partials", "gradient_conditions", "full_system"):
+            assert np.isfinite(_gradient_row(m, p, stage)).all()
+        assert np.isfinite(list(gradient_condition_residuals(m, p).as_dict().values())).all()
         with pytest.raises(DomainError):
-            christoffel(m, p)
+            Connection.at(m, p)
 
 
 def test_gradient_views_raise_where_a_relation_overflows():
@@ -150,19 +146,19 @@ def test_gradient_views_raise_where_a_relation_overflows():
         parse_field("1"),
         parse_field("-1e308*x3 + 3"),
     )
-    assert np.isfinite(metric_partials(m, (0, 0, 0, 0))).all()
-    for view in (gradient_condition_residuals, full_system_residuals):
-        with pytest.raises(ValueError, match="^parallel residuals are not finite$"):
-            view(m, (0, 0, 0, 0))
+    assert np.isfinite(_gradient_row(m, (0, 0, 0, 0), "metric_partials")).all()
+    with pytest.raises(ValueError, match="^parallel residuals are not finite$"):
+        gradient_condition_residuals(m, (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="^parallel residuals are not finite$"):
+        _gradient_row(m, (0, 0, 0, 0), "full_system")
 
 
 def test_metric_compatibility():
     m = example_manifold()
     rng = np.random.default_rng(17)
     for p in sample_valid_points(m, 5, rng):
-        g = m.metric_at(p)
-        dg = metric_partials(m, p)
-        gamma = christoffel(m, p)
+        connection = Connection.at(m, p)
+        g, dg, gamma = map(connection.finite_row, ("metric", "metric_partials", "christoffel"))
         nabla_g = (
             dg
             - np.einsum("smi,sj->mij", gamma, g)
@@ -175,20 +171,22 @@ def test_nabla_q_vanishes_on_example():
     m = example_manifold()
     rng = np.random.default_rng(23)
     worst = max(
-        float(np.max(np.abs(nabla_q(m, p)))) for p in sample_valid_points(m, 20, rng)
+        float(np.max(np.abs(Connection.at(m, p).finite_row("nabla_q"))))
+        for p in sample_valid_points(m, 20, rng)
     )
     assert worst <= 1e-10
     # the gradient conditions are polynomial identities for these fields, so
     # parallelism extends to every invertible point, ordered or not
-    assert np.max(np.abs(nabla_q(m, (1, 2, 3, 4)))) <= 1e-10
+    assert np.max(np.abs(Connection.at(m, (1, 2, 3, 4)).finite_row("nabla_q"))) <= 1e-10
 
 
 def test_nabla_q_exact_zero_for_constants():
-    assert not np.any(nabla_q(constant_manifold(3, 1, 2), (4, 3, 2, 1)))
+    assert not np.any(Connection.at(constant_manifold(3, 1, 2), (4, 3, 2, 1)).finite_row("nabla_q"))
 
 
 def test_nabla_q_detects_perturbation():
-    assert np.max(np.abs(nabla_q(perturbed_example_fixed(), P0))) > 1e-3
+    nq = Connection.at(perturbed_example_fixed(), P0).finite_row("nabla_q")
+    assert np.max(np.abs(nq)) > 1e-3
 
 
 def test_reduced_system_on_example():
@@ -213,17 +211,19 @@ def test_reduced_system_pinned_values():
 
 
 def test_full_system_structure():
-    report = full_system_residuals(example_manifold(), P0)
-    assert len(report.entries) == 16
-    assert report.max_residual <= 1e-12
-    labels = [label for label, _ in report.entries]
+    residuals = Connection.at(example_manifold(), P0).finite_row("full_system")
+    assert residuals.shape == (16,) and len(FULL_LABELS) == 16
+    assert residuals.max() <= 1e-12
+    labels = list(FULL_LABELS)
     assert labels[0] == "A4 - B1 + B3 - C2"
     assert "A4 - B1 - 3*B3 + C2 + 2*C4" in labels
     assert labels[-1] == "A2 - B1 - 3*B3 + 2*C2 + C4"
 
 
 def test_full_system_pinned_values():
-    report = full_system_residuals(_coordinate_manifold(), (0, 0, 0, 0))
+    # A = x1 and C = x4 agree at the origin, which makes the metric degenerate there
+    residuals = _gradient_row(_coordinate_manifold(), (0, 0, 0, 0), "full_system")
+    report = dict(zip(FULL_LABELS, residuals.tolist()))
     assert report["A4 - B1 + B3 - C2"] == 0.0
     assert report["A2 - B1 + B3 - C4"] == 1.0
     assert report["A4 - B1 - 3*B3 + C2 + 2*C4"] == 2.0
@@ -242,7 +242,7 @@ def test_full_system_bounded_by_reduced():
             C=random_polynomial(rng, degree=3, terms=4),
         )
         p = rng.uniform(-2, 2, size=4)
-        full = full_system_residuals(m, p).max_residual
+        full = float(_gradient_row(m, p, "full_system").max())
         reduced = gradient_condition_residuals(m, p).max_residual
         assert full <= 8.0 * reduced + 1e-9
 
@@ -384,8 +384,8 @@ def test_inverse_metric_is_computed_once_and_only_where_read(monkeypatch):
     monkeypatch.setattr(connection, "inverse_metrics", counted)
     example = example_manifold()
     gradient_condition_residuals(example, P0)
-    full_system_residuals(example, P0)
-    metric_partials(example, P0)
+    _gradient_row(example, P0, "full_system")
+    _gradient_row(example, P0, "metric_partials")
     assert calls == []
     # Gamma and d Gamma both read the inverse, and the pass computes it once
     Geometry(*example.jets(np.array([P0]), 2)).riemann
@@ -471,12 +471,13 @@ def test_failures_records_and_raises_give_one_text(a, b, point, expected):
         assert errors == expected[:1] + expected[1:] * 2
     else:
         assert record["reason"] == expected[0] == expected[1]
-    for failure, view in zip(expected, (christoffel, riemann)):
+    reads = ((Connection, "christoffel"), (Geometry, "riemann"))
+    for failure, (pass_, stage) in zip(expected, reads):
         if failure is None:
-            view(m, point)
+            pass_.at(m, point).finite_row(stage)
             continue
         with pytest.raises(ValueError) as raised:
-            view(m, point)
+            pass_.at(m, point).finite_row(stage)
         assert str(raised.value) == failure
 
 

@@ -12,20 +12,14 @@ from circulant4 import (
     AFFINOR,
     Geometry,
     apply_affinor,
-    christoffel_partials,
     constant_manifold,
-    contract_lowered,
-    curvature_q_commutation_residual,
     evaluate_point,
     example_manifold,
     load_manifold,
-    max_curvature_q_invariance_residual,
-    nabla_q,
-    riemann,
-    riemann_lowered,
     scan,
 )
 from circulant4._oracles import (
+    contract_lowered,
     curvature_q_invariance_residual,
     exact_geometry,
     lower_index,
@@ -62,7 +56,7 @@ def nonflat_points():
 
 def test_constant_manifold_is_flat():
     m = constant_manifold(3, 1, 2)
-    assert not np.any(riemann(m, (0.4, -2.0, 1.0, 5.0)))
+    assert not np.any(Geometry.at(m, (0.4, -2.0, 1.0, 5.0)).finite_row("riemann"))
 
 
 @pytest.fixture(scope="module")
@@ -97,11 +91,12 @@ def test_christoffel_partials_match_finite_differences():
     for m, p in [(example_manifold(), P0), (load_manifold(CUBIC), (0.3, -0.2, 0.5, 0.1))]:
         exact = exact_geometry(m, [p]).christoffel_partials[0]
         assert np.max(np.abs(_exact_christoffel_differences(m, p) - exact)) <= 1e-17
-        assert np.max(np.abs(christoffel_partials(m, p) - exact.astype(float))) <= 1e-14
+        dgamma = Geometry.at(m, p).finite_row("christoffel_partials")
+        assert np.max(np.abs(dgamma - exact.astype(float))) <= 1e-14
 
 
 def test_christoffel_partials_symmetry():
-    dgamma = christoffel_partials(example_manifold(), P0)
+    dgamma = Geometry.at(example_manifold(), P0).finite_row("christoffel_partials")
     assert np.array_equal(dgamma, np.swapaxes(dgamma, 2, 3))
 
 
@@ -129,7 +124,8 @@ def test_riemann_matches_finite_difference_assembly():
         dgamma = _exact_christoffel_differences(m, p)
         assembled = _riemann_by_definition(exact.christoffel[0], dgamma)
         assert np.max(np.abs(assembled - exact.riemann[0])) <= 1e-17
-        assert np.max(np.abs(riemann(m, p) - exact.riemann[0].astype(float))) <= 1e-14
+        r = Geometry.at(m, p).finite_row("riemann")
+        assert np.max(np.abs(r - exact.riemann[0].astype(float))) <= 1e-14
 
 
 def test_example_manifold_is_flat():
@@ -138,25 +134,27 @@ def test_example_manifold_is_flat():
     m = example_manifold()
     rng = np.random.default_rng(11)
     worst = max(
-        float(np.max(np.abs(riemann(m, p)))) for p in sample_valid_points(m, 20, rng)
+        float(np.max(np.abs(Geometry.at(m, p).finite_row("riemann"))))
+        for p in sample_valid_points(m, 20, rng)
     )
     assert worst <= 1e-10
 
 
 def test_nonflat_fixture_is_parallel_but_curved(nonflat_points):
     m, points = nonflat_points
-    curvatures = [float(np.max(np.abs(riemann_lowered(m, p)))) for p in points]
+    geometries = [Geometry.at(m, p) for p in points]
+    curvatures = [float(np.max(np.abs(g.finite_row("riemann_lowered")))) for g in geometries]
     assert max(curvatures) > 0.05
     assert all(c > 1e-4 for c in curvatures)
-    assert all(np.max(np.abs(nabla_q(m, p))) <= 1e-10 for p in points)
+    assert all(np.max(np.abs(g.finite_row("nabla_q"))) <= 1e-10 for g in geometries)
 
 
 def test_classical_symmetries(nonflat_points):
     m, points = nonflat_points
     for p in points[:3]:
-        r13 = riemann(m, p)
-        t = m.triple_at(p)
-        r4 = lower_index(t, r13)
+        geometry = Geometry.at(m, p)
+        r13 = geometry.finite_row("riemann")
+        r4 = lower_index(geometry.values[0], r13)
         scale = 1.0 + float(np.max(np.abs(r4)))
         # antisymmetry in the argument pair and in the value pair
         assert np.max(np.abs(r4 + r4.transpose(0, 1, 3, 2))) <= 1e-8 * scale
@@ -174,18 +172,18 @@ def test_classical_symmetries(nonflat_points):
 
 def test_lower_raise_round_trip(nonflat_points):
     m, points = nonflat_points
-    p = points[0]
-    r4 = riemann_lowered(m, p)
-    t = m.triple_at(p)
+    geometry = Geometry.at(m, points[0])
+    r4 = geometry.finite_row("riemann_lowered")
+    t = geometry.values[0]
     scale = 1.0 + float(np.max(np.abs(r4)))
     assert np.max(np.abs(lower_index(t, raise_index(t, r4)) - r4)) <= 1e-10 * scale
     # the pass forms the lowered R, and R by raising its first index
-    assert np.array_equal(riemann(m, p), raise_index(t, r4))
+    assert np.array_equal(geometry.finite_row("riemann"), raise_index(t, r4))
 
 
 def test_contract_lowered_picks_components(nonflat_points):
     m, points = nonflat_points
-    r4 = riemann_lowered(m, points[0])
+    r4 = Geometry.at(m, points[0]).finite_row("riemann_lowered")
     basis = np.eye(4)
     for h, k, j, i in [(0, 1, 2, 3), (1, 3, 0, 2), (2, 2, 1, 0)]:
         value = contract_lowered(r4, basis[j], basis[i], basis[k], basis[h])
@@ -196,9 +194,10 @@ def test_q_invariance_holds_when_parallel(nonflat_points):
     m, points = nonflat_points
     rng = np.random.default_rng(41)
     for p in points:
-        r4 = riemann_lowered(m, p)
+        geometry = Geometry.at(m, p)
+        r4 = geometry.finite_row("riemann_lowered")
         scale = 1.0 + float(np.max(np.abs(r4)))
-        assert max_curvature_q_invariance_residual(m, p) <= 1e-8 * scale
+        assert geometry.finite_row("q_invariance_gap") <= 1e-8 * scale
         for _ in range(5):
             x, y, z, u = (rng.uniform(-1, 1, size=4) for _ in range(4))
             assert curvature_q_invariance_residual(m, p, x, y, z, u) <= 1e-6
@@ -207,8 +206,8 @@ def test_q_invariance_holds_when_parallel(nonflat_points):
 def test_q_invariance_max_matches_basis_sweep(nonflat_points):
     # the all-basis maximum must agree with contracting explicitly
     m, points = nonflat_points
-    p = points[0]
-    r4 = riemann_lowered(m, p)
+    geometry = Geometry.at(m, points[0])
+    r4 = geometry.finite_row("riemann_lowered")
     basis = np.eye(4)
     worst = 0.0
     for h in range(4):
@@ -222,41 +221,50 @@ def test_q_invariance_max_matches_basis_sweep(nonflat_points):
                         r4, basis[j], basis[i], apply_affinor(3, basis[k]), basis[h]
                     )
                     worst = max(worst, abs(lhs - rhs))
-    assert max_curvature_q_invariance_residual(m, p) == pytest.approx(
-        worst, abs=1e-15
-    )
+    assert geometry.finite_row("q_invariance_gap") == pytest.approx(worst, abs=1e-15)
 
 
 def test_q_commutation_holds_when_parallel(nonflat_points):
     m, points = nonflat_points
     for p in points:
-        r13 = riemann(m, p)
-        scale = 1.0 + float(np.max(np.abs(r13)))
-        assert curvature_q_commutation_residual(m, p) <= 1e-8 * scale
+        geometry = Geometry.at(m, p)
+        scale = 1.0 + float(np.max(np.abs(geometry.finite_row("riemann"))))
+        assert geometry.finite_row("q_commutation_gap") <= 1e-8 * scale
 
 
 def test_q_commutation_matches_matrix_commutators(nonflat_points):
     # R(e_j, e_i) as a matrix must commute with q; check with plain matmul
     m, points = nonflat_points
-    p = points[0]
-    r13 = riemann(m, p)
+    geometry = Geometry.at(m, points[0])
+    r13 = geometry.finite_row("riemann")
     q = AFFINOR.T  # endomorphism matrix acting on components from the left
     worst = 0.0
     for j in range(4):
         for i in range(4):
             endo = r13[:, :, j, i]
             worst = max(worst, float(np.max(np.abs(endo @ q - q @ endo))))
-    assert curvature_q_commutation_residual(m, p) == pytest.approx(worst, abs=1e-15)
+    assert geometry.finite_row("q_commutation_gap") == pytest.approx(worst, abs=1e-15)
 
 
 def test_identities_fail_without_parallelism():
     m = perturbed_example_fixed()
-    assert max_curvature_q_invariance_residual(m, P0) > 1e-3
-    assert curvature_q_commutation_residual(m, P0) > 1e-3
+    geometry = Geometry.at(m, P0)
+    assert geometry.finite_row("q_invariance_gap") > 1e-3
+    assert geometry.finite_row("q_commutation_gap") > 1e-3
     rng = np.random.default_rng(43)
     x, y, z, u = (rng.uniform(-1, 1, size=4) for _ in range(4))
     # a generic vector 4-tuple sees the violation as well
     assert curvature_q_invariance_residual(m, P0, x, y, z, u) > 1e-6
+
+
+# the stages read at one point through `Geometry.at(m, p).finite_row(stage)`
+POINT_STAGES = ("metric", "metric_partials", "christoffel", "nabla_q", "full_system",
+                "christoffel_partials", "riemann", "riemann_lowered", "q_invariance_gap",
+                "q_commutation_gap")
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
 
 
 def test_degenerate_rows_stay_local(nonflat_points):
@@ -267,8 +275,8 @@ def test_degenerate_rows_stay_local(nonflat_points):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         geometry = Geometry(values, gradients, hessians)
-        r4 = geometry.riemann_lowered
-        nq = geometry.nabla_q
+        rows = {stage: getattr(geometry, stage) for stage in POINT_STAGES}
+    r4, nq = rows["riemann_lowered"], rows["nabla_q"]
     assert geometry.degenerate.tolist() == [False, True, False]
     assert np.all(np.isnan(r4[1])) and np.all(np.isnan(nq[1]))
     assert "degenerate" in geometry.failures(2)[1]
@@ -276,7 +284,10 @@ def test_degenerate_rows_stay_local(nonflat_points):
         alone = Geometry(values[k : k + 1], gradients[k : k + 1], hessians[k : k + 1])
         assert np.array_equal(r4[k], alone.riemann_lowered[0])
         assert np.array_equal(nq[k], alone.nabla_q[0])
-        assert np.array_equal(r4[k], riemann_lowered(m, points[k]))
+        # the pass at the point reads each stage's row of the 3-point pass, bit for bit
+        at = Geometry.at(m, points[k])
+        for stage, row in rows.items():
+            assert np.array_equal(_bits(at.finite_row(stage)), _bits(row[k])), (k, stage)
 
 
 # the rank-5 stages: the lowered R and R share one block per pass, d Gamma

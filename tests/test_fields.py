@@ -21,6 +21,7 @@ from circulant4 import (
     parse_field,
     run_check,
 )
+from circulant4 import fields
 from circulant4._oracles import exact_jets
 from circulant4.fields import MAX_DEPTH, MAX_EXPONENT, MAX_TERMS, CompiledField, jets
 
@@ -304,6 +305,43 @@ def test_as_point():
             as_point(p)
         with pytest.raises(ValueError, match="not bools"):
             run_check(example_manifold(), p)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.ones((1, 4), dtype=bool),
+        [[True, 0.1, 2.0, 0.2]],
+        [(0.1, np.True_, 2.0, 0.2)],
+        [np.ones(4), np.ones(4, dtype=bool)],
+        np.array([[1.0, 0.1, 2.0, False]], dtype=object),
+    ],
+)
+def test_jets_refuse_bool_coordinates(points):
+    # a bool is an int, and the jets were those at 1.0 and 0.0
+    m = example_manifold()
+    for evaluate in (m.jets, m.compiled.evaluate, functools.partial(jets, m.compiled)):
+        with pytest.raises(ValueError, match="^point coordinates must be numbers, not bools$"):
+            evaluate(points, 0)
+
+
+@pytest.mark.parametrize("order", [True, False, np.True_])
+def test_jets_refuse_a_bool_order(order):
+    # True was taken as order 1, and False as order 0
+    m = example_manifold()
+    for evaluate in (m.jets, m.compiled.evaluate):
+        with pytest.raises(ValueError, match="^order must be 0, 1 or 2, got "):
+            evaluate(np.ones((1, 4)), order)
+
+
+def test_jets_take_numbers_and_float_arrays_as_they_are():
+    m = example_manifold()
+    values, _, _ = m.jets([[1, 0, 2, 0]], 0)
+    assert values.tolist() == [[5.0, 0.0, 4.0]]
+    # a float array, as a scan passes, is read without a copy or a search for bools
+    points = np.ones((3, 4))[:, ::-1]
+    assert fields._as_points(points) is points
+    assert fields._as_points(np.ones((2, 4), dtype=np.float32)).dtype == float
 
 
 _exponents = st.tuples(*[st.integers(0, 3)] * 4)

@@ -9,7 +9,6 @@ import pytest
 
 from circulant4 import (
     ConfigError,
-    DomainStatus,
     ManifoldSpec,
     ScalarField,
     SignLineLocus,
@@ -17,82 +16,73 @@ from circulant4 import (
     example_manifold,
     load_manifold,
     manifold_from_config,
-    metric_components,
 )
 from circulant4 import manifolds
+from circulant4.circulant import SLOT_FIELD
+from circulant4.connection import Connection
 from circulant4.manifolds import MAX_CONFIG_BYTES
 
 P0 = (1.0, 0.1, 2.0, 0.2)
 
 
+def _reasons(m, points):
+    """The reason text of each of N points, None where valid, from one `domain_reasons` call."""
+    points = np.array(points, dtype=float)
+    values, _, _ = m.jets(points, 0)
+    codes, reasons = m.domain_reasons(points, values)
+    return [reasons[code] for code in codes]
+
+
 def test_example_triple_values():
-    t = example_manifold().triple_at(P0)
-    assert t.a == pytest.approx(5.05, abs=1e-12)
-    assert t.b == pytest.approx(0.9, abs=1e-12)
-    assert t.c == pytest.approx(4.04, abs=1e-12)
+    a, b, c = Connection.at(example_manifold(), P0).values[0].tolist()
+    assert a == pytest.approx(5.05, abs=1e-12)
+    assert b == pytest.approx(0.9, abs=1e-12)
+    assert c == pytest.approx(4.04, abs=1e-12)
 
 
 def test_example_validity_table():
     m = example_manifold()
-    assert m.domain_valid(P0).valid
-    assert m.domain_valid(P0).reason is None
-
     cases = [
+        (P0, None),
         ((1, 1, 1, 1), "excluded locus (x,x,x,x)"),
         ((2, 2, 2, 2), "excluded locus (x,x,x,x)"),
         ((-1, 1, -1, 1), "excluded locus (-x,x,-x,x)"),
         ((1, 2, 3, 4), "C > B violated"),
         ((1, -0.1, 2, -0.2), "B > 0 violated"),
     ]
-    for point, reason in cases:
-        status = m.domain_valid(point)
-        assert not status.valid
-        assert status.reason == reason
-
-    t = m.triple_at((1, 2, 3, 4))
-    assert (t.a, t.b, t.c) == (30.0, 24.0, 22.0)
-
-
-def test_domain_status_truthiness():
-    assert bool(DomainStatus(True))
-    assert not DomainStatus(False, "why")
-    m = example_manifold()
-    if m.domain_valid(P0):
-        pass
-    else:
-        pytest.fail("validity should support direct branching")
+    assert _reasons(m, [point for point, _ in cases]) == [reason for _, reason in cases]
+    values, _, _ = m.jets(np.array([(1.0, 2.0, 3.0, 4.0)]), 0)
+    assert values.tolist() == [[30.0, 24.0, 22.0]]
 
 
 def test_ordering_reason_sequence():
     # A > C is checked first, so a reversed constant triple reports it
     m = constant_manifold(1.0, 0.5, 2.0)
-    assert m.domain_valid((0, 0, 0, 0)).reason == "A > C violated"
+    assert _reasons(m, [(0, 0, 0, 0)]) == ["A > C violated"]
 
 
 def test_sign_line_locus():
     diag = SignLineLocus("(x,x,x,x)", (1, 1, 1, 1))
     alt = SignLineLocus("(-x,x,-x,x)", (-1, 1, -1, 1))
-    assert diag.contains((2, 2, 2, 2))
-    assert not diag.contains((2, 2, 2, 2.0001))
-    assert alt.contains((-3, 3, -3, 3))
-    assert not alt.contains((1, 2, 1, 2))
+    points = [(2, 2, 2, 2), (2, 2, 2, 2.0001), (-3, 3, -3, 3), (1, 2, 1, 2), (0, 0, 0, 0)]
+    assert diag.contains_points(points).tolist() == [True, False, False, False, True]
     # the origin lies on every sign line
-    assert diag.contains((0, 0, 0, 0)) and alt.contains((0, 0, 0, 0))
+    assert alt.contains_points(points).tolist() == [False, False, True, False, True]
 
 
 def test_metric_at_matches_triple():
-    m = example_manifold()
-    assert np.array_equal(m.metric_at(P0), metric_components(m.triple_at(P0)))
+    connection = Connection.at(example_manifold(), P0)
+    assert np.array_equal(connection.finite_row("metric"), connection.values[0][SLOT_FIELD])
 
 
 def test_constant_manifold():
     m = constant_manifold(3, 1, 2)
     assert m.name == "constant"
     assert m.excluded_loci == ()
-    t1 = m.triple_at((0, 0, 0, 0))
-    t2 = m.triple_at((5, -3, 2, 7))
-    assert (t1.a, t1.b, t1.c) == (t2.a, t2.b, t2.c) == (3.0, 1.0, 2.0)
-    assert m.domain_valid((9, 9, 9, 9)).valid
+    points = np.array([(0, 0, 0, 0), (5, -3, 2, 7), (9, 9, 9, 9)], dtype=float)
+    values, _, _ = m.jets(points, 0)
+    assert values.tolist() == [[3.0, 1.0, 2.0]] * 3
+    assert _reasons(m, points) == [None] * 3
 
 
 EXAMPLE_CONFIG = """\
@@ -109,10 +99,8 @@ def test_config_round_trip():
     assert m.name == "rewritten"
     base = example_manifold()
     rng = np.random.default_rng(5)
-    for _ in range(25):
-        p = rng.uniform(-3, 3, size=4)
-        t, s = m.triple_at(p), base.triple_at(p)
-        assert (t.a, t.b, t.c) == (s.a, s.b, s.c)
+    points = rng.uniform(-3, 3, size=(25, 4))
+    assert np.array_equal(m.jets(points, 0)[0], base.jets(points, 0)[0])
 
 
 def test_config_name_fallbacks():
@@ -149,11 +137,10 @@ def test_config_errors(text, fragment):
 )
 def test_triple_at_raises_the_reason_of_the_record(fields, point, reason):
     m = manifold_from_config("\n".join(f"{k} = {v}" for k, v in zip("ABC", fields)))
-    assert m.domain_valid(point).reason == reason
-    for view in (m.triple_at, m.metric_at):
-        with pytest.raises(ValueError) as err:
-            view(point)
-        assert str(err.value) == reason
+    assert _reasons(m, [point]) == [reason]
+    with pytest.raises(ValueError) as err:
+        Connection.at(m, point)
+    assert str(err.value) == reason
 
 
 def test_load_manifold_names_after_file(tmp_path):
@@ -161,8 +148,7 @@ def test_load_manifold_names_after_file(tmp_path):
     path.write_text("A = x1^2 + 2\nB = 1/2\nC = x1\n", encoding="utf-8")
     m = load_manifold(path)
     assert m.name == "disc"
-    t = m.triple_at((1, 0, 0, 0))
-    assert (t.a, t.b, t.c) == (3.0, 0.5, 1.0)
+    assert m.jets(np.array([(1.0, 0, 0, 0)]), 0)[0].tolist() == [[3.0, 0.5, 1.0]]
 
 
 def test_load_manifold_reads_in_bounded_pieces(tmp_path, monkeypatch):
@@ -248,8 +234,7 @@ def test_load_manifold_caches_no_error(tmp_path, broken, error):
         with pytest.raises(error):
             load_manifold(path)
     path.write_bytes(b"A = 6\nB = 1\nC = 3\n")
-    t = load_manifold(path).triple_at(P0)
-    assert (t.a, t.b, t.c) == (6.0, 1.0, 3.0)
+    assert load_manifold(path).jets(np.array([P0]), 0)[0].tolist() == [[6.0, 1.0, 3.0]]
 
 
 def test_load_manifold_evicts_the_oldest_config_past_the_bound(tmp_path, parse_calls):
@@ -274,9 +259,8 @@ def test_manifold_is_frozen_and_picklable():
         m.name = "other"
     clone = pickle.loads(pickle.dumps(m))
     assert clone.name == m.name
-    assert clone.domain_valid(P0).valid
-    t, s = clone.triple_at(P0), m.triple_at(P0)
-    assert (t.a, t.b, t.c) == (s.a, s.b, s.c)
+    assert _reasons(clone, [P0]) == [None]
+    assert np.array_equal(clone.jets(np.array([P0]), 0)[0], m.jets(np.array([P0]), 0)[0])
 
 
 def test_custom_loci():
@@ -287,5 +271,4 @@ def test_custom_loci():
         C=ScalarField.constant(2),
         excluded_loci=(SignLineLocus("(x,-x,x,-x)", (1, -1, 1, -1)),),
     )
-    assert m.domain_valid((1, -1, 1, -1)).reason == "excluded locus (x,-x,x,-x)"
-    assert m.domain_valid((1, 1, 1, 1)).valid
+    assert _reasons(m, [(1, -1, 1, -1), (1, 1, 1, 1)]) == ["excluded locus (x,-x,x,-x)", None]

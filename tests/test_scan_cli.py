@@ -15,23 +15,16 @@ from circulant4 import (
     ScalarField,
     SingularMetricError,
     __version__,
-    christoffel,
-    christoffel_partials,
-    curvature_q_commutation_residual,
+    Geometry,
     example_manifold,
-    full_system_residuals,
     gradient_condition_residuals,
     load_manifold,
-    max_curvature_q_invariance_residual,
-    metric_partials,
-    nabla_q,
     parallelism_verdict,
     parse_field,
-    riemann,
-    riemann_lowered,
 )
 from circulant4 import scan
 from circulant4.cli import main
+from circulant4.connection import Connection, _gradient_row
 from circulant4.fields import MAX_EXPONENT
 from circulant4.manifolds import MAX_CONFIG_BYTES
 from circulant4.scan import (
@@ -787,16 +780,16 @@ def test_non_finite_derivatives_stay_local_to_their_chunk():
     _strict_json(render_report(report))
 
 
-# each per-point function and the check whose record error it raises
-PER_POINT_VIEWS = (
-    (christoffel, "parallel"),
-    (nabla_q, "parallel"),
-    (parallelism_verdict, "parallel"),
-    (christoffel_partials, "curvature31"),
-    (riemann, "curvature31"),
-    (riemann_lowered, "curvature31"),
-    (max_curvature_q_invariance_residual, "curvature31"),
-    (curvature_q_commutation_residual, "curvature32"),
+# each stage read at one point, through the pass that reads it, and the
+# check whose record error that raises
+PER_POINT_STAGES = (
+    (Connection, "christoffel", "parallel"),
+    (Connection, "nabla_q", "parallel"),
+    (Geometry, "christoffel_partials", "curvature31"),
+    (Geometry, "riemann", "curvature31"),
+    (Geometry, "riemann_lowered", "curvature31"),
+    (Geometry, "q_invariance_gap", "curvature31"),
+    (Geometry, "q_commutation_gap", "curvature32"),
 )
 
 
@@ -807,13 +800,18 @@ def test_per_point_functions_raise_the_error_of_the_record(field, point, capfd):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         record = evaluate_point(manifold, p)
-        for function, check in PER_POINT_VIEWS:
+        reads = [
+            (check, lambda pass_=pass_, stage=stage: pass_.at(manifold, p).finite_row(stage))
+            for pass_, stage, check in PER_POINT_STAGES
+        ]
+        reads.append(("parallel", lambda: parallelism_verdict(manifold, p)))
+        for check, read in reads:
             error = record["checks"][check].get("error")
             if error is None:
-                function(manifold, p)
+                read()
                 continue
             with pytest.raises(ValueError) as raised:
-                function(manifold, p)
+                read()
             assert str(raised.value) == error
             assert isinstance(raised.value, SingularMetricError) == ("metric" in error)
     assert capfd.readouterr().err == ""
@@ -836,14 +834,17 @@ def test_gradient_views_raise_where_a_gradient_is_not_finite(field, point, error
     p = [float(x) for x in point.split(",")]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for function in (metric_partials, gradient_condition_residuals, full_system_residuals):
+        views = [lambda: list(gradient_condition_residuals(manifold, p).as_dict().values())]
+        views += [
+            lambda stage=stage: _gradient_row(manifold, p, stage)
+            for stage in ("metric_partials", "full_system")
+        ]
+        for read in views:
             if error is None:
-                result = function(manifold, p)
-                values = result if isinstance(result, np.ndarray) else list(result.as_dict().values())
-                assert np.isfinite(values).all()
+                assert np.isfinite(read()).all()
                 continue
             with pytest.raises(ValueError) as raised:
-                function(manifold, p)
+                read()
             assert str(raised.value) == error
 
 
