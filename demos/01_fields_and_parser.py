@@ -30,7 +30,7 @@ print(f.hessian(p))
 
 # the exact reference takes the same terms in Fractions; the float
 # gradient differs from it by rounding alone
-gap = np.max(np.abs(f.gradient(p) - exact_jets([f], [p])[1][0, 0].astype(float)))
+gap = np.max(np.abs(f.gradient(p) - exact_jets([f], [p])[1][0, :, 0].astype(float)))
 print(f"float vs exact gradient: {gap:.2e}")
 
 # the same field can come from text

@@ -39,15 +39,15 @@ print("g(3,1,2) =")
 print(g)
 
 # closed form against the generic LU-based routines: det g = (a - c) d
-a, b, c = at.values[0]
+a, b, c = at.values[:, 0]
 print(f"det: closed form {(a - c) * at.d[0]}, numpy {np.linalg.det(g):.15f}")
-gap = np.max(np.abs(at.inverse[0] - np.linalg.inv(g)))
+gap = np.max(np.abs(at.inverse[..., 0] - np.linalg.inv(g)))
 print(f"inverse gap vs numpy: {gap:.2e}")
 
 # positivity is an ordering condition on the triple, A > C > B > 0; it is
 # sufficient, not necessary: g(30,24,22) has eigenvalues 100, 8, 8 and 4
 print("minors of g(3,1,2):", leading_principal_minors(g))
-codes, reasons = m.domain_reasons(np.zeros((2, 4)), [(3, 1, 2), (30, 24, 22)])
+codes, reasons = m.domain_reasons(np.zeros((2, 4)), np.transpose([(3, 1, 2), (30, 24, 22)]))
 for name, code in zip(("(3,1,2)", "(30,24,22)"), codes):
     print(f"{name}: {reasons[code] or 'A > C > B > 0'}")
 

@@ -27,7 +27,7 @@ p = (1.0, 0.1, 2.0, 0.2)
 # the pass at p; finite_row reads one stage's row there
 at = Geometry.at(m, p)
 codes, _ = m.domain_reasons([p], at.values)
-print(f"\nat {p}: valid={codes[0] == 0} triple={tuple(at.values[0].tolist())}")
+print(f"\nat {p}: valid={codes[0] == 0} triple={tuple(at.values[:, 0].tolist())}")
 
 gamma = at.finite_row("christoffel")
 print("Gamma shape:", gamma.shape, " Gamma^1_11 =", gamma[0, 0, 0])

@@ -39,7 +39,7 @@ print(f"\ncurved manifold at {q}:")
 print(f"  max |nabla q| = {np.max(np.abs(at.finite_row('nabla_q'))):.2e}")
 r = at.finite_row("riemann")
 print(f"  max |R|       = {np.max(np.abs(r)):.3f}")
-exact = exact_geometry(curved, [q]).riemann[0].astype(float)
+exact = exact_geometry(curved, [q]).riemann[..., 0].astype(float)
 print(f"  float vs exact R: {np.max(np.abs(r - exact)):.2e}")
 
 # classical symmetries of the lowered tensor

@@ -2,9 +2,9 @@
 
 `exact_geometry` is the `Geometry` pass itself over Fractions, the exact
 reference for the float pass. The others recompute something by another
-method: positive definiteness by generic minors, lowering and raising an
-index, and the slot-transfer identity at given vectors, through
-`contract_lowered`.
+method: d Gamma, the route to R that the pass avoids, positive
+definiteness by generic minors, lowering and raising an index, and the
+slot-transfer identity at given vectors, through `contract_lowered`.
 """
 
 import math
@@ -18,7 +18,7 @@ from .manifolds import ManifoldSpec
 
 
 def exact_jets(fields, points) -> tuple:
-    """Values (N, F), gradients (N, F, 4) and Hessians (N, F, 4, 4) of fields at points.
+    """Values (F, N), gradients (F, 4, N) and Hessians (F, 4, 4, N) of fields at points.
 
     Object arrays of Fractions: each stored float coefficient and each
     coordinate is taken exactly, and the terms are differentiated exactly.
@@ -33,8 +33,9 @@ def exact_jets(fields, points) -> tuple:
         slots.append([terms, *firsts, *(partial(t, k) for t in firsts for k in range(4))])
     points = [[Fraction(x) for x in p] for p in points]
     block = np.array([[[sum((c * math.prod(map(pow, p, e)) for e, c in s.items()), Fraction(0))
-                        for s in field] for field in slots] for p in points], dtype=object)
-    return block[..., 0], block[..., 1:5], block[..., 5:].reshape(*block.shape[:2], 4, 4)
+                        for p in points] for s in field] for field in slots], dtype=object)
+    fields, _, n = block.shape
+    return block[:, 0], block[:, 1:5], block[:, 5:].reshape(fields, 4, 4, n)
 
 
 def exact_geometry(manifold: ManifoldSpec, points) -> Geometry:
@@ -46,6 +47,20 @@ def exact_geometry(manifold: ManifoldSpec, points) -> Geometry:
     np.isfinite takes no object array.
     """
     return Geometry(*exact_jets((manifold.A, manifold.B, manifold.C), points))
+
+
+def christoffel_partials(geometry: Geometry) -> np.ndarray:
+    """dgamma[m, s, i, j, n] = d_m Gamma^s_ij of a pass, fully analytic, (4, 4, 4, 4, N).
+
+    By the product rule, d_m Gamma^s_ij = g^{as} (dt[m, a, i, j] / 2
+    - d_m g_ab Gamma^b_ij) with dt[m, a, i, j] = d_m t[a, i, j], from the
+    pass's Hessians, so it runs on a pass over Fractions too.
+    """
+    hessians = geometry.hessians[SLOT_FIELD]  # [a, j, m, i] = d_m d_i g_aj
+    first = hessians.transpose(2, 0, 3, 1, 4)  # d_m d_i g_aj at [m, a, i, j]
+    dt = first + first.transpose(0, 1, 3, 2, 4) - hessians.transpose(2, 3, 0, 1, 4)
+    dg_gamma = np.einsum("mabn,bijn->maijn", geometry.metric_partials, geometry.christoffel)
+    return np.einsum("asn,maijn->msijn", geometry.inverse, dt / 2 - dg_gamma)
 
 
 def leading_principal_minors(matrix) -> np.ndarray:
@@ -67,7 +82,8 @@ def lower_index(triple, r13: np.ndarray) -> np.ndarray:
 
 def raise_index(triple, r4: np.ndarray) -> np.ndarray:
     """Inverse of lower_index, contracting with the inverse metric (NaN where it is degenerate)."""
-    return np.einsum("hl,hkji->lkji", inverse_metrics([triple])[0][0], r4)
+    ginv = inverse_metrics(np.asarray(triple)[:, None])[0][..., 0]
+    return np.einsum("hl,hkji->lkji", ginv, r4)
 
 
 def contract_lowered(r4: np.ndarray, x, y, z, u) -> float:

@@ -16,8 +16,6 @@ import math
 
 import numpy as np
 
-from .fields import _points_first
-
 __all__ = [
     "SingularMetricError",
     "AFFINOR",
@@ -100,16 +98,14 @@ def inverse_metrics(triples):
     """Closed-form inverses of N metric values, each circulant with first row
     (abar, bbar, cbar, bbar)/d.
 
-    triples is an (N, 3) array of (a, b, c). Returns (ginv (N, 4, 4), d (N,),
-    degenerate (N,)): a point is degenerate when |d|, with
-    d = (a - c)((a + c)^2 - 4 b^2), falls at or below the degeneracy
-    threshold or is not finite, and its ginv is NaN. The square in d and the
-    cube in the threshold are products, as the jets form powers; the
-    arithmetic is elementwise, so each row equals its N = 1 result bit for
-    bit.
-    The bars are divided into one (3, N) array; ginv is a view of a (4, 4,
-    N) array, the points last, as the geometry pass reads it:
-    `fields._points_last` gives it back without a copy.
+    triples is a (3, N) array of (a, b, c), the points last, as the jets give
+    the values. Returns (ginv (4, 4, N), d (N,), degenerate (N,)): a point is
+    degenerate when |d|, with d = (a - c)((a + c)^2 - 4 b^2), falls at or
+    below the degeneracy threshold or is not finite, and its ginv is NaN.
+    The square in d and the cube in the threshold are products, as the jets
+    form powers; the arithmetic is elementwise, so each point's inverse
+    equals its N = 1 result bit for bit. The bars are divided into one
+    (3, N) array, and ginv gathers them by `SLOT_FIELD`.
 
     An object array of `fractions.Fraction` triples takes the same
     operations and stays exact but for the thresholds (an exact d = 0 raises
@@ -118,7 +114,7 @@ def inverse_metrics(triples):
     triples = np.asarray(triples)
     if triples.dtype != object:
         triples = triples.astype(float, copy=False)
-    a, b, c = triples.T
+    a, b, c = triples
     bars = np.empty((3, len(a)), triples.dtype)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         s, bb = a + c, 2 * b * b
@@ -130,4 +126,4 @@ def inverse_metrics(triples):
         np.divide(b * (c - a), d, out=bars[1])
         np.divide(bb - c * s, d, out=bars[2])
     bars[:, degenerate] = np.nan
-    return _points_first(bars[SLOT_FIELD]), d, degenerate
+    return bars[SLOT_FIELD], d, degenerate

@@ -23,14 +23,14 @@ degenerate metric or an excluded locus does not stop it; a field value or
 gradient that is not finite does. `check_tolerance` is the one rule for a
 usable tolerance.
 
-The pass keeps the points on the last axis, contiguous, from the jets to
-the per-point maxima: each stage is an array (..., N) and its public
-attribute the (N, ...) view. numpy's loops are fast when their inner loop
-is long and contiguous, and here it runs over the N points instead of a
-tensor axis of length 4. The layout changes no bit: elementwise stages do
-the same operations, each einsum has the subscripts of its formula with
-n last and is never optimized, so it forms the same products and sums each
-entry over the same indices in the same order, and the maxima are exact.
+Every array of the pass keeps the points on the last axis, from the jets
+to the per-point maxima: a stage is (..., N), and its row at point n is
+stage[..., n]. numpy's loops are fast when their inner loop is long and
+contiguous, and here it runs over the N points instead of a tensor axis of
+length 4. The layout changes no bit: elementwise stages do the same
+operations, each einsum has the subscripts of its formula with n last and
+is never optimized, so it forms the same products and sums each entry over
+the same indices in the same order, and the maxima are exact.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .circulant import (
     degeneracy_error,
     inverse_metrics,
 )
-from .fields import _points_first, _points_last, as_point
+from .fields import as_point
 from .manifolds import _NOT_FINITE_TEXTS, ManifoldSpec
 
 __all__ = [
@@ -144,7 +144,7 @@ def _relation_table(labels) -> tuple[np.ndarray, np.ndarray]:
     """(coefficients, columns), each (terms, relations), from the labels.
 
     Row t holds the t-th term of every relation, in label order. A column
-    indexes the gradients flattened to (N, 12), A1..A4, B1..B4, C1..C4;
+    entry is a row of the gradients flattened to (12, N), A1..A4, B1..B4, C1..C4;
     relations with fewer terms are padded with 1 times column 12, a zero.
     """
     width = max((len(label.split()) + 1) // 2 for label in labels)
@@ -187,29 +187,16 @@ def _relation_residuals(table, gradients) -> np.ndarray:
     return np.abs((coefficients[:, :, None] * flat[columns]).sum(axis=0))
 
 
-def _stage_view(stage: str, doc: str) -> property:
-    """The (N, ...) view of a stage that the pass keeps with the points last."""
-    return property(lambda self: _points_first(getattr(self, stage)), doc=doc)
-
-
 class Connection:
     """The connection of a manifold at N points, from the jets of A, B, C there.
 
-    Built from values (N, 3), gradients (N, 3, 4) and, for curvature,
-    Hessians (N, 3, 4, 4), as `ManifoldSpec.jets` returns them. Every
-    stage, the inverse metric too, is computed once for all N points, on
-    first use, so the stages that read only the gradients never invert g.
-    Points where the metric is numerically degenerate are flagged in
-    `degenerate`; their rows of every derived array are NaN.
+    Built from values (3, N), gradients (3, 4, N) and, for curvature,
+    Hessians (3, 4, 4, N), as `ManifoldSpec.jets` returns them, and kept as
+    given. Every stage, the inverse metric too, is computed once for all N
+    points, on first use, so the stages that read only the gradients never
+    invert g. Points where the metric is numerically degenerate are flagged
+    in `degenerate`; their entries of every derived array are NaN.
     `failures` says which points have no result, and why, as text.
-
-    The pass keeps the points on the last axis, as the module docstring
-    says. Each stage is an array (..., N), named after its public attribute
-    with a leading underscore, and the public attribute is its (N, ...)
-    view. The jets of `ManifoldSpec.jets` and the inverse of
-    `inverse_metrics` are already views of points-last arrays, so reading
-    them that way copies nothing. The tests pin every stage, bit for bit,
-    against a points-first pass.
     """
 
     jet_order = 1
@@ -220,10 +207,6 @@ class Connection:
         self.values = values
         self.gradients = gradients
         self.hessians = hessians
-        # the jets with the points last; views of the block `jets` evaluates
-        self._values = _points_last(values)
-        self._gradients = _points_last(gradients)
-        self._hessians = None if hessians is None else _points_last(hessians)
 
     @classmethod
     def at(cls, manifold: ManifoldSpec, p):
@@ -241,7 +224,7 @@ class Connection:
                     f"{locus.label}"
                 )
         result = cls(*manifold.jets(p[None], cls.jet_order))
-        (code,), texts = result._failures(cls.jet_order)
+        (code,), texts = result._failure_codes(cls.jet_order)
         if code:
             singular = code >= len(_NOT_FINITE_TEXTS)  # a degeneracy text
             raise (SingularMetricError if singular else ValueError)(texts[code])
@@ -253,18 +236,18 @@ class Connection:
         The first that applies: a field value is not finite, the metric is
         degenerate, a field's gradient (order >= 1), then its Hessian
         (order 2), is not all finite. `at` raises, and a scan records, the
-        same texts, by the codes of `_failures`.
+        same texts, by the codes of `_failure_codes`.
         """
-        codes, texts = self._failures(order)
+        codes, texts = self._failure_codes(order)
         return list(map(texts.__getitem__, codes.tolist()))
 
-    def _failures(self, order: int) -> tuple:
+    def _failure_codes(self, order: int) -> tuple:
         """`failures` as (N,) codes into `_NOT_FINITE_TEXTS` plus each degenerate point's text."""
         codes = np.where(self._non_finite <= 3 + 3 * order, self._non_finite, 0)
         # a field value that is not finite makes d so too, and the point degenerate
         degenerate = np.flatnonzero(self.degenerate & ((codes == 0) | (codes > 3)))
         codes[degenerate] = len(_NOT_FINITE_TEXTS) + np.arange(len(degenerate))
-        rows = zip(self.values[degenerate].tolist(), self.d[degenerate].tolist())
+        rows = zip(self.values[:, degenerate].T.tolist(), self.d[degenerate].tolist())
         return codes, _NOT_FINITE_TEXTS + tuple(str(degeneracy_error(*t, d)) for t, d in rows)
 
     @cached_property
@@ -273,20 +256,21 @@ class Connection:
 
         Each jet is tested by one np.isfinite, once per pass.
         """
-        jets = [jet for jet in (self._values, self._gradients, self._hessians) if jet is not None]
+        jets = [jet for jet in (self.values, self.gradients, self.hessians) if jet is not None]
         # a leading row of True, so the first False row is 0 where every jet is finite
-        finite = [np.ones((1, self._values.shape[-1]), dtype=bool)]
+        finite = [np.ones((1, self.values.shape[-1]), dtype=bool)]
         finite += [np.isfinite(j).all(axis=tuple(range(1, j.ndim - 1))) for j in jets]
         return np.concatenate(finite).argmin(axis=0)
 
     def finite_row(self, stage: str) -> np.ndarray:
-        """The first point's row of a stage, as `at` gives the pass at one point.
+        """stage[..., 0], the first point's row of a stage, as `at` gives the pass at one point.
 
         It is computed without numpy warnings, and ValueError(not_finite),
         the text a report record gives, is raised where it is not all finite.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            row = getattr(self, stage)[0]
+            # [()] gives the scalar, not a 0-d array, for a stage (N,)
+            row = getattr(self, stage)[..., 0][()]
         if not np.isfinite(row).all():
             raise ValueError(self.not_finite)
         return row
@@ -295,13 +279,9 @@ class Connection:
     def _inverse_metrics(self) -> tuple:
         return inverse_metrics(self.values)
 
-    @cached_property
-    def _inverse(self) -> np.ndarray:
-        return _points_last(self._inverse_metrics[0])
-
     @property
     def inverse(self) -> np.ndarray:
-        """g^{ab} per point, (N, 4, 4); NaN where the metric is degenerate."""
+        """g^{ab} per point, (4, 4, N); NaN where the metric is degenerate."""
         return self._inverse_metrics[0]
 
     @property
@@ -315,70 +295,54 @@ class Connection:
         return self._inverse_metrics[2]
 
     @cached_property
-    def _metric(self) -> np.ndarray:
-        return self._values[SLOT_FIELD]
-
-    metric = _stage_view("_metric", "g[n, a, j], (N, 4, 4).")
+    def metric(self) -> np.ndarray:
+        """g[a, j, n], (4, 4, N)."""
+        return self.values[SLOT_FIELD]
 
     @cached_property
-    def _metric_partials(self) -> np.ndarray:
+    def metric_partials(self) -> np.ndarray:
+        """dg[i, a, j, n] = d_i g_aj, (4, 4, 4, N)."""
         # gradients[f, i, n] placed at [a, j, i, n], read as [i, a, j, n]
-        return self._gradients[SLOT_FIELD].transpose(2, 0, 1, 3)
-
-    metric_partials = _stage_view("_metric_partials", "dg[n, i, a, j] = d_i g_aj, (N, 4, 4, 4).")
+        return self.gradients[SLOT_FIELD].transpose(2, 0, 1, 3)
 
     @cached_property
-    def _first_kind(self) -> np.ndarray:
-        dg = self._metric_partials
+    def first_kind(self) -> np.ndarray:
+        """t[a, i, j, n] = d_i g_aj + d_j g_ai - d_a g_ij, twice the symbols of the first kind."""
+        dg = self.metric_partials
         # dg[i, a, j] + dg[j, a, i] - dg[a, i, j] at [a, i, j]
         return dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg
 
-    first_kind = _stage_view(
-        "_first_kind",
-        "t[n, a, i, j] = d_i g_aj + d_j g_ai - d_a g_ij, twice the symbols of the first kind.",
-    )
+    @cached_property
+    def christoffel(self) -> np.ndarray:
+        """Gamma[s, i, j, n] = g^{as} t[a, i, j, n] / 2, (4, 4, 4, N)."""
+        return np.einsum("asn,aijn->sijn", self.inverse, self.first_kind) / 2
 
     @cached_property
-    def _christoffel(self) -> np.ndarray:
-        return np.einsum("asn,aijn->sijn", self._inverse, self._first_kind) / 2
-
-    christoffel = _stage_view("_christoffel", "Gamma[n, s, i, j] = g^{as} t[n, a, i, j] / 2.")
-
-    @cached_property
-    def _nabla_q(self) -> np.ndarray:
+    def nabla_q(self) -> np.ndarray:
+        """nq[i, s, j, n] = Gamma^s_ik q^k_j - Gamma^k_ij q^s_k, (4, 4, 4, N)."""
         # q is a permutation, so both products only pick entries of Gamma
-        gamma = self._christoffel
+        gamma = self.christoffel
         return (gamma[:, :, AFFINOR_NEXT] - gamma[AFFINOR_PREVIOUS]).transpose(1, 0, 2, 3)
-
-    nabla_q = _stage_view(
-        "_nabla_q", "nq[n, i, s, j] = Gamma^s_ik q^k_j - Gamma^k_ij q^s_k, (N, 4, 4, 4)."
-    )
 
     @cached_property
     def nabla_q_max(self) -> np.ndarray:
         """max |nabla q| per point, (N,)."""
-        return np.abs(self._nabla_q).max(axis=(0, 1, 2))
+        return np.abs(self.nabla_q).max(axis=(0, 1, 2))
 
     @cached_property
-    def _gradient_conditions(self) -> np.ndarray:
-        return _relation_residuals(REDUCED_TERMS, self._gradients)
-
-    gradient_conditions = _stage_view(
-        "_gradient_conditions", "The eight reduced residuals, in `REDUCED_LABELS` order, (N, 8)."
-    )
+    def gradient_conditions(self) -> np.ndarray:
+        """The eight reduced residuals, in `REDUCED_LABELS` order, (8, N)."""
+        return _relation_residuals(REDUCED_TERMS, self.gradients)
 
     @cached_property
     def gradient_condition_max(self) -> np.ndarray:
         """The largest of the eight reduced residuals per point, (N,)."""
-        return self._gradient_conditions.max(axis=0)
+        return self.gradient_conditions.max(axis=0)
 
     @cached_property
-    def _full_system(self) -> np.ndarray:
-        return _relation_residuals(FULL_TERMS, self._gradients)
-
-    full_system = _stage_view(
-        "_full_system", "The sixteen expanded residuals, in `FULL_LABELS` order, (N, 16)."
-    )
+    def full_system(self) -> np.ndarray:
+        """The sixteen expanded residuals, in `FULL_LABELS` order, (16, N)."""
+        return _relation_residuals(FULL_TERMS, self.gradients)
 
 
 def _gradient_row(m: ManifoldSpec, p, stage: str) -> np.ndarray:

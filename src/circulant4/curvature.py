@@ -19,17 +19,14 @@ d_j g_hs - t[h, j, s] / 2 = t[s, j, h] / 2, that gives
     G[h, k, j, i] = d_j d_k g_hi - d_j d_h g_ik - t[s, j, h] Gamma^s_ik
 
 and R is g^{lh} r4[h, k, j, i]. So a pass needs no derivative of Gamma or
-of g^{-1}, and runs two rank-5 einsums. Formed through d Gamma, R summed
-terms of the size of |Gamma|^2 and |d g^{-1}| |t| that cancel: on
-`example`, which is flat, the largest |r4| over the 1 223 valid points of
-a seeded sample of [0.5, 2]^4 was 5.8e-8 that way and is 2.6e-12 this way.
+of g^{-1}, and runs two rank-5 einsums. Through d Gamma, R would sum terms
+of the size of |Gamma|^2 and |d g^{-1}| |t| that cancel: on `example`,
+which is flat, this route keeps the largest |r4| over the 1 223 valid
+points of a seeded sample of [0.5, 2]^4 at 2.6e-12.
 
-d Gamma stays a stage, `christoffel_partials`, by the same product rule,
-d_m Gamma^s_ij = g^{as} (dt[m, a, i, j] / 2 - d_m g_ab Gamma^b_ij) with
-dt[m, a, i, j] = d_m t[a, i, j]; the checks never form it.
-The tests compare every stage with the same pass in Fractions, kept in the
-private `circulant4._oracles`, and d Gamma and R with exact central
-differences of the exact Gamma.
+The tests compare every stage with the same pass in Fractions, and R with
+the route through d Gamma and with exact central differences of the exact
+Gamma, all kept in the private `circulant4._oracles`.
 
 On manifolds where q is parallel the curvature satisfies two structure
 identities: the (0,4) tensor absorbs q from the last slot into the third as
@@ -37,19 +34,17 @@ q^3, R(x, y, z, q u) = R(x, y, q^3 z, u), equivalently R(x, y, q z, q u)
 = R(x, y, z, u), and each endomorphism R(x, y) commutes with q. The gaps
 by which they fail are zero up to roundoff when they hold.
 
-`Geometry` extends the batched `Connection` pass with d Gamma, R, the
-lowered R and both gaps, each computed once for N points. The scan checks
+`Geometry` extends the batched `Connection` pass with R, the lowered R and
+both gaps, each computed once for N points. The scan checks
 read the gaps from it, and `Geometry.at(m, p).finite_row(stage)` reads any
 stage at one point; like the report records, it raises
 ValueError(CURVATURE_NOT_FINITE) where the row overflows.
 
 Like `Connection`, `Geometry` keeps the points on the last axis (see the
-`connection` module): d Gamma and R are (4, 4, 4, 4, N), their einsums
-are those of the formulas above with n last, never optimized, and each
-gap, and the scale its check compares it with (1 + the largest entry of
-|R| or of the lowered |R|), is a maximum over the leading axes, (N,). The
-stage attributes are the (N, ...) views, bit for bit what a points-first
-pass computes.
+`connection` module): R and the lowered R are (4, 4, 4, 4, N), their
+einsums are those of the formulas above with n last, never optimized, and
+each gap, and the scale its check compares it with (1 + the largest entry
+of |R| or of the lowered |R|), is a maximum over the leading axes, (N,).
 
 Each rank-5 stage takes 4^4 N floats, 512 KiB at 256 points. A pass
 holds the lowered R, R and the gaps' scratch in one block, (3, 4, 4, 4,
@@ -60,9 +55,9 @@ first second-derivative term of G / 2 in slot 1 and the second in slot
 0, which slot 1 then subtracts, and the einsum term, from t / 2, goes
 through slot 0 in the same way. G / 2 minus its (j, i) transpose, into
 slot 0, is the lowered R. Halving the inputs, a third of a slot's
-entries, in place of the lowered R gives the same bits wherever nothing
-overflows or underflows, and at 157 points took 14 us in place of 31.
-R is an einsum from slot 0 into slot 1.
+entries, in place of the lowered R divides fewer entries and gives the
+same bits wherever nothing overflows or underflows. R is an einsum from
+slot 0 into slot 1.
 
 As q is the cyclic shift, each gap is four block subtractions of slices
 of R into slot 2, with no shifted copy of R, and its scale takes |R| in
@@ -78,11 +73,11 @@ the allocator keep the memory between passes: glibc serves the first
 such block by mmap, and freeing it raises the mmap threshold to its size
 and the trim threshold to twice that, above what a pass holds, so later
 passes reuse heap pages instead of mapping and faulting in fresh ones.
-At 256 points that took the all-check scan of a 4^4 grid from about 550
-minor page faults per call, of 1.5-3.6 us each, to none. With the gaps'
-scratch a buffer of its own, a block of two slots set the trim threshold
-below the pass's peak, and the scan faulted in about 290 pages a call
-(glibc 2.36, 2-vCPU Xeon).
+At 256 points the all-check scan of a 4^4 grid faults in no page per
+call, where a buffer per stage costs about 550 minor page faults, of
+1.5-3.6 us each (glibc 2.36, 2-vCPU Xeon). The gaps' scratch is a slot of
+the block too: a block of two slots sets the trim threshold below the
+pass's peak.
 """
 
 from __future__ import annotations
@@ -92,7 +87,7 @@ from functools import cached_property
 import numpy as np
 
 from .circulant import SLOT_FIELD
-from .connection import Connection, _stage_view
+from .connection import Connection
 
 __all__ = ["CURVATURE_NOT_FINITE", "Geometry"]
 
@@ -121,7 +116,7 @@ _G_FIRST, _G_SECOND = _hessian_tables()
 class Geometry(Connection):
     """The connection pass of `Connection` plus curvature, for N points.
 
-    Adds d Gamma, R, the lowered R, the two curvature gaps and the scales
+    Adds R, the lowered R, the two curvature gaps and the scales
     they are compared against, each computed once, on first use, with the
     points last as in `Connection`; both curvature checks read the same R.
     Needs the Hessians.
@@ -131,50 +126,34 @@ class Geometry(Connection):
     not_finite = CURVATURE_NOT_FINITE
 
     @cached_property
-    def _christoffel_partials(self) -> np.ndarray:
-        hessians = self._hessians[SLOT_FIELD]  # [a, j, m, i] = d_m d_i g_aj
-        first = hessians.transpose(2, 0, 3, 1, 4)  # d_m d_i g_aj at [m, a, i, j]
-        dt = first + first.transpose(0, 1, 3, 2, 4) - hessians.transpose(2, 3, 0, 1, 4)
-        dg_gamma = np.einsum("mabn,bijn->maijn", self._metric_partials, self._christoffel)
-        return np.einsum("asn,maijn->msijn", self._inverse, dt / 2 - dg_gamma)
-
-    christoffel_partials = _stage_view(
-        "_christoffel_partials", "dgamma[n, m, s, i, j] = d_m Gamma^s_ij, fully analytic."
-    )
-
-    @cached_property
     def _curvature_block(self) -> np.ndarray:
         """The lowered R, R and the gaps' scratch, in this order, (3, 4, 4, 4, 4, N)."""
-        dtype = np.result_type(self._christoffel, self._hessians)
-        return np.empty((3, 4, 4, 4, 4, self._values.shape[-1]), dtype)
+        dtype = np.result_type(self.christoffel, self.hessians)
+        return np.empty((3, 4, 4, 4, 4, self.values.shape[-1]), dtype)
 
     @cached_property
-    def _riemann_lowered(self) -> np.ndarray:
+    def riemann_lowered(self) -> np.ndarray:
+        """r4[h, k, j, i, n], the (0,4) curvature."""
         out, half_g, scratch = self._curvature_block  # G / 2 in R's slot
         # the halves of the Hessians and of t, in the gaps' slot
-        half_hessians = np.divide(self._hessians, 2, out=scratch[0, :3]).reshape(3 * 16, -1)
-        half_t = np.divide(self._first_kind, 2, out=scratch[1])
+        half_hessians = np.divide(self.hessians, 2, out=scratch[0, :3]).reshape(3 * 16, -1)
+        half_t = np.divide(self.first_kind, 2, out=scratch[1])
         # mode="clip" writes straight into out=, which the default mode buffers
         np.take(half_hessians, _G_FIRST, axis=0, out=half_g, mode="clip")
         half_g -= np.take(half_hessians, _G_SECOND, axis=0, out=out, mode="clip")
-        half_g -= np.einsum("sjhn,sikn->hkjin", half_t, self._christoffel, out=out)
+        half_g -= np.einsum("sjhn,sikn->hkjin", half_t, self.christoffel, out=out)
         return np.subtract(half_g, half_g.transpose(0, 1, 3, 2, 4), out=out)
 
-    riemann_lowered = _stage_view("_riemann_lowered", "r4[n, h, k, j, i], the (0,4) curvature.")
-
     @cached_property
-    def _riemann(self) -> np.ndarray:
-        r4 = self._riemann_lowered
-        return np.einsum("lhn,hkjin->lkjin", self._inverse, r4, out=self._curvature_block[1])
-
-    riemann = _stage_view(
-        "_riemann", "r[n, l, k, j, i] = g^{lh} r4[n, h, k, j, i], the (1,3) curvature."
-    )
+    def riemann(self) -> np.ndarray:
+        """r[l, k, j, i, n] = g^{lh} r4[h, k, j, i, n], the (1,3) curvature."""
+        r4 = self.riemann_lowered
+        return np.einsum("lhn,hkjin->lkjin", self.inverse, r4, out=self._curvature_block[1])
 
     @cached_property
     def _q_invariance(self) -> tuple:
         scratch = self._curvature_block[2]
-        return _gap_and_scale(self._riemann_lowered, _Q_INVARIANCE_BLOCKS, scratch)
+        return _gap_and_scale(self.riemann_lowered, _Q_INVARIANCE_BLOCKS, scratch)
 
     q_invariance_gap = property(
         lambda self: self._q_invariance[0],
@@ -188,7 +167,7 @@ class Geometry(Connection):
     @cached_property
     def _q_commutation(self) -> tuple:
         scratch = self._curvature_block[2]
-        return _gap_and_scale(self._riemann, _Q_COMMUTATION_BLOCKS, scratch)
+        return _gap_and_scale(self.riemann, _Q_COMMUTATION_BLOCKS, scratch)
 
     q_commutation_gap = property(
         lambda self: self._q_commutation[0],

@@ -480,39 +480,27 @@ def _power_table(column: np.ndarray, top: int) -> np.ndarray:
     return table
 
 
-def _points_first(x: np.ndarray) -> np.ndarray:
-    """The view (N, ...) of a points-last array (..., N): the point axis moved first."""
-    return x.transpose(x.ndim - 1, *range(x.ndim - 1))
-
-
-def _points_last(x: np.ndarray) -> np.ndarray:
-    """The view (..., N) of an (N, ...) array: the point axis moved last."""
-    return x.transpose(*range(1, x.ndim), 0)
-
-
 def jets(compiled: CompiledField, points, order: int = 2):
     """Values, gradients and Hessians of the compiled fields at N points at once.
 
-    Returns (values (N, F), gradients (N, F, 4), hessians (N, F, 4, 4)) for
-    the F fields of `compiled`; with order 0 or 1 the higher derivatives are
-    skipped and returned as None. Entry for entry, the results equal
-    `__call__`, `gradient` and `hessian` of each field at each point.
+    Returns (values (F, N), gradients (F, 4, N), hessians (F, 4, 4, N)) for
+    the F fields of `compiled`, the points last; with order 0 or 1 the
+    higher derivatives are skipped and returned as None. Entry for entry,
+    the results equal `__call__`, `gradient` and `hessian` of each field at
+    each point.
 
     The fields are evaluated together, on one schedule, into one block
-    (F, slots, N) with the points last, contiguous (`CompiledField.evaluate`);
-    the values and gradients are views of it with the point axis moved
-    first (`_jet_views`), so `_points_last` gives the points-last layout
-    back without a copy.
+    (F, slots, N) (`CompiledField.evaluate`); the values and gradients are
+    views of it (`_jet_views`).
     """
     return _jet_views(compiled.evaluate(points, order), order)
 
 
 def _jet_views(block: np.ndarray, order: int):
     """The results of `jets` from its block; the Hessians are gathered into a new array."""
-    values = block[:, 0].T
-    gradients = _points_first(block[:, 1 : 1 + _NVARS]) if order >= 1 else None
-    hessians = _points_first(block[:, _HESSIAN_SLOTS]) if order == 2 else None
-    return values, gradients, hessians
+    gradients = block[:, 1 : 1 + _NVARS] if order >= 1 else None
+    hessians = block[:, _HESSIAN_SLOTS] if order == 2 else None
+    return block[:, 0], gradients, hessians
 
 
 # expression parsing

@@ -88,9 +88,10 @@ class ManifoldSpec:
         return CompiledField((self.A, self.B, self.C))
 
     def jets(self, points, order: int = 2):
-        """Values (N, 3), gradients (N, 3, 4) and Hessians (N, 3, 4, 4) of A, B, C.
+        """Values (3, N), gradients (3, 4, N) and Hessians (3, 4, 4, N) of A, B, C.
 
-        They are evaluated from `compiled`, on one schedule. Derivatives
+        points is (N, 4). The jets are evaluated from `compiled`, on one
+        schedule, with the points last (`fields.jets`). Derivatives
         above `order` are skipped and returned as None.
         """
         return jets(self.compiled, points, order)
@@ -98,14 +99,14 @@ class ManifoldSpec:
     def domain_reasons(self, points, triples) -> tuple:
         """Why each point is invalid, as (codes, reasons).
 
-        points is (N, 4) and triples the field values there, (N, 3).
+        points is (N, 4) and triples the field values there, (3, N).
         codes is an (N,) intp array that indexes the tuple reasons, whose
         entry 0 is None, the code of a valid point. The tests run in a
         fixed sequence (excluded loci, a non-finite component, then A > C,
         C > B, B > 0), and a point's code is the first one that fails.
         """
         points = np.asarray(points, dtype=float)
-        a, b, c = np.asarray(triples, dtype=float).T
+        a, b, c = np.asarray(triples, dtype=float)
         with np.errstate(invalid="ignore"):
             tests = [
                 *((locus.contains_points(points), f"excluded locus {locus.label}")

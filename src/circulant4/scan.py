@@ -106,27 +106,20 @@ _VERSION = __version__
 # alternating, 200 rounds, three runs) took 0.85, 0.74-0.78 and 0.82-0.85
 # of the time at 1024 in chunks of 2048, 4096 and 8192 (one chunk), and of
 # the 15^4 grid 0.75, 0.65 and 0.65; the tracemalloc peak of the 9^4 scan
-# is 1.40, 1.39, 1.56 and 2.21 MB at 1024 to 8192. 1024 was best only
-# while every chunk sorted the bits of its coordinates.
+# is 1.40, 1.39, 1.56 and 2.21 MB at 1024 to 8192.
 #
 # A pass with derivatives gains less from larger chunks, and its curvature
-# stages grow with them: d Gamma, R and the lowered R take 4^4 floats per
-# point each, 512 KiB at 256. All checks on the 8^4 grid of the cubic
-# manifold took 143, 132 and 134 ms in chunks of 64, 128 and 256 (medians
-# of 60, alternating in one process; paired, 0.91 and 0.92 of the time at
-# 64); the tracemalloc peak
-# of one chunk is 0.31, 0.55 and 1.23 MB, and the peak RSS of the 4^4
-# all-check scan process (perfbench scan-cubic, 10 s) 38.8, 39.0 and 39.9
-# MB. 256 has half the per-chunk steps of 128 (jets, domain, writers) at
-# the same pass time. With the stages formed out of place, chunks of 256
-# peaked at 1.69 MB and 41.0 MB (2-vCPU Xeon, Python 3.11, numpy 2.4).
-# With a buffer per stage and term, glibc gave the ~2 MB of a 256-point
-# pass back to the OS after every scan, and the next scan faulted it in
-# again: about 550 minor page faults per 4^4 all-check call, at 1.5-3.6
-# us each. With the three stages in one block per pass (see `curvature`)
-# the faults went to none, and the tracemalloc peak stayed at 2.00 MB
-# (glibc 2.36, same host). A pass now forms no d Gamma: its block holds the
-# lowered R, R and the gaps' scratch, and the peak is 1.75 MB.
+# stages grow with them: R and the lowered R take 4^4 floats per point
+# each, 512 KiB at 256. All checks on the 8^4 grid of the cubic manifold
+# took 143, 132 and 134 ms in chunks of 64, 128 and 256 (medians of 60,
+# alternating in one process; paired, 0.91 and 0.92 of the time at 64),
+# and the peak RSS of the 4^4 all-check scan process (perfbench
+# scan-cubic, 10 s) was 38.8, 39.0 and 39.9 MB. 256 has half the
+# per-chunk steps of 128 (jets, domain, writers) at the same pass time.
+# The pass holds its curvature stages in one block (see `curvature`), so
+# repeated scans reuse its pages instead of faulting them in again; the
+# tracemalloc peak of a 256-point chunk is 1.75 MB (2-vCPU Xeon, Python
+# 3.11, numpy 2.4, glibc 2.36).
 CHUNK_SIZE = 256
 VALIDITY_CHUNK_SIZE = 4096
 
@@ -246,7 +239,7 @@ def _jet_order(checks) -> int:
 # The outcome of a geometry check at a point is a code: skipped (at an
 # invalid point), passed, failed, or an error, which indexes the chunk's
 # error texts: _ERROR_TEXTS, with the checks' overflow errors, and past
-# them the table of `Connection._failures`.
+# them the table of `Connection._failure_codes`.
 _SKIPPED, _PASSED, _FAILED = range(3)
 _ERROR_TEXTS = (None, None, None, Connection.not_finite, Geometry.not_finite)
 
@@ -263,7 +256,7 @@ def _outcomes(names, block: np.ndarray, order: int, tolerance: float) -> tuple:
     finite = np.isfinite(numbers)
     if finite.all() and not np.count_nonzero(geometry._non_finite | geometry.degenerate):
         return codes, numbers, _ERROR_TEXTS
-    failures = {o: geometry._failures(o) for o in {check.stage.jet_order for check in checks}}
+    failures = {o: geometry._failure_codes(o) for o in {check.stage.jet_order for check in checks}}
     for check, row, finite_row in zip(checks, codes, finite.all(axis=1)):
         row[~finite_row] = _ERROR_TEXTS.index(check.stage.not_finite)
         failed, texts = failures[check.stage.jet_order]
@@ -302,7 +295,7 @@ class _Columns(NamedTuple):
 
     axes: _Axes  # the grid's axes
     index: np.ndarray | tuple  # the points' index on each axis, as `_Axes` takes it
-    values: np.ndarray  # (N, 3) the triples, reported as null where not finite
+    values: np.ndarray  # (3, N) the triples, reported as null where not finite
     codes: np.ndarray  # (N,) intp, why a point is invalid, an index into reasons
     reasons: tuple  # the reason texts of `domain_reasons`, None (valid) first
     checks: tuple  # the checks run, in CHECKS order
@@ -320,7 +313,7 @@ def _evaluate_chunk(
     order = _jet_order(checks)
     block = manifold.compiled.evaluate(points, order)
     # the report keeps a copy of the values, not the block of every jet slot
-    values = np.ascontiguousarray(block[:, 0].T)
+    values = block[:, 0].copy()
     codes, reasons = manifold.domain_reasons(points, values)
     geometric = tuple(name for name in checks if name != "validity")
     rows = np.flatnonzero(codes == 0) if geometric else ()
@@ -358,7 +351,7 @@ def _records(columns: _Columns) -> list[dict]:
         ])
     triples = [
         {k: x if math.isfinite(x) else None for k, x in zip("ABC", triple)}
-        for triple in columns.values.tolist()
+        for triple in columns.values.T.tolist()
     ]
     return [
         {
@@ -555,10 +548,10 @@ def _float_cells(columns: _Columns, missing: str) -> list[list[str]]:
     by the chunk's index. A triple component that is not finite is missing.
     """
     cells = [texts[i].tolist() for texts, i in zip(columns.axes.texts, columns.index)]
-    cells += _float_texts(columns.values.T)
+    cells += _float_texts(columns.values)
     finite = np.isfinite(columns.values)
     if not finite.all():
-        for n, k in zip(*np.nonzero(~finite)):
+        for k, n in zip(*np.nonzero(~finite)):
             cells[4 + k][n] = missing
     return cells
 

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from circulant4 import manifolds
@@ -14,6 +16,17 @@ else:
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
     )
     settings.load_profile("circulant4")
+    # hypothesis's pytest plugin imports this module when an @given test
+    # fails; it pulls in libcst, whose import raises a third-party
+    # DeprecationWarning that the suite's filter would turn into an internal
+    # error of the report hook, ending the session there. Imported once here,
+    # with that warning ignored for this import alone.
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture(scope="session")

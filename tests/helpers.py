@@ -74,17 +74,17 @@ def random_polynomial(rng, degree=2, terms=3, scale=1.0):
 def exact_central_difference(evaluate, point, h=Fraction(1, 2**30)):
     """(evaluate(p + h e_m) - evaluate(p - h e_m)) / 2h for m = 1..4, stacked first, in Fractions.
 
-    evaluate maps a list of Fraction points to an (N, ...) array. Exact but
-    for the O(h^2) of the difference itself, and independent of any formula
-    for the derivative.
+    evaluate maps a list of Fraction points to an array (..., N), the
+    points last, as the pass keeps them. Exact but for the O(h^2) of the
+    difference itself, and independent of any formula for the derivative.
     """
     p = [Fraction(x) for x in point]
     steps = [
         [x + sign * h * (i == m) for i, x in enumerate(p)] for m in range(4) for sign in (1, -1)
     ]
     at = evaluate(steps)
-    at = at.reshape(4, 2, *at.shape[1:])
-    return (at[:, 0] - at[:, 1]) / (2 * h)
+    at = at.reshape(*at.shape[:-1], 4, 2)
+    return np.moveaxis((at[..., 0] - at[..., 1]) / (2 * h), -1, 0)
 
 
 def perturbed_example(rng, scale=0.3, name="perturbed"):

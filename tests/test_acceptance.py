@@ -20,7 +20,12 @@ from circulant4 import (
     gradient_condition_residuals,
     parse_field,
 )
-from circulant4._oracles import contract_lowered, exact_geometry, lower_index
+from circulant4._oracles import (
+    christoffel_partials,
+    contract_lowered,
+    exact_geometry,
+    lower_index,
+)
 from circulant4.circulant import SLOT_FIELD, inverse_metrics
 from circulant4.cli import main
 from circulant4.connection import Connection
@@ -97,10 +102,10 @@ def test_3_closed_forms(report_line):
     rng = np.random.default_rng(20260803)
     triples = np.array([_nondegenerate_triple(rng) for _ in range(1000)])
     # det g = (a - c) d, with d and the inverse from the closed forms
-    inverses, d, _ = inverse_metrics(triples)
+    inverses, d, _ = inverse_metrics(triples.T)
     ok = True
     worst_det = worst_inv = 0.0
-    for t, ginv, dk in zip(triples, inverses, d):
+    for t, ginv, dk in zip(triples, np.moveaxis(inverses, -1, 0), d):
         g = t[SLOT_FIELD]
         brute = np.linalg.det(g)
         det_err = abs((t[0] - t[2]) * dk - brute) / (1 + abs(brute))
@@ -175,12 +180,12 @@ def test_6_curvature_oracles(report_line):
 
     m = example_manifold()
     points = [P0, (0.5, -0.3, 2.0, 0.8), (-1.5, 0.2, 0.5, -2.0)]
-    exact = exact_geometry(m, points).christoffel_partials
+    exact = christoffel_partials(exact_geometry(m, points))
     exact_err = max(
         float(np.max(np.abs(
-            Geometry.at(m, p).finite_row("christoffel_partials") - dgamma.astype(float)
+            christoffel_partials(Geometry.at(m, p))[..., 0] - dgamma.astype(float)
         )))
-        for p, dgamma in zip(points, exact)
+        for p, dgamma in zip(points, np.moveaxis(exact, -1, 0))
     )
     exact_ok = exact_err <= 1e-14
 
@@ -190,7 +195,7 @@ def test_6_curvature_oracles(report_line):
     for p in sample_valid_points(nf, 3, rng, low=-2.0, high=2.0):
         geometry = Geometry.at(nf, p)
         r13 = geometry.finite_row("riemann")
-        r4 = lower_index(geometry.values[0], r13)
+        r4 = lower_index(geometry.values[:, 0], r13)
         scale = 1.0 + float(np.max(np.abs(r4)))
         gaps = [
             np.max(np.abs(r4 + r4.transpose(0, 1, 3, 2))),
@@ -259,7 +264,7 @@ def test_8_example_validity(report_line):
     values, _, _ = m.jets(points, 0)
     codes, reasons = m.domain_reasons(points, values)
     ok = [(code == 0, reasons[code]) for code in codes] == [case[1:] for case in cases]
-    ok = ok and values[3].tolist() == [30.0, 24.0, 22.0]
+    ok = ok and values[:, 3].tolist() == [30.0, 24.0, 22.0]
     report_line(
         f"[8/9] {'PASS' if ok else 'FAIL'} example validity: "
         "stated points and reasons, (A,B,C) = (30,24,22) at (1,2,3,4)"

@@ -113,19 +113,19 @@ def test_determinant_closed_form():
     # det g = (a - c)^2 ((a + c)^2 - 4 b^2), and d of `inverse_metrics` is
     # (a - c)((a + c)^2 - 4 b^2)
     triples = np.array([T312, (2, 0, 2), (3, 2, 1)], dtype=float)
-    _, d, _ = inverse_metrics(triples)
+    _, d, _ = inverse_metrics(triples.T)
     assert ((triples[:, 0] - triples[:, 2]) * d).tolist() == [21.0, 0.0, 0.0]
 
 
 @given(nondegenerate_triples)
 def test_determinant_matches_brute_force(t):
     brute = np.linalg.det(np.asarray(t)[SLOT_FIELD])
-    _, (d,), _ = inverse_metrics([t])
+    _, (d,), _ = inverse_metrics(np.transpose([t]))
     assert abs((t[0] - t[2]) * d - brute) <= 1e-10 * (1 + abs(brute))
 
 
 def test_inverse_closed_form():
-    (ginv,), _, _ = inverse_metrics([T312])
+    ginv = inverse_metrics(np.transpose([T312]))[0][..., 0]
     expected = (
         np.array(
             [
@@ -141,20 +141,20 @@ def test_inverse_closed_form():
     assert np.allclose(ginv, expected, rtol=0, atol=1e-14)
     assert np.allclose(G312 @ ginv, np.eye(4), atol=1e-14)
     # the pass at a point of the constant manifold reads the same inverse
-    assert np.array_equal(Connection.at(constant_manifold(*T312), ORIGIN).inverse[0], ginv)
+    assert np.array_equal(Connection.at(constant_manifold(*T312), ORIGIN).inverse[..., 0], ginv)
 
 
 @given(nondegenerate_triples)
 def test_inverse_matches_lu(t):
     g = np.asarray(t)[SLOT_FIELD]
-    (ginv,), _, _ = inverse_metrics([t])
+    ginv = inverse_metrics(np.transpose([t]))[0][..., 0]
     assert np.max(np.abs(g @ ginv - np.eye(4))) <= 1e-10
     assert np.allclose(ginv, np.linalg.inv(g), rtol=0, atol=1e-10)
 
 
 def test_singular_triples_raise():
     triples = [(2, 0, 2), (1, 1, 1), (3, 2, 1), (1 + 1e-13, 0.25, 1)]
-    assert inverse_metrics(triples)[2].all()
+    assert inverse_metrics(np.transpose(triples))[2].all()
     for t in triples:
         with pytest.raises(SingularMetricError, match="is numerically degenerate"):
             Connection.at(constant_manifold(*t), ORIGIN)
@@ -167,7 +167,7 @@ def test_an_overflowing_cube_gives_an_infinite_threshold_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _thresholds(*np.array([t]).T).tolist() == [math.inf]
-        _, (d,), (degenerate,) = inverse_metrics([t])
+        _, (d,), (degenerate,) = inverse_metrics(np.transpose([t]))
         assert (t[0] - t[2]) * d == math.inf and degenerate
         with pytest.raises(SingularMetricError, match="overflowing closed-form inverse"):
             Connection.at(constant_manifold(*t), ORIGIN)
@@ -182,7 +182,7 @@ def test_degeneracy_threshold_scales_with_size():
 def test_ordering_test():
     # positivity is code 0 of `domain_reasons`; the origin is on no locus of a constant manifold
     triples = np.array([T312, (30, 24, 22), (3, 2.5, 2), (-3, -2, -1)])
-    codes, reasons = constant_manifold(*T312).domain_reasons(np.zeros((4, 4)), triples)
+    codes, reasons = constant_manifold(*T312).domain_reasons(np.zeros((4, 4)), triples.T)
     assert [reasons[code] for code in codes] == [
         None, "C > B violated", "C > B violated", "A > C violated"
     ]
@@ -197,7 +197,7 @@ def test_leading_principal_minors():
 
 @given(ordered_triples)
 def test_ordered_triples_are_positive_definite(t):
-    codes, _ = constant_manifold(*t).domain_reasons([ORIGIN], [t])
+    codes, _ = constant_manifold(*t).domain_reasons([ORIGIN], np.transpose([t]))
     assert codes.tolist() == [0]
     g = np.asarray(t)[SLOT_FIELD]
     assert np.all(leading_principal_minors(g) > 0)
@@ -206,7 +206,7 @@ def test_ordered_triples_are_positive_definite(t):
 
 def test_inner_values():
     # g(u, v) = u @ g @ v, with g the metric of the pass at a point
-    g = Connection.at(constant_manifold(1, 0, 0), ORIGIN).metric[0]
+    g = Connection.at(constant_manifold(1, 0, 0), ORIGIN).metric[..., 0]
     assert np.arange(1.0, 5.0) @ g @ np.arange(1.0, 5.0) == 30.0
     assert np.ones(4) @ G312 @ np.ones(4) == 28.0
 
@@ -239,11 +239,12 @@ def test_batched_inverse_matches_scalar_formula_bitwise(triples):
     triples = triples + [(2.0, 0.0, 2.0), (3.0, 2.0, 1.0), (1 + 1e-13, 0.25, 1.0), (3.0, 1.0, 2.0)]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        ginv, d, degenerate = inverse_metrics(triples)
-    assert ginv.shape == (len(triples), 4, 4)
-    for row, flag, triple in zip(ginv, degenerate, triples):
+        ginv, d, degenerate = inverse_metrics(np.transpose(triples))
+    assert ginv.shape == (4, 4, len(triples))
+    for row, flag, triple in zip(np.moveaxis(ginv, -1, 0), degenerate, triples):
         expected = _scalar_inverse(*triple)
-        (alone,), _, (alone_flag,) = inverse_metrics([triple])
+        alone, _, (alone_flag,) = inverse_metrics(np.transpose([triple]))
+        alone = alone[..., 0]
         assert flag == alone_flag == (expected is None)
         if flag:
             assert np.all(np.isnan(row)) and np.all(np.isnan(alone))
@@ -259,14 +260,14 @@ def test_inverse_metrics_is_exact_over_fractions():
         [list(map(Fraction, *row)) for row in zip(numerators.tolist(), denominators.tolist())],
         dtype=object,
     )
-    ginv, d, degenerate = inverse_metrics(triples)
+    ginv, d, degenerate = inverse_metrics(triples.T)
     assert not degenerate.any()
     identity = np.eye(4, dtype=int)
-    for triple, inverse, dk in zip(triples, ginv, d):
+    for triple, inverse, dk in zip(triples, np.moveaxis(ginv, -1, 0), d):
         assert all(type(x) is Fraction for x in (*inverse.flat, dk))
         assert (triple[SLOT_FIELD].dot(inverse) == identity).all()
 
 
 def test_inverse_metrics_raises_on_an_exact_zero_determinant():
     with pytest.raises(ZeroDivisionError):
-        inverse_metrics(np.array([[Fraction(2), Fraction(1, 3), Fraction(2)]], dtype=object))
+        inverse_metrics(np.array([[Fraction(2)], [Fraction(1, 3)], [Fraction(2)]], dtype=object))

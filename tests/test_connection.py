@@ -287,7 +287,7 @@ def test_residual_report_api():
 # The two relation systems as they were written out by hand before they were
 # computed from their labels: the reference for the table, bit for bit.
 def _reduced_by_hand(gradients):
-    (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4) = np.moveaxis(gradients, 0, 2)
+    (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4) = gradients
     return np.abs(
         np.stack(
             [
@@ -300,13 +300,13 @@ def _reduced_by_hand(gradients):
                 2.0 * b1 - c4 - c2,
                 2.0 * b2 - c1 - c3,
             ],
-            axis=1,
+            axis=0,
         )
     )
 
 
 def _full_by_hand(gradients):
-    (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4) = np.moveaxis(gradients, 0, 2)
+    (a1, a2, a3, a4), (b1, b2, b3, b4), (c1, c2, c3, c4) = gradients
     return np.abs(
         np.stack(
             [
@@ -327,18 +327,18 @@ def _full_by_hand(gradients):
                 2.0 * a1 + a3 - b2 - 3.0 * b4 + c1,
                 a2 - b1 - 3.0 * b3 + 2.0 * c2 + c4,
             ],
-            axis=1,
+            axis=0,
         )
     )
 
 
 def _relation_gradients():
-    """(N, 3, 4) gradients: wide random magnitudes, small integers, special values."""
+    """(3, 4, N) gradients: wide random magnitudes, small integers, special values."""
     rng = np.random.default_rng(20261018)
     wide = rng.choice((-1.0, 1.0), (4000, 3, 4)) * 10.0 ** rng.uniform(-300, 300, (4000, 3, 4))
     small = rng.integers(-3, 4, (4000, 3, 4)).astype(float)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324])
-    return np.concatenate([wide, small, rng.choice(special, (4000, 3, 4))])
+    return np.moveaxis(np.concatenate([wide, small, rng.choice(special, (4000, 3, 4))]), 0, -1)
 
 
 @pytest.mark.parametrize(
@@ -348,7 +348,7 @@ def _relation_gradients():
 def test_relation_tables_match_the_written_out_relations_bitwise(stage, by_hand):
     gradients = _relation_gradients()
     with np.errstate(over="ignore", invalid="ignore"):
-        got = getattr(Connection(np.zeros((len(gradients), 3)), gradients), stage)
+        got = getattr(Connection(np.zeros((3, gradients.shape[-1])), gradients), stage)
         expected = by_hand(gradients)
     assert got.shape == expected.shape
     nan = np.isnan(expected)
@@ -377,7 +377,7 @@ def test_inverse_metric_is_computed_once_and_only_where_read(monkeypatch):
     calls = []
 
     def counted(values):
-        calls.append(len(values))
+        calls.append(values.shape[-1])
         return inverse(values)
 
     inverse = connection.inverse_metrics
@@ -387,7 +387,7 @@ def test_inverse_metric_is_computed_once_and_only_where_read(monkeypatch):
     _gradient_row(example, P0, "full_system")
     _gradient_row(example, P0, "metric_partials")
     assert calls == []
-    # Gamma and d Gamma both read the inverse, and the pass computes it once
+    # Gamma and R both read the inverse, and the pass computes it once
     Geometry(*example.jets(np.array([P0]), 2)).riemann
     assert calls == [1]
 
@@ -398,7 +398,7 @@ def test_an_all_check_chunk_tests_each_jet_once(monkeypatch):
     code = non_finite.func
 
     def counted_code(pass_):
-        coded.append(len(pass_.values))
+        coded.append(pass_.values.shape[-1])
         return code(pass_)
 
     def counted_isfinite(x, *args, **kwargs):
@@ -426,13 +426,13 @@ def test_failures_take_the_first_reason_of_each_point():
     # beside an earlier field's Hessian, and a Hessian alone
     jets = example_manifold().jets(np.array([P0] * 5))
     values, gradients, hessians = (np.array(jet) for jet in jets)
-    values[0, 2] = np.inf
-    gradients[0, 0, 1] = np.nan
-    values[1] = (1.0, 0.25, 1.0)  # A = C, so d = 0
-    gradients[1, 1, 3] = np.inf
-    gradients[2, 2, 0] = -np.inf
-    hessians[2, 0, 1, 1] = np.nan
-    hessians[3, 1, 2, 3] = np.inf
+    values[2, 0] = np.inf
+    gradients[0, 1, 0] = np.nan
+    values[:, 1] = (1.0, 0.25, 1.0)  # A = C, so d = 0
+    gradients[1, 3, 1] = np.inf
+    gradients[2, 0, 2] = -np.inf
+    hessians[0, 1, 1, 2] = np.nan
+    hessians[1, 2, 3, 3] = np.inf
     failures = Connection(values, gradients, hessians).failures
     first = ["C is not finite", str(degeneracy_error(1.0, 0.25, 1.0, 0.0))]
     assert failures(0) == first + [None, None, None]
@@ -500,7 +500,7 @@ def test_an_all_check_chunk_decides_its_codes_without_failure_texts(monkeypatch)
     code = non_finite.func
 
     def counted_code(pass_):
-        coded.append(len(pass_.values))
+        coded.append(pass_.values.shape[-1])
         return code(pass_)
 
     def no_texts(pass_, order):

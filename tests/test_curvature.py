@@ -4,6 +4,7 @@ import itertools
 import os
 import warnings
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from circulant4 import (
     scan,
 )
 from circulant4._oracles import (
+    christoffel_partials,
     contract_lowered,
     curvature_q_invariance_residual,
     exact_geometry,
@@ -89,14 +91,14 @@ def _exact_christoffel_differences(m, p):
 
 def test_christoffel_partials_match_finite_differences():
     for m, p in [(example_manifold(), P0), (load_manifold(CUBIC), (0.3, -0.2, 0.5, 0.1))]:
-        exact = exact_geometry(m, [p]).christoffel_partials[0]
+        exact = christoffel_partials(exact_geometry(m, [p]))[..., 0]
         assert np.max(np.abs(_exact_christoffel_differences(m, p) - exact)) <= 1e-17
-        dgamma = Geometry.at(m, p).finite_row("christoffel_partials")
+        dgamma = christoffel_partials(Geometry.at(m, p))[..., 0]
         assert np.max(np.abs(dgamma - exact.astype(float))) <= 1e-14
 
 
 def test_christoffel_partials_symmetry():
-    dgamma = Geometry.at(example_manifold(), P0).finite_row("christoffel_partials")
+    dgamma = christoffel_partials(Geometry.at(example_manifold(), P0))[..., 0]
     assert np.array_equal(dgamma, np.swapaxes(dgamma, 2, 3))
 
 
@@ -122,10 +124,10 @@ def test_riemann_matches_finite_difference_assembly():
     for m, p in [(example, P0), (example, (0.5, -0.3, 2.0, 0.8)), (cubic, (0.3, -0.2, 0.5, 0.1))]:
         exact = exact_geometry(m, [p])
         dgamma = _exact_christoffel_differences(m, p)
-        assembled = _riemann_by_definition(exact.christoffel[0], dgamma)
-        assert np.max(np.abs(assembled - exact.riemann[0])) <= 1e-17
+        assembled = _riemann_by_definition(exact.christoffel[..., 0], dgamma)
+        assert np.max(np.abs(assembled - exact.riemann[..., 0])) <= 1e-17
         r = Geometry.at(m, p).finite_row("riemann")
-        assert np.max(np.abs(r - exact.riemann[0].astype(float))) <= 1e-14
+        assert np.max(np.abs(r - exact.riemann[..., 0].astype(float))) <= 1e-14
 
 
 def test_example_manifold_is_flat():
@@ -154,7 +156,7 @@ def test_classical_symmetries(nonflat_points):
     for p in points[:3]:
         geometry = Geometry.at(m, p)
         r13 = geometry.finite_row("riemann")
-        r4 = lower_index(geometry.values[0], r13)
+        r4 = lower_index(geometry.values[:, 0], r13)
         scale = 1.0 + float(np.max(np.abs(r4)))
         # antisymmetry in the argument pair and in the value pair
         assert np.max(np.abs(r4 + r4.transpose(0, 1, 3, 2))) <= 1e-8 * scale
@@ -174,7 +176,7 @@ def test_lower_raise_round_trip(nonflat_points):
     m, points = nonflat_points
     geometry = Geometry.at(m, points[0])
     r4 = geometry.finite_row("riemann_lowered")
-    t = geometry.values[0]
+    t = geometry.values[:, 0]
     scale = 1.0 + float(np.max(np.abs(r4)))
     assert np.max(np.abs(lower_index(t, raise_index(t, r4)) - r4)) <= 1e-10 * scale
     # the pass forms the lowered R, and R by raising its first index
@@ -257,10 +259,12 @@ def test_identities_fail_without_parallelism():
     assert curvature_q_invariance_residual(m, P0, x, y, z, u) > 1e-6
 
 
-# the stages read at one point through `Geometry.at(m, p).finite_row(stage)`
-POINT_STAGES = ("metric", "metric_partials", "christoffel", "nabla_q", "full_system",
-                "christoffel_partials", "riemann", "riemann_lowered", "q_invariance_gap",
-                "q_commutation_gap")
+# every stage of the pass, the per-point arrays of `Geometry` and `Connection`,
+# each one public attribute with the points last
+STAGES = tuple(
+    name for name in dir(Geometry)
+    if not name.startswith("_") and isinstance(getattr(Geometry, name), (property, cached_property))
+)
 
 
 def _bits(x):
@@ -268,31 +272,39 @@ def _bits(x):
 
 
 def test_degenerate_rows_stay_local(nonflat_points):
+    assert set(STAGES) == {
+        "inverse", "d", "degenerate", "metric", "metric_partials", "first_kind", "christoffel",
+        "nabla_q", "nabla_q_max", "gradient_conditions", "gradient_condition_max",
+        "full_system", "riemann_lowered", "riemann", "q_invariance_gap", "q_invariance_scale",
+        "q_commutation_gap", "q_commutation_scale",
+    }
     m, points = nonflat_points
     values, gradients, hessians = m.jets(np.array(points[:3]))
     values = values.copy()
-    values[1] = (2.0, 1.0, 2.0)  # A = C: d = 0 exactly
+    values[:, 1] = (2.0, 1.0, 2.0)  # A = C: d = 0 exactly
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         geometry = Geometry(values, gradients, hessians)
-        rows = {stage: getattr(geometry, stage) for stage in POINT_STAGES}
-    r4, nq = rows["riemann_lowered"], rows["nabla_q"]
+        stages = {stage: getattr(geometry, stage) for stage in STAGES}
+        dgamma = christoffel_partials(geometry)
+    r4, nq = stages["riemann_lowered"], stages["nabla_q"]
     assert geometry.degenerate.tolist() == [False, True, False]
-    assert np.all(np.isnan(r4[1])) and np.all(np.isnan(nq[1]))
+    assert np.all(np.isnan(r4[..., 1])) and np.all(np.isnan(nq[..., 1]))
     assert "degenerate" in geometry.failures(2)[1]
     for k in (0, 2):
-        alone = Geometry(values[k : k + 1], gradients[k : k + 1], hessians[k : k + 1])
-        assert np.array_equal(r4[k], alone.riemann_lowered[0])
-        assert np.array_equal(nq[k], alone.nabla_q[0])
-        # the pass at the point reads each stage's row of the 3-point pass, bit for bit
+        alone = Geometry(values[:, k : k + 1], gradients[..., k : k + 1], hessians[..., k : k + 1])
+        assert np.array_equal(r4[..., k], alone.riemann_lowered[..., 0])
+        assert np.array_equal(nq[..., k], alone.nabla_q[..., 0])
+        # the pass at the point reads each stage of the 3-point pass at k, bit for bit
         at = Geometry.at(m, points[k])
-        for stage, row in rows.items():
-            assert np.array_equal(_bits(at.finite_row(stage)), _bits(row[k])), (k, stage)
+        for stage, array in stages.items():
+            assert np.array_equal(_bits(at.finite_row(stage)), _bits(array[..., k])), (k, stage)
+        assert np.array_equal(_bits(christoffel_partials(at)[..., 0]), _bits(dgamma[..., k]))
 
 
-# the rank-5 stages: the lowered R and R share one block per pass, d Gamma
-# has its own memory; the gaps read the block
-RANK5_STAGES = ("christoffel_partials", "riemann", "riemann_lowered")
+# the rank-5 stages: the lowered R and R share one block per pass; the gaps
+# read the block
+RANK5_STAGES = ("riemann", "riemann_lowered")
 GAP_ATTRIBUTES = ("q_invariance_gap", "q_invariance_scale", "q_commutation_gap",
                   "q_commutation_scale")
 
@@ -327,23 +339,23 @@ def test_stages_read_in_any_order_keep_their_bits(perturbed_jets):
 
 def test_curvature_stages_stay_exact_on_fraction_jets(exact_passes):
     floats, exact = exact_passes["cubic"]
-    for stage in ("christoffel",) + RANK5_STAGES + GAP_ATTRIBUTES[::2]:
-        value = getattr(exact, stage)
+    for stage in ("christoffel", "christoffel_partials") + RANK5_STAGES + GAP_ATTRIBUTES[::2]:
+        value = _stage(exact, stage)
         assert all(type(x) is Fraction for x in value.flat), stage
-        scale = 1.0 + np.max(np.abs(getattr(floats, stage)))
-        assert np.allclose(getattr(floats, stage), value.astype(float), rtol=0, atol=1e-14 * scale)
+        scale = 1.0 + np.max(np.abs(_stage(floats, stage)))
+        assert np.allclose(_stage(floats, stage), value.astype(float), rtol=0, atol=1e-14 * scale)
 
 
 @pytest.mark.parametrize("case", ["example", "cubic"])
 def test_exact_pass_keeps_the_identities_exactly(exact_passes, case):
     _, exact = exact_passes[case]
-    gamma, dgamma = exact.christoffel, exact.christoffel_partials  # [n, s, i, j], [n, m, s, i, j]
-    r, r4 = exact.riemann, exact.riemann_lowered  # [n, l, k, j, i], [n, h, k, j, i]
-    assert np.all(gamma == gamma.swapaxes(2, 3))
-    assert np.all(dgamma == dgamma.swapaxes(3, 4))
-    assert np.all(r == -r.swapaxes(3, 4))
-    assert not np.any(r + np.einsum("nljik->nlkji", r) + np.einsum("nlikj->nlkji", r))
-    assert np.all(r4 == r4.transpose(0, 4, 3, 2, 1))
+    gamma, dgamma = exact.christoffel, christoffel_partials(exact)  # [s, i, j, n], [m, s, i, j, n]
+    r, r4 = exact.riemann, exact.riemann_lowered  # [l, k, j, i, n], [h, k, j, i, n]
+    assert np.all(gamma == gamma.swapaxes(1, 2))
+    assert np.all(dgamma == dgamma.swapaxes(2, 3))
+    assert np.all(r == -r.swapaxes(2, 3))
+    assert not np.any(r + np.einsum("ljikn->lkjin", r) + np.einsum("likjn->lkjin", r))
+    assert np.all(r4 == r4.transpose(3, 2, 1, 0, 4))
     if case == "example":
         # the stored cubic rounds 1/6 when it is parsed, so there nabla q and
         # the gaps are about 1e-17, not 0
@@ -374,19 +386,26 @@ ROUNDING_BOUNDS = {
 
 
 def _largest(x):
-    """max |x| per point, over the axes after the first, (N,) floats."""
-    return np.abs(x.astype(float)).reshape(len(x), -1).max(axis=1)
+    """max |x| per point, over the axes before the last, (N,) floats."""
+    return np.abs(x.astype(float)).reshape(-1, x.shape[-1]).max(axis=0)
+
+
+def _stage(geometry, name):
+    """A stage of a pass, or d Gamma, which the tests form by `_oracles.christoffel_partials`."""
+    if name == "christoffel_partials":
+        return christoffel_partials(geometry)
+    return getattr(geometry, name)
 
 
 def test_float_pass_is_off_the_exact_pass_by_rounding(exact_passes):
     for case, bounds in ROUNDING_BOUNDS.items():
         floats, exact = exact_passes[case]
-        gamma, dgamma = _largest(exact.christoffel), _largest(exact.christoffel_partials)
+        gamma, dgamma = _largest(exact.christoffel), _largest(christoffel_partials(exact))
         curvature = dgamma + gamma**2
         scales = {"christoffel": gamma, "nabla_q": gamma, "christoffel_partials": dgamma,
                   "riemann": curvature, "riemann_lowered": _largest(exact.metric) * curvature}
         for stage, bound in bounds.items():
-            error = _largest(getattr(floats, stage) - getattr(exact, stage).astype(float))
+            error = _largest(_stage(floats, stage) - _stage(exact, stage).astype(float))
             assert np.max(error / scales[stage]) <= bound, (case, stage)
     # at the false-failure point the exact R and curvature31 gap are 0. The
     # float lowered R is 2.6e-12 there, and R, g^{-1} times it, 1.3e-8, as

@@ -111,7 +111,7 @@ def test_fd_gradient_agrees():
             }
         )
         p = rng.uniform(-2, 2, size=4)
-        exact = exact_jets([f], [p])[1][0, 0]
+        exact = exact_jets([f], [p])[1][0, :, 0]
         differences = exact_central_difference(lambda points: exact_jets([f], points)[0], p)
         assert differences[:, 0].tolist() == exact.tolist()
         gap = np.max(np.abs(f.gradient(p) - exact.astype(float)))
@@ -337,7 +337,7 @@ def test_jets_refuse_a_bool_order(order):
 def test_jets_take_numbers_and_float_arrays_as_they_are():
     m = example_manifold()
     values, _, _ = m.jets([[1, 0, 2, 0]], 0)
-    assert values.tolist() == [[5.0, 0.0, 4.0]]
+    assert values.tolist() == [[5.0], [0.0], [4.0]]
     # a float array, as a scan passes, is read without a copy or a search for bools
     points = np.ones((3, 4))[:, ::-1]
     assert fields._as_points(points) is points
@@ -427,15 +427,15 @@ def test_compiled_jets_match_reference_bitwise(name):
     for block in (points, JET_EDGE_POINTS):
         expected = _reference_jets(f, block)
         values, gradients, hessians = jets(CompiledField([f]), block)
-        assert np.array_equal(_bits(values[:, 0]), _bits(expected[0]))
-        assert np.array_equal(_bits(gradients[:, 0]), _bits(expected[1]))
-        assert np.array_equal(_bits(hessians[:, 0]), _bits(expected[2]))
-    # one point at a time: no row depends on the others
+        assert np.array_equal(_bits(values[0]), _bits(expected[0]))
+        assert np.array_equal(_bits(np.moveaxis(gradients[0], -1, 0)), _bits(expected[1]))
+        assert np.array_equal(_bits(np.moveaxis(hessians[0], -1, 0)), _bits(expected[2]))
+    # one point at a time: no point's entries depend on the others
     values, gradients, hessians = jets(CompiledField([f]), points)
     for k in (0, len(points) - 1):
         single = jets(CompiledField([f]), points[k : k + 1])
         assert all(
-            np.array_equal(_bits(a), _bits(b[k : k + 1])) for a, b in
+            np.array_equal(_bits(a), _bits(b[..., k : k + 1])) for a, b in
             zip(single, (values, gradients, hessians))
         )
 
@@ -452,20 +452,20 @@ def test_jets_of_several_fields_and_orders():
     m = example_manifold()
     points = _reference_points()[:10]
     values, gradients, hessians = jets(CompiledField([m.A, m.B, m.C]), points)
-    assert values.shape == (10, 3)
-    assert gradients.shape == (10, 3, 4)
-    assert hessians.shape == (10, 3, 4, 4)
-    assert np.array_equal(hessians, np.swapaxes(hessians, 2, 3))
+    assert values.shape == (3, 10)
+    assert gradients.shape == (3, 4, 10)
+    assert hessians.shape == (3, 4, 4, 10)
+    assert np.array_equal(hessians, np.swapaxes(hessians, 1, 2))
     for k, f in enumerate((m.A, m.B, m.C)):
         alone = jets(CompiledField([f]), points)
-        assert np.array_equal(values[:, k], alone[0][:, 0])
-        assert np.array_equal(hessians[:, k], alone[2][:, 0])
+        assert np.array_equal(values[k], alone[0][0])
+        assert np.array_equal(hessians[k], alone[2][0])
     v0, g0, h0 = jets(CompiledField([m.A, m.B, m.C]), points, order=0)
     assert np.array_equal(v0, values) and g0 is None and h0 is None
     v1, g1, h1 = jets(CompiledField([m.A, m.B, m.C]), points, order=1)
     assert np.array_equal(g1, gradients) and h1 is None
     empty = jets(CompiledField([m.A, m.B, m.C]), np.zeros((0, 4)))
-    assert [x.shape for x in empty] == [(0, 3), (0, 3, 4), (0, 3, 4, 4)]
+    assert [x.shape for x in empty] == [(3, 0), (3, 4, 0), (3, 4, 4, 0)]
     with pytest.raises(ValueError):
         jets(CompiledField([m.A]), points, order=3)
     with pytest.raises(ValueError):
@@ -489,8 +489,8 @@ def test_compiled_form_is_kept_on_the_manifold():
     assert changed.compiled is not compiled
     got = changed.jets(points)
     for a, b, expected in zip(got, first, _reference_jets(changed.A, points)):
-        assert np.array_equal(_bits(a[:, 0]), _bits(expected))
-        assert np.array_equal(_bits(a[:, 1:]), _bits(b[:, 1:]))
+        assert np.array_equal(_bits(np.moveaxis(a[0], -1, 0)), _bits(expected))
+        assert np.array_equal(_bits(a[1:]), _bits(b[1:]))
     clone = pickle.loads(pickle.dumps(m))
     assert clone == m
     assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(clone.jets(points), first))
@@ -500,8 +500,8 @@ def test_compiled_form_is_kept_on_the_manifold():
 def test_compiled_jets_match_reference_on_random_fields(f, p):
     values, gradients, hessians = jets(CompiledField([f]), [p])
     assert _bits(values[0, 0]) == _bits(f(p))
-    assert np.array_equal(_bits(gradients[0, 0]), _bits(f.gradient(p)))
-    assert np.array_equal(_bits(hessians[0, 0]), _bits(f.hessian(p)))
+    assert np.array_equal(_bits(gradients[0, :, 0]), _bits(f.gradient(p)))
+    assert np.array_equal(_bits(hessians[0, ..., 0]), _bits(f.hessian(p)))
 
 
 # Expressions of the parser's grammar, each paired with the field the

@@ -2,12 +2,13 @@
 
 The pass keeps the points on the last axis, from the jets to the gaps.
 `_points_first_pass` below is the same formulas with the points first,
-einsum for einsum: the test pins every stage of the points-last pass to
-it bit for bit, by int64 views, so a zero changing sign or an inf turning
-into a NaN shows. The joint jets, which multiply each distinct term of
-the fields' slots once, are pinned to each field's `__call__`,
-`gradient` and `hessian`, and the stages' layout, also on the valid rows
-of a scan chunk, to the points last, contiguous.
+einsum for einsum: the test pins every stage of the points-last pass,
+with its point axis moved first, to it bit for bit, by int64 views, so a
+zero changing sign or an inf turning into a NaN shows. The joint jets,
+which multiply each distinct term of the fields' slots once, are pinned
+to each field's `__call__`, `gradient` and `hessian`, and the stages'
+layout, also on the valid rows of a scan chunk, to the points last,
+contiguous.
 """
 
 import os
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from circulant4 import Geometry, constant_manifold, example_manifold, load_manifold, scan
+from circulant4._oracles import christoffel_partials
 from circulant4.circulant import AFFINOR_NEXT, AFFINOR_PREVIOUS, SLOT_FIELD, _thresholds
 from circulant4.fields import CompiledField, ScalarField, jets, parse_field
 from circulant4.scan import CHUNK_SIZE, AxisSpec, ScanConfig, run_scan
@@ -56,7 +58,7 @@ def _bits(values):
 
 
 def _points_first_pass(values, gradients, hessians) -> dict:
-    """Every stage of the pass, computed points first, as the pass did before."""
+    """Every stage of the pass, computed points first: jets (N, 3, ...) in, stages (N, ...) out."""
     a, b, c = values.T
     d = (a - c) * ((a + c) * (a + c) - 4.0 * b * b)
     degenerate = ~(np.abs(d) > _thresholds(a, b, c))
@@ -117,13 +119,17 @@ def test_every_stage_matches_the_points_first_pass_bitwise(name, count):
     with np.errstate(all="ignore"):
         jet = m.jets(_points(name, count))
         geometry = Geometry(*jet)
-        expected = _points_first_pass(*(np.ascontiguousarray(x) for x in jet))
-        got = {stage: getattr(geometry, stage) for stage in expected}
+        expected = _points_first_pass(*(np.ascontiguousarray(np.moveaxis(x, -1, 0)) for x in jet))
+        got = {
+            stage: christoffel_partials(geometry) if stage == "christoffel_partials"
+            else getattr(geometry, stage)
+            for stage in expected
+        }
     for stage, reference in expected.items():
-        assert got[stage].shape == reference.shape, stage
-        assert np.array_equal(_bits(got[stage]), _bits(reference)), stage
+        assert np.moveaxis(got[stage], -1, 0).shape == reference.shape, stage
+        assert np.array_equal(_bits(np.moveaxis(got[stage], -1, 0)), _bits(reference)), stage
     assert np.array_equal(
-        _bits(geometry.gradient_condition_max), _bits(np.max(geometry.gradient_conditions, axis=1))
+        _bits(geometry.gradient_condition_max), _bits(np.max(geometry.gradient_conditions, axis=0))
     )
     # not vacuous: degenerate rows on example, rows that are not finite on steep
     if name == "example":
@@ -190,8 +196,8 @@ def test_joint_jets_match_each_field_bitwise(case, count):
             if k > order:
                 assert got[k] is None
                 continue
-            assert got[k].shape == expected[k].shape
-            assert np.array_equal(_bits(got[k]), _bits(expected[k])), (order, k)
+            assert np.moveaxis(got[k], -1, 0).shape == expected[k].shape
+            assert np.array_equal(_bits(np.moveaxis(got[k], -1, 0)), _bits(expected[k])), (order, k)
 
 
 @pytest.mark.parametrize(
@@ -214,8 +220,7 @@ def test_compiled_fields_multiply_each_distinct_term_once(name, rows):
 def test_the_stages_keep_the_points_last_and_contiguous(monkeypatch):
     stages = (
         "inverse", "metric", "metric_partials", "first_kind", "christoffel", "nabla_q",
-        "gradient_conditions", "full_system", "christoffel_partials", "riemann",
-        "riemann_lowered",
+        "gradient_conditions", "full_system", "riemann", "riemann_lowered",
     )
     m = _manifold("cubic")
     passes = [Geometry(*m.jets(_points("cubic", count))) for count in (64, CHUNK_SIZE)]
@@ -228,13 +233,26 @@ def test_the_stages_keep_the_points_last_and_contiguous(monkeypatch):
 
     monkeypatch.setattr(scan, "Geometry", recorded)
     run_scan(m, ScanConfig(tuple(AxisSpec(-1.0, 1.0, 4) for _ in range(4))))
-    assert len(passes[2].values) == 157  # of the chunk's 256 points
+    assert passes[2].values.shape[-1] == 157  # of the chunk's 256 points
     for geometry in passes:
-        count = len(geometry.values)
+        count = geometry.values.shape[-1]
         arrays = {"values": geometry.values, "gradients": geometry.gradients,
                   "hessians": geometry.hessians}
         arrays.update((stage, getattr(geometry, stage)) for stage in stages)
         for name, array in arrays.items():
-            assert array.shape[0] == count, name
-            # the point axis, first in the view, is the innermost in memory
-            assert array.strides[0] == array.itemsize, (name, count)
+            assert array.shape[-1] == count, name
+            # the point axis, last, is the innermost in memory
+            assert array.strides[-1] == array.itemsize, (name, count)
+
+
+def test_each_array_of_the_pass_has_one_name():
+    # one layout, so no stage has a private twin in another one
+    m = _manifold("cubic")
+    geometry = Geometry(*m.jets(_points("cubic", 8)))
+    names = [name for name in dir(Geometry) if not name.startswith("_")]
+    for name in names:
+        getattr(geometry, name)
+    names = set(dir(geometry))
+    twins = sorted(name for name in names if not name.startswith("_") and f"_{name}" in names)
+    assert twins == []
+

@@ -34,7 +34,7 @@ def _reasons(m, points):
 
 
 def test_example_triple_values():
-    a, b, c = Connection.at(example_manifold(), P0).values[0].tolist()
+    a, b, c = Connection.at(example_manifold(), P0).values[:, 0].tolist()
     assert a == pytest.approx(5.05, abs=1e-12)
     assert b == pytest.approx(0.9, abs=1e-12)
     assert c == pytest.approx(4.04, abs=1e-12)
@@ -52,7 +52,7 @@ def test_example_validity_table():
     ]
     assert _reasons(m, [point for point, _ in cases]) == [reason for _, reason in cases]
     values, _, _ = m.jets(np.array([(1.0, 2.0, 3.0, 4.0)]), 0)
-    assert values.tolist() == [[30.0, 24.0, 22.0]]
+    assert values.tolist() == [[30.0], [24.0], [22.0]]
 
 
 def test_ordering_reason_sequence():
@@ -72,7 +72,7 @@ def test_sign_line_locus():
 
 def test_metric_at_matches_triple():
     connection = Connection.at(example_manifold(), P0)
-    assert np.array_equal(connection.finite_row("metric"), connection.values[0][SLOT_FIELD])
+    assert np.array_equal(connection.finite_row("metric"), connection.values[:, 0][SLOT_FIELD])
 
 
 def test_constant_manifold():
@@ -81,7 +81,7 @@ def test_constant_manifold():
     assert m.excluded_loci == ()
     points = np.array([(0, 0, 0, 0), (5, -3, 2, 7), (9, 9, 9, 9)], dtype=float)
     values, _, _ = m.jets(points, 0)
-    assert values.tolist() == [[3.0, 1.0, 2.0]] * 3
+    assert values.tolist() == [[3.0] * 3, [1.0] * 3, [2.0] * 3]
     assert _reasons(m, points) == [None] * 3
 
 
@@ -148,7 +148,7 @@ def test_load_manifold_names_after_file(tmp_path):
     path.write_text("A = x1^2 + 2\nB = 1/2\nC = x1\n", encoding="utf-8")
     m = load_manifold(path)
     assert m.name == "disc"
-    assert m.jets(np.array([(1.0, 0, 0, 0)]), 0)[0].tolist() == [[3.0, 0.5, 1.0]]
+    assert m.jets(np.array([(1.0, 0, 0, 0)]), 0)[0].tolist() == [[3.0], [0.5], [1.0]]
 
 
 def test_load_manifold_reads_in_bounded_pieces(tmp_path, monkeypatch):
@@ -234,7 +234,7 @@ def test_load_manifold_caches_no_error(tmp_path, broken, error):
         with pytest.raises(error):
             load_manifold(path)
     path.write_bytes(b"A = 6\nB = 1\nC = 3\n")
-    assert load_manifold(path).jets(np.array([P0]), 0)[0].tolist() == [[6.0, 1.0, 3.0]]
+    assert load_manifold(path).jets(np.array([P0]), 0)[0].tolist() == [[6.0], [1.0], [3.0]]
 
 
 def test_load_manifold_evicts_the_oldest_config_past_the_bound(tmp_path, parse_calls):

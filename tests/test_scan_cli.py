@@ -785,7 +785,6 @@ def test_non_finite_derivatives_stay_local_to_their_chunk():
 PER_POINT_STAGES = (
     (Connection, "christoffel", "parallel"),
     (Connection, "nabla_q", "parallel"),
-    (Geometry, "christoffel_partials", "curvature31"),
     (Geometry, "riemann", "curvature31"),
     (Geometry, "riemann_lowered", "curvature31"),
     (Geometry, "q_invariance_gap", "curvature31"),
